@@ -20,9 +20,8 @@ import os
 import random
 import shlex
 import subprocess
+import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -178,20 +177,28 @@ def toy_denoiser(cfg: ChannelConfig, line: str) -> str:
 
 
 def _run_command_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
+    # Bytes in, bytes out, framed on "\n" alone: text mode and
+    # str.splitlines() would also break lines at "\r", "\f", U+0085, U+2028
+    # and the like, which occur inside lines of crawled text.
     cmd = spec.command_template.replace("{from}", spec.from_lang).replace("{to}", spec.to_lang)
     proc = subprocess.run(
         shlex.split(cmd),
-        input="\n".join(batch) + "\n",
+        input=("\n".join(batch) + "\n").encode("utf-8"),
         capture_output=True,
-        text=True,
         timeout=spec.timeout if spec.timeout > 0 else None,
     )
     if proc.returncode != 0:
-        raise OSError(f"command backend exited {proc.returncode}: {proc.stderr.strip()[:500]}")
-    return proc.stdout.splitlines()
+        stderr = proc.stderr.decode("utf-8", "replace").strip()
+        raise OSError(f"command backend exited {proc.returncode}: {stderr[:500]}")
+    lines = proc.stdout.decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _run_http_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
+    import urllib.request  # costs ~25 ms at CLI start; only HTTP backends need it
+
     payload = json.dumps({"lines": batch}).encode("utf-8")
     request = urllib.request.Request(
         spec.url, data=payload, headers={"Content-Type": "application/json"}
@@ -211,7 +218,8 @@ def _cache_file(cache_dir: Path, spec: BackendSpec, batch: list[str]) -> Path:
 
 def _cache_read(path: Path, n_lines: int) -> list[str] | None:
     try:
-        text = path.read_text(encoding="utf-8")
+        # Bytes, not read_text: universal newlines would split at "\r".
+        text = path.read_bytes().decode("utf-8")
     except FileNotFoundError:
         return None
     lines = text.split("\n")[:-1]
@@ -220,8 +228,10 @@ def _cache_read(path: Path, n_lines: int) -> list[str] | None:
 
 def _cache_write(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp{os.getpid()}")
-    tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    # One temp file per writing thread: concurrent jobs may write the same
+    # batch, and a name shared between them could be replaced half-written.
+    tmp = path.with_suffix(f".tmp{os.getpid()}-{threading.get_ident()}")
+    tmp.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
     tmp.replace(path)
 
 
@@ -242,7 +252,13 @@ def _run_external_batch(
         try:
             out = runner(spec, batch)
             break
-        except (OSError, urllib.error.URLError, subprocess.SubprocessError, json.JSONDecodeError) as exc:
+        except UnicodeDecodeError as exc:
+            raise BackendError(
+                f"{spec.kind} backend returned invalid UTF-8: {exc}",
+                first_line=start,
+                last_line=start + len(batch) - 1,
+            ) from exc
+        except (OSError, subprocess.SubprocessError, json.JSONDecodeError) as exc:
             last_error = exc
     else:
         raise BackendError(

@@ -36,20 +36,34 @@ UNICODE_VERSION = unicodedata.unidata_version
 _LOG_FLOOR = -9999999999
 
 
-def _category_chars(prefix: str) -> str:
-    return "".join(
-        chr(cp) for cp in range(sys.maxunicode) if unicodedata.category(chr(cp)).startswith(prefix)
+def _category_classes() -> tuple[str, str]:
+    """The punctuation and symbol character classes (without brackets), as
+    ranges of ``re.escape``d code points, built in one pass over Unicode.
+
+    Compatibility constraint: sacreBLEU 1.2.20 joins the characters of each
+    category unescaped, in code point order, and inside that raw class the
+    ``\\]`` sequence reads as an escaped bracket, so it never matches a
+    literal backslash.  The punctuation class is therefore category P minus
+    U+005C; the symbol class is exactly category S.
+    """
+    ranges: dict[str, list[list[int]]] = {"P": [], "S": []}
+    for cp, category in enumerate(map(unicodedata.category, map(chr, range(sys.maxunicode)))):
+        spans = ranges.get(category[0])
+        if spans is None or cp == 0x5C:
+            continue
+        if spans and spans[-1][1] == cp - 1:
+            spans[-1][1] = cp
+        else:
+            spans.append([cp, cp])
+    return tuple(
+        "".join(f"{re.escape(chr(lo))}-{re.escape(chr(hi))}" for lo, hi in ranges[major])
+        for major in "PS"
     )
 
 
 @functools.lru_cache(maxsize=1)
 def _intl_regexes() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
-    # The character classes are joined unescaped, in codepoint order.
-    # Compatibility constraint: escaping would change the matched set
-    # (e.g. the raw class never matches a literal backslash, because the
-    # `\]` sequence inside it reads as an escaped bracket).
-    punct = _category_chars("P")
-    symbol = _category_chars("S")
+    punct, symbol = _category_classes()
     return (
         re.compile(r"([^\d])([" + punct + r"])"),
         re.compile(r"([" + punct + r"])([^\d])"),
@@ -57,10 +71,9 @@ def _intl_regexes() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
     )
 
 
-# The wide character classes make each substitution pass expensive, and
-# scoring re-tokenizes the same test-set lines constantly (full set plus
-# origin halves, several systems); a bounded cache changes nothing
-# semantically.
+# Scoring re-tokenizes the same test-set lines constantly (full set plus
+# origin halves, several systems, base and post-edited outputs that share
+# most lines); a bounded cache changes nothing semantically.
 @functools.lru_cache(maxsize=1 << 16)
 def _tokenize_cached(text: str) -> tuple[str, ...]:
     nondigit_punct, punct_nondigit, symbol = _intl_regexes()
@@ -116,7 +129,7 @@ class NgramStats:
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
 def ngram_stats(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> NgramStats:

@@ -3,15 +3,20 @@ and HTTP framing, caching, and order preservation."""
 
 import http.server
 import json
+import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtt_ape.backends import (
     BackendSpec,
     ChannelConfig,
+    _cache_read,
+    _cache_write,
     channel_apply,
     spec_from_dict,
     toy_denoiser,
@@ -20,6 +25,17 @@ from rtt_ape.backends import (
 from rtt_ape.errors import BackendError
 
 UPPERCASE_CMD = 'python3 -c "import sys; sys.stdout.write(sys.stdin.read().upper())"'
+
+# Characters that str.splitlines() or universal newlines treat as line
+# breaks, though "\n" alone frames lines.
+LINE_BREAK_LOOKALIKES = "\r\f\v\x1c\x1d\x1e\x85\u2028\u2029"
+LINE = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(LINE_BREAK_LOOKALIKES),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+    ),
+    max_size=20,
+)
 
 
 class TestChannelConfig:
@@ -168,6 +184,54 @@ class TestTranslateBatch:
         cache = tmp_path / "cache"
         assert translate_batch(spec, ["a"], cache_dir=cache) == ["A"]
         assert translate_batch(spec, ["b"], cache_dir=cache) == ["B"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(LINE, min_size=1, max_size=8))
+    def test_any_line_survives_cat_cold_and_cached(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            counter = Path(tmp) / "invocations"
+            cmd = f"bash -c 'cat; echo run >> {counter}'"
+            spec = BackendSpec(kind="command", command_template=cmd, batch_size=3)
+            cache = Path(tmp) / "cache"
+            assert translate_batch(spec, lines, cache_dir=cache) == lines
+            runs = counter.read_text().count("run")
+            assert translate_batch(spec, lines, cache_dir=cache) == lines
+            assert counter.read_text().count("run") == runs
+
+    def test_command_invalid_utf8_names_batch_lines(self):
+        cmd = r'''python3 -c "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'ok\n\xff\n')"'''
+        spec = BackendSpec(kind="command", command_template=cmd, batch_size=2)
+        with pytest.raises(BackendError, match="invalid UTF-8") as exc_info:
+            translate_batch(spec, ["a", "b", "c"])
+        assert (exc_info.value.first_line, exc_info.value.last_line) == (0, 1)
+
+
+def test_concurrent_cache_writes_of_one_batch(tmp_path):
+    path = tmp_path / "backend" / "batch.txt"
+    lines = [f"line {i}" for i in range(200)]
+    errors = []
+
+    def writer():
+        try:
+            for _ in range(100):
+                _cache_write(path, lines)
+        except OSError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert _cache_read(path, len(lines)) == lines
+    assert list(path.parent.iterdir()) == [path]
 
 
 class _EchoUpperHandler(http.server.BaseHTTPRequestHandler):

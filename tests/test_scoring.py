@@ -3,12 +3,17 @@ structural invariants of corpus scoring."""
 
 import math
 import random
+import re
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scoring_oracle
 from conftest import random_parallel_corpus
+from rtt_ape import scoring
 from rtt_ape.scoring import (
     BleuConfig,
     NgramStats,
@@ -69,6 +74,32 @@ class TestTokenizer:
         assert tokenize_intl(" ".join(tokens)) == tokens
 
 
+class TestTokenizerAgainstRawClassOracle:
+    """The range-compressed classes must tokenize exactly like the raw,
+    unescaped classes of the reference scorer, quirks included."""
+
+    def test_class_membership_over_every_code_point(self):
+        every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+        classes = [f"[{cls}]" for cls in scoring._category_classes()]
+        for new, raw in zip(classes, scoring_oracle.raw_classes()):
+            assert re.findall(new, every_code_point) == re.findall(raw, every_code_point)
+
+    def test_every_punct_and_symbol_in_context(self):
+        chars = [
+            chr(cp) for cp in range(sys.maxunicode) if unicodedata.category(chr(cp))[0] in "PS"
+        ] + ["\\", "-", "]", "[", "^"]
+        contexts = ("a{}b", "1{}2", "a{}1", "1{}a", ".{}.", "{}")
+        lines = [context.format(char) for char in chars for context in contexts]
+        mismatches = [
+            line for line in lines if tuple(tokenize_intl(line)) != scoring_oracle.tokenize(line)
+        ]
+        assert mismatches == []
+
+    @given(TEXT)
+    def test_arbitrary_text(self, text):
+        assert tuple(tokenize_intl(text)) == scoring_oracle.tokenize(text)
+
+
 def _brute_force_stats(hyp, ref):
     """Independent clipped-count oracle: explicit enumeration of all n-grams."""
     match, total = [0] * 4, [0] * 4
@@ -107,6 +138,14 @@ class TestNgramStats:
         assert stats.match == match
         assert stats.total == total
         assert all(0 <= m <= t for m, t in zip(stats.match, stats.total))
+
+    @given(
+        st.lists(st.sampled_from("a b c d e".split()), max_size=20),
+        st.lists(st.sampled_from("a b c d e".split()), max_size=20),
+    )
+    def test_matches_slicing_form(self, hyp, ref):
+        assert ngram_stats(hyp, ref) == scoring_oracle.ngram_stats(hyp, ref)
+        assert ngram_stats(tuple(hyp), tuple(ref)) == scoring_oracle.ngram_stats(hyp, ref)
 
     def test_merge_is_fieldwise_addition(self):
         a = ngram_stats(["a", "b"], ["a", "b"])
