@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import BackendError
+from .errors import BackendError, DataError
 
 KINDS = ("command", "http", "toy_channel", "toy_denoiser", "identity")
 
@@ -287,8 +287,12 @@ def translate_batch(
     """Translate lines through the backend, one output line per input line,
     order preserved.  Batching, retries, and caching are internal; command
     and HTTP backends may process batches concurrently (``jobs``), with
-    results reassembled in input order."""
+    results reassembled in input order.  A line containing "\n" is a
+    ``DataError``, raised before any batch runs: no backend can frame it."""
     lines = list(lines)
+    for index, line in enumerate(lines):
+        if "\n" in line:
+            raise DataError(f"input line {index} contains a newline")
     if spec.kind == "identity":
         return lines
     if spec.kind == "toy_channel":

@@ -498,6 +498,17 @@ def rtt_gen_cmd(ctx, **_kwargs) -> None:
         cache_dir=params["cache_dir"],
         intermediates=intermediates,
     )
+    for pair in pairs:
+        if "\t" in pair.original or "\t" in pair.round_trip:
+            side = "original" if "\t" in pair.original else "round trip"
+            line_no = next(
+                i for i, line in enumerate(iter_lines(params["in_path"]), 1)
+                if line == pair.original
+            )
+            raise DataError(
+                f"{params['in_path']}:{line_no}: {side} contains a tab, "
+                "which the original<TAB>round_trip output cannot hold"
+            )
     _emit(params["out"], "".join(f"{p.original}\t{p.round_trip}\n" for p in pairs))
     if params["intermediate"]:
         write_lines(params["intermediate"], intermediates)

@@ -81,7 +81,8 @@ def _tokenize_cached(text: str) -> tuple[str, ...]:
     text = nondigit_punct.sub(r"\1 \2 ", text)
     text = punct_nondigit.sub(r" \1 \2", text)
     text = symbol.sub(r" \1 ", text)
-    return tuple(text.split())
+    # Interned, so the cached token tuples share one string per vocabulary word.
+    return tuple(map(sys.intern, text.split()))
 
 
 def tokenize_intl(text: str) -> list[str]:
@@ -120,31 +121,39 @@ class NgramStats:
             self.ref_len + other.ref_len,
         )
 
-    def __iadd__(self, other: "NgramStats") -> "NgramStats":
-        self.match = [a + b for a, b in zip(self.match, other.match)]
-        self.total = [a + b for a, b in zip(self.total, other.total)]
-        self.hyp_len += other.hyp_len
-        self.ref_len += other.ref_len
-        return self
-
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(n)]))
 
 
-def ngram_stats(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> NgramStats:
-    """Clipped match and total counts of one hypothesis against one reference."""
-    stats = NgramStats.zero()
-    stats.hyp_len = len(hyp_tokens)
-    stats.ref_len = len(ref_tokens)
-    for n in range(1, NGRAM_ORDER + 1):
-        hyp_counts = _ngram_counts(hyp_tokens, n)
-        if not hyp_counts:
-            continue
+# Scoring meets the same (hypothesis, reference) pair again and again (full
+# set plus origin half, base and post-edited outputs that share most lines);
+# a bounded cache changes nothing semantically.
+@functools.lru_cache(maxsize=1 << 16)
+def _clipped_matches(hyp_tokens: tuple[str, ...], ref_tokens: tuple[str, ...]) -> tuple[int, ...]:
+    match = [0] * NGRAM_ORDER
+    for n in range(1, min(len(hyp_tokens), NGRAM_ORDER) + 1):
         ref_counts = _ngram_counts(ref_tokens, n)
-        stats.total[n - 1] = len(hyp_tokens) - n + 1
-        stats.match[n - 1] = sum(min(c, ref_counts.get(g, 0)) for g, c in hyp_counts.items())
-    return stats
+        match[n - 1] = sum(
+            min(c, ref_counts.get(g, 0)) for g, c in _ngram_counts(hyp_tokens, n).items()
+        )
+    return tuple(match)
+
+
+def ngram_stats(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> NgramStats:
+    """Clipped match and total counts of one hypothesis against one reference.
+
+    Returns a fresh ``NgramStats`` on every call, so mutating a result never
+    reaches the cache behind it.
+    """
+    hyp_tokens, ref_tokens = tuple(hyp_tokens), tuple(ref_tokens)
+    hyp_len = len(hyp_tokens)
+    return NgramStats(
+        list(_clipped_matches(hyp_tokens, ref_tokens)),
+        [max(hyp_len - n + 1, 0) for n in range(1, NGRAM_ORDER + 1)],
+        hyp_len,
+        len(ref_tokens),
+    )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from rtt_ape.backends import (
     toy_denoiser,
     translate_batch,
 )
-from rtt_ape.errors import BackendError
+from rtt_ape.errors import BackendError, DataError
 
 UPPERCASE_CMD = 'python3 -c "import sys; sys.stdout.write(sys.stdin.read().upper())"'
 
@@ -198,6 +198,18 @@ class TestTranslateBatch:
             assert translate_batch(spec, lines, cache_dir=cache) == lines
             assert counter.read_text().count("run") == runs
 
+    def test_newline_inside_a_line_is_rejected_before_any_batch(self, tmp_path):
+        counter = tmp_path / "invocations"
+        cmd = f"bash -c 'cat; echo run >> {counter}'"
+        spec = BackendSpec(kind="command", command_template=cmd, batch_size=1)
+        cache = tmp_path / "cache"
+        with pytest.raises(DataError, match="input line 2 contains a newline"):
+            translate_batch(spec, ["a", "b", "c\nd", "e"], cache_dir=cache)
+        assert not counter.exists()
+        assert not cache.exists()
+        with pytest.raises(DataError, match="input line 0 "):
+            translate_batch(BackendSpec.identity(), ["a\nb", "c"])
+
     def test_command_invalid_utf8_names_batch_lines(self):
         cmd = r'''python3 -c "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'ok\n\xff\n')"'''
         spec = BackendSpec(kind="command", command_template=cmd, batch_size=2)
@@ -256,6 +268,7 @@ def http_backend_url():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/translate"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:

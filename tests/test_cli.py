@@ -270,6 +270,37 @@ class TestPipelineCommands:
         assert out.read_text() == "Obama empfängt Netanjahu\tObama erhält Netanjahu\n"
         assert intermediate.read_text() == "Obama receives Netanjahu\n"
 
+    def test_rtt_gen_rejects_tab_in_original(self, tmp_path, capsys):
+        mono = tmp_path / "mono.txt"
+        write(mono, ["guten tag", "wie\tgeht es"])
+        out = tmp_path / "pairs.tsv"
+        assert run("rtt-gen", "--in", str(mono), "--to-pivot", "identity",
+                   "--from-pivot", "identity", "--out", str(out)) == 2
+        assert f"{mono}:2: original contains a tab" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rtt_gen_rejects_tab_in_round_trip_then_make_pairs_reads_clean_tsv(
+        self, tmp_path, capsys
+    ):
+        tabbing = tmp_path / "tabbing.json"
+        tabbing.write_text(json.dumps({"kind": "command", "command": "tr _ '\\t'"}))
+        mono = tmp_path / "mono.txt"
+        write(mono, ["guten tag", "wie geht es", "a_b"])
+        out = tmp_path / "pairs.tsv"
+        assert run("rtt-gen", "--in", str(mono), "--to-pivot", "identity",
+                   "--from-pivot", str(tabbing), "--out", str(out)) == 2
+        assert f"{mono}:3: round trip contains a tab" in capsys.readouterr().err
+        assert not out.exists()
+
+        write(mono, ["guten tag", "wie geht es"])
+        assert run("rtt-gen", "--in", str(mono), "--to-pivot", "identity",
+                   "--from-pivot", str(tabbing), "--out", str(out)) == 0
+        train = tmp_path / "train.tsv"
+        assert run("make-pairs", "--in", str(out), "--out", str(train)) == 0
+        assert train.read_text().splitlines() == [
+            "guten tag\tguten tag", "wie geht es\twie geht es",
+        ]
+
     def test_ape_apply_identity(self, tmp_path):
         hyp = tmp_path / "hyp.txt"
         write(hyp, ["line one", "line two"])

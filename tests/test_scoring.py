@@ -12,8 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scoring_oracle
-from conftest import random_parallel_corpus
+from conftest import build_bias_fixture, random_parallel_corpus
 from rtt_ape import scoring
+from rtt_ape.analysis import split_score_table
+from rtt_ape.backends import translate_batch
 from rtt_ape.scoring import (
     BleuConfig,
     NgramStats,
@@ -154,6 +156,69 @@ class TestNgramStats:
         assert merged.match == [m1 + m2 for m1, m2 in zip(a.match, b.match)]
         assert merged.hyp_len == a.hyp_len + b.hyp_len
         assert (a + b).match == (b + a).match
+
+
+class TestMemoAndInterning:
+    """The clipped-match memo and token interning must be invisible."""
+
+    def test_cached_call_equals_cold_call_and_oracle(self):
+        rng = random.Random(23)
+        hyps, refs = random_parallel_corpus(rng, 40)
+        pairs = [(tokenize_intl(h), tokenize_intl(r)) for h, r in zip(hyps, refs)]
+        distinct = len({(tuple(h), tuple(r)) for h, r in pairs})
+        scoring._clipped_matches.cache_clear()
+        cold = [ngram_stats(h, r) for h, r in pairs]
+        assert scoring._clipped_matches.cache_info().misses == distinct
+        cached = [ngram_stats(h, r) for h, r in pairs]
+        assert scoring._clipped_matches.cache_info().hits >= len(pairs)
+        assert cold == cached == [scoring_oracle.ngram_stats(h, r) for h, r in pairs]
+
+    def test_list_and_tuple_inputs_agree(self):
+        hyp, ref = ["a", "b", "a", "c"], ["a", "b", "c", "a"]
+        assert ngram_stats(hyp, ref) == ngram_stats(tuple(hyp), tuple(ref))
+        assert ngram_stats(tuple(hyp), ref) == ngram_stats(hyp, tuple(ref))
+
+    def test_mutating_a_result_does_not_reach_the_cache(self):
+        hyp, ref = ("a", "b", "c"), ("a", "b", "x")
+        first = ngram_stats(hyp, ref)
+        expected = scoring_oracle.ngram_stats(hyp, ref)
+        first.match[0] = 99
+        first.total[1] = 99
+        first.hyp_len = 99
+        first += ngram_stats(hyp, ref)
+        assert ngram_stats(hyp, ref) == expected
+
+    def test_tokens_are_interned(self):
+        scoring._tokenize_cached.cache_clear()
+        first = tokenize_intl("ein Haus, ein Haus.")
+        second = tokenize_intl("Haus ein")
+        assert first[0] is first[3] and first[1] is first[4] is second[0]
+
+    def test_split_score_table_equals_oracle_sums(self):
+        fixture = build_bias_fixture(n=120, n_groups=10, seed=9)
+        ts = fixture.testset
+        edited = translate_batch(fixture.denoiser_backend(), fixture.mt_output)
+        hyps = {"mt": fixture.mt_output, "ape": edited, "ref": fixture.references}
+        config = BleuConfig("en-de", ts.name)
+        scoring._tokenize_cached.cache_clear()
+        scoring._clipped_matches.cache_clear()
+        table = split_score_table(ts, hyps, config)
+        groups = {
+            "full": range(len(ts)),
+            "source_original": fixture.halves.source_original,
+            "target_original": fixture.halves.target_original,
+        }
+        for label, hyp in hyps.items():
+            for name, indices in groups.items():
+                stats = NgramStats.zero()
+                for i in indices:
+                    stats = stats + scoring_oracle.ngram_stats(
+                        scoring_oracle.tokenize(hyp[i]),
+                        scoring_oracle.tokenize(fixture.references[i]),
+                    )
+                got = table[label].split_scores[name]
+                assert got.stats == stats
+                assert got.as_dict() == score_from_stats(stats, config).as_dict()
 
 
 class TestCorpusBleu:
