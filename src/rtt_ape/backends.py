@@ -31,6 +31,10 @@ from .errors import BackendError, DataError
 
 KINDS = ("command", "http", "toy_channel", "toy_denoiser", "identity")
 
+# Upper bound on ``jobs``: each concurrent batch is one thread (and, for a
+# command backend, one child process).
+MAX_JOBS = 64
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -288,7 +292,10 @@ def translate_batch(
     order preserved.  Batching, retries, and caching are internal; command
     and HTTP backends may process batches concurrently (``jobs``), with
     results reassembled in input order.  A line containing "\n" is a
-    ``DataError``, raised before any batch runs: no backend can frame it."""
+    ``DataError``, raised before any batch runs: no backend can frame it.
+    ``jobs`` outside 1..``MAX_JOBS`` is a ``ValueError``, also raised first."""
+    if not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
     lines = list(lines)
     for index, line in enumerate(lines):
         if "\n" in line:

@@ -8,9 +8,10 @@ n-gram matches.  Every score carries the matching signature string so
 numbers stay comparable across tools.
 
 The tokenizer's punctuation and symbol tables are built from the host
-``unicodedata`` module; the Unicode version in use is exposed as
-``UNICODE_VERSION`` and should be reported alongside scores, since table
-drift across Unicode versions silently changes tokenization.
+``unicodedata`` module, one 256-code-point page at a time as text arrives;
+the Unicode version in use is exposed as ``UNICODE_VERSION`` and should be
+reported alongside scores, since table drift across Unicode versions
+silently changes tokenization.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ UNICODE_VERSION = unicodedata.unidata_version
 _LOG_FLOOR = -9999999999
 
 
-def _category_classes() -> tuple[str, str]:
-    """The punctuation and symbol character classes (without brackets), as
-    ranges of ``re.escape``d code points, built in one pass over Unicode.
+def _category_classes(code_points: Iterable[int] = range(sys.maxunicode)) -> tuple[str, str]:
+    """The punctuation and symbol character classes (without brackets) over
+    ``code_points`` (ascending), as ranges of ``re.escape``d code points,
+    built in one pass.  The default scans all of Unicode.
 
     Compatibility constraint: sacreBLEU 1.2.20 joins the characters of each
     category unescaped, in code point order, and inside that raw class the
@@ -47,8 +49,8 @@ def _category_classes() -> tuple[str, str]:
     U+005C; the symbol class is exactly category S.
     """
     ranges: dict[str, list[list[int]]] = {"P": [], "S": []}
-    for cp, category in enumerate(map(unicodedata.category, map(chr, range(sys.maxunicode)))):
-        spans = ranges.get(category[0])
+    for cp in code_points:
+        spans = ranges.get(unicodedata.category(chr(cp))[0])
         if spans is None or cp == 0x5C:
             continue
         if spans and spans[-1][1] == cp - 1:
@@ -61,14 +63,35 @@ def _category_classes() -> tuple[str, str]:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _intl_regexes() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
-    punct, symbol = _category_classes()
-    return (
-        re.compile(r"([^\d])([" + punct + r"])"),
-        re.compile(r"([" + punct + r"])([^\d])"),
-        re.compile(r"([" + symbol + r"])"),
-    )
+_PAGE_BITS = 8
+
+
+def _build_state(
+    page_classes: dict[int, tuple[str, str]],
+) -> tuple[dict[int, tuple[str, str]], tuple[tuple[re.Pattern[str], str], ...]]:
+    """The tokenizer's substitutions, in order, over the punctuation and
+    symbol classes of each 256-code-point page in ``page_classes``; an empty
+    class has no substitution, since ``[]`` is not a regex."""
+    ordered = [page_classes[page] for page in sorted(page_classes)]
+    punct = "".join(punct for punct, _ in ordered)
+    symbol = "".join(symbol for _, symbol in ordered)
+    substitutions = []
+    if punct:
+        substitutions.append((re.compile(r"([^\d])([" + punct + r"])"), r"\1 \2 "))
+        substitutions.append((re.compile(r"([" + punct + r"])([^\d])"), r" \1 \2"))
+    if symbol:
+        substitutions.append((re.compile(r"([" + symbol + r"])"), r" \1 "))
+    return page_classes, tuple(substitutions)
+
+
+# A line's tokens depend only on whether its own characters are in the
+# classes, so classes holding every P/S character of each page seen so far
+# tokenize exactly like the full classes, without scanning all of Unicode.
+# Each page is scanned once.  (page classes, substitutions) is never mutated
+# and is replaced whole, in one assignment, so a thread never pairs new
+# pages with old regexes; two threads that build at once may each publish
+# only their own pages, which costs a later rescan, never a wrong token.
+_state = _build_state({})
 
 
 # Scoring re-tokenizes the same test-set lines constantly (full set plus
@@ -76,11 +99,18 @@ def _intl_regexes() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
 # most lines); a bounded cache changes nothing semantically.
 @functools.lru_cache(maxsize=1 << 16)
 def _tokenize_cached(text: str) -> tuple[str, ...]:
-    nondigit_punct, punct_nondigit, symbol = _intl_regexes()
+    global _state
     text = text.rstrip()
-    text = nondigit_punct.sub(r"\1 \2 ", text)
-    text = punct_nondigit.sub(r" \1 \2", text)
-    text = symbol.sub(r" \1 ", text)
+    page_classes, substitutions = _state
+    new_pages = {ord(char) >> _PAGE_BITS for char in set(text)}.difference(page_classes)
+    if new_pages:
+        page_classes = page_classes | {
+            page: _category_classes(range(page << _PAGE_BITS, (page + 1) << _PAGE_BITS))
+            for page in new_pages
+        }
+        page_classes, substitutions = _state = _build_state(page_classes)
+    for pattern, replacement in substitutions:
+        text = pattern.sub(replacement, text)
     # Interned, so the cached token tuples share one string per vocabulary word.
     return tuple(map(sys.intern, text.split()))
 

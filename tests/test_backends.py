@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtt_ape.backends import (
+    MAX_JOBS,
     BackendSpec,
     ChannelConfig,
     _cache_read,
@@ -209,6 +210,21 @@ class TestTranslateBatch:
         assert not cache.exists()
         with pytest.raises(DataError, match="input line 0 "):
             translate_batch(BackendSpec.identity(), ["a\nb", "c"])
+
+    @pytest.mark.parametrize("jobs", [0, -1, MAX_JOBS + 1, 2.0, "4"])
+    def test_jobs_out_of_range_is_rejected_before_any_batch(self, tmp_path, jobs):
+        counter = tmp_path / "invocations"
+        cmd = f"bash -c 'cat; echo run >> {counter}'"
+        spec = BackendSpec(kind="command", command_template=cmd, batch_size=1)
+        with pytest.raises(ValueError, match=f"from 1 to {MAX_JOBS}, got {jobs!r}"):
+            translate_batch(spec, ["a", "b"], jobs=jobs)
+        with pytest.raises(ValueError):
+            translate_batch(BackendSpec.identity(), ["a"], jobs=jobs)
+        assert not counter.exists()
+
+    def test_max_jobs_is_accepted(self):
+        # Through the identity backend, which starts no thread.
+        assert translate_batch(BackendSpec.identity(), ["a"], jobs=MAX_JOBS) == ["a"]
 
     def test_command_invalid_utf8_names_batch_lines(self):
         cmd = r'''python3 -c "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'ok\n\xff\n')"'''

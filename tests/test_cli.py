@@ -330,6 +330,27 @@ class TestPipelineCommands:
         assert run("ape-apply", "--in", str(hyp), "--backend", "identity",
                    "--scope", "target_original_only") == 1
 
+    @pytest.mark.parametrize("jobs", [0, -1, 65])
+    def test_ape_apply_jobs_out_of_range_is_exit_2(self, tmp_path, capsys, jobs):
+        hyp = tmp_path / "hyp.txt"
+        write(hyp, ["x", "y"])
+        counter = tmp_path / "invocations"
+        spec = tmp_path / "cat.json"
+        spec.write_text(json.dumps(
+            {"kind": "command", "command": f"bash -c 'cat; echo run >> {counter}'",
+             "batch_size": 1}
+        ))
+        out = tmp_path / "ape.txt"
+        assert run("ape-apply", "--in", str(hyp), "--backend", str(spec),
+                   "--jobs", str(jobs), "--out", str(out)) == 2
+        assert f"got {jobs}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ape-apply": {"jobs": jobs}}))
+        assert run("--config", str(cfg), "ape-apply", "--in", str(hyp),
+                   "--backend", str(spec), "--out", str(out)) == 2
+        assert not counter.exists()
+        assert not out.exists()
+
     def test_backend_failure_is_exit_3(self, tmp_path):
         hyp = tmp_path / "hyp.txt"
         write(hyp, ["x"])

@@ -1,14 +1,16 @@
 """Scorer unit tests: tokenizer behavior, clipped counts, smoothing, and the
 structural invariants of corpus scoring."""
 
+import functools
 import math
 import random
 import re
 import sys
+import threading
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scoring_oracle
@@ -219,6 +221,127 @@ class TestMemoAndInterning:
                 got = table[label].split_scores[name]
                 assert got.stats == stats
                 assert got.as_dict() == score_from_stats(stats, config).as_dict()
+
+
+def _cold_tokenizer(mp: pytest.MonkeyPatch) -> None:
+    """Reset the tokenizer to no pages and an empty line cache, undone by ``mp``."""
+    mp.setattr(scoring, "_state", scoring._build_state({}))
+    mp.setattr(
+        scoring,
+        "_tokenize_cached",
+        functools.lru_cache(maxsize=1 << 16)(scoring._tokenize_cached.__wrapped__),
+    )
+
+
+def _pages(text: str) -> set[int]:
+    return {ord(char) >> 8 for char in text}
+
+
+def _count_scans(mp: pytest.MonkeyPatch) -> list[int]:
+    """Wrap ``scoring._category_classes``; each call appends the page it scans."""
+    scans = []
+    category_classes = scoring._category_classes
+
+    def counting(code_points=range(sys.maxunicode)):
+        scans.append(code_points[0] >> 8)
+        return category_classes(code_points)
+
+    mp.setattr(scoring, "_category_classes", counting)
+    return scans
+
+
+PUNCT_AND_SYMBOLS = [
+    chr(cp) for cp in range(sys.maxunicode) if unicodedata.category(chr(cp))[0] in "PS"
+]
+
+
+class TestLazyClasses:
+    """Classes grown page by page from the text seen must tokenize exactly
+    like the full classes, in any order, from any number of threads."""
+
+    # The first example also builds the oracle's full raw classes.
+    @settings(deadline=None)
+    @given(TEXT)
+    def test_arbitrary_text_from_a_cold_state(self, text):
+        with pytest.MonkeyPatch.context() as mp:
+            _cold_tokenizer(mp)
+            assert tuple(tokenize_intl(text)) == scoring_oracle.tokenize(text)
+            assert scoring._state[0].keys() == _pages(text.rstrip())
+
+    def test_cold_tokens_equal_tokens_after_exhaustive_warm_up(self, monkeypatch):
+        rng = random.Random(5)
+        hyps, refs = random_parallel_corpus(rng, 50)
+        lines = hyps + refs + [
+            context.format(char)
+            for char in PUNCT_AND_SYMBOLS + ["\\", "-", "]", "[", "^"]
+            for context in ("a{}b", "1{}2")
+        ]
+        rng.shuffle(lines)
+        _cold_tokenizer(monkeypatch)
+        scans = _count_scans(monkeypatch)
+        cold = [tokenize_intl(line) for line in lines]
+        assert sorted(scans) == sorted(_pages("".join(lines)))  # each page scanned once
+        _cold_tokenizer(monkeypatch)
+        tokenize_intl("".join(PUNCT_AND_SYMBOLS))
+        assert scoring._state[0].keys() == _pages("".join(PUNCT_AND_SYMBOLS))
+        assert [tokenize_intl(line) for line in lines] == cold
+        assert cold == [list(scoring_oracle.tokenize(line)) for line in lines]
+
+    def test_threads_growing_disjoint_pages_at_once(self, monkeypatch):
+        # Each thread's lines use only its own pages, so every thread forces
+        # class builds that race with the others' (lines need no ASCII
+        # space: the padding is added after the pages are read).
+        # Pages 0x00 and 0x20; 0x30 and 0xFF; 0x03 to 0x05; 0x06 and 0x09.
+        alphabets = (
+            "ab1.,;:!?-()[]\\$+ \u2013\u2014\u2018\u201c\u201d\u2026\u2030",
+            "\u3000\u3001\u3002\u300c\u300d\u3042\u30a2\u30fb\uff01\uff08\uff11\uffe5",
+            "\u03b1\u03b2\u037e\u0387\u0431\u0482\u055a\u055e\u05be\u05d0",
+            "\u0628\u060c\u061b\u061f\u0660\u0661\u0915\u0964\u0965\u0966",
+        )
+        assert sum(map(len, map(_pages, alphabets))) == len(_pages("".join(alphabets)))
+        rng = random.Random(11)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                _cold_tokenizer(monkeypatch)
+                work = [
+                    ["".join(rng.choice(alphabet) for _ in range(30)) for _ in range(50)]
+                    for alphabet in alphabets
+                ]
+                results: dict[int, list[tuple[str, ...]]] = {}
+                start = threading.Barrier(len(work))
+
+                def tokenize_all(index):
+                    start.wait(timeout=60)
+                    results[index] = [tuple(tokenize_intl(line)) for line in work[index]]
+
+                threads = [
+                    threading.Thread(target=tokenize_all, args=(i,)) for i in range(len(work))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for index, lines in enumerate(work):
+                    assert results[index] == [scoring_oracle.tokenize(line) for line in lines]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_latin1_and_general_punctuation_need_at_most_two_builds(self, monkeypatch):
+        _cold_tokenizer(monkeypatch)
+        scans = _count_scans(monkeypatch)
+        rng = random.Random(13)
+        alphabet = [chr(cp) for cp in range(0x20, 0x100)] + [
+            chr(cp) for cp in range(0x2000, 0x2070)
+        ]
+        lines = ["".join(rng.choice(alphabet) for _ in range(40)) for _ in range(1000)]
+        assert [tuple(tokenize_intl(line)) for line in lines] == [
+            scoring_oracle.tokenize(line) for line in lines
+        ]
+        assert sorted(scans) == [0x00, 0x20]
+        assert scoring._state[0].keys() == {0x00, 0x20}
 
 
 class TestCorpusBleu:
