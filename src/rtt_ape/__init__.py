@@ -15,7 +15,7 @@ from .corpus import (
     sample_subset,
 )
 from .errors import AlignmentError, BackendError, DataError, SgmParseError
-from .pipeline import ApeMode, RttPair, apply_ape, generate_rtt, make_training_pairs
+from .pipeline import ApeMode, RttPair, apply_ape, generate_rtt, iter_rtt, make_training_pairs
 from .scoring import (
     BleuConfig,
     BleuScore,

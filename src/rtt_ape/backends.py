@@ -281,39 +281,50 @@ def _run_external_batch(
     return out
 
 
+def check_jobs(jobs: int) -> None:
+    """``ValueError`` unless ``jobs`` is an integer from 1 to ``MAX_JOBS``."""
+    if not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
+
+
 def translate_batch(
     spec: BackendSpec,
     lines: Iterable[str],
     *,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
+    start: int = 0,
 ) -> list[str]:
     """Translate lines through the backend, one output line per input line,
     order preserved.  Batching, retries, and caching are internal; command
     and HTTP backends may process batches concurrently (``jobs``), with
     results reassembled in input order.  A line containing "\n" is a
     ``DataError``, raised before any batch runs: no backend can frame it.
-    ``jobs`` outside 1..``MAX_JOBS`` is a ``ValueError``, also raised first."""
-    if not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
-        raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
+    ``jobs`` outside 1..``MAX_JOBS`` is a ``ValueError``, also raised first.
+
+    ``start`` is the corpus index of ``lines[0]`` when a caller translates a
+    corpus piece by piece: toy-channel salts and the line indices in errors
+    count from it, so pieces cut on multiples of ``spec.batch_size``
+    translate, and cache, exactly like one call over the whole corpus."""
+    check_jobs(jobs)
     lines = list(lines)
-    for index, line in enumerate(lines):
+    for index, line in enumerate(lines, start):
         if "\n" in line:
             raise DataError(f"input line {index} contains a newline")
     if spec.kind == "identity":
         return lines
     if spec.kind == "toy_channel":
-        return [channel_apply(spec.channel, line, salt) for salt, line in enumerate(lines)]
+        return [channel_apply(spec.channel, line, salt) for salt, line in enumerate(lines, start)]
     if spec.kind == "toy_denoiser":
         return [toy_denoiser(spec.channel, line) for line in lines]
 
     cache = Path(cache_dir) if cache_dir is not None else None
     batches = [
-        (start, lines[start : start + spec.batch_size])
-        for start in range(0, len(lines), spec.batch_size)
+        (start + offset, lines[offset : offset + spec.batch_size])
+        for offset in range(0, len(lines), spec.batch_size)
     ]
     if jobs <= 1 or len(batches) <= 1:
-        results = [_run_external_batch(spec, batch, start, cache) for start, batch in batches]
+        results = [_run_external_batch(spec, batch, first, cache) for first, batch in batches]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(

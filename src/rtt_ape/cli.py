@@ -4,6 +4,9 @@ scriptable subcommand.
 Conventions shared by all subcommands:
 
 * machine output goes to stdout or ``--out``; diagnostics go to stderr;
+* line files are written through a temp file that replaces the output only
+  on success (see ``lineio.atomic_open``); output on stdout streams, so
+  lines printed before a failure stay printed;
 * a run manifest (resolved config, input fingerprints, seed, version,
   timestamps) is written next to ``--out`` as ``<out>.manifest.json``;
 * config precedence is flags > ``--config`` file > built-in defaults;
@@ -13,10 +16,12 @@ Conventions shared by all subcommands:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Iterator
 
 import click
 from click.core import ParameterSource
@@ -42,8 +47,16 @@ from .corpus import (
     sample_lines,
 )
 from .errors import BackendError, DataError
-from .lineio import file_fingerprint, iter_lines, read_lines, smart_open, write_lines
-from .pipeline import ApeMode, RttPair, apply_ape, generate_rtt, make_training_pairs
+from .lineio import atomic_open, file_fingerprint, iter_lines, read_lines, smart_open, write_lines
+from .pipeline import (
+    PAIRS_PER_CHUNK,
+    ApeMode,
+    RttPair,
+    apply_ape,
+    chunked,
+    iter_rtt,
+    make_training_pairs,
+)
 from .scoring import UNICODE_VERSION, BleuConfig, corpus_bleu
 from .testset import (
     SplitHalves,
@@ -99,6 +112,18 @@ def _emit(out: str | None, text: str) -> None:
         click.echo(text, nl=False)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[Callable[[str], object]]:
+    """A ``write(text)`` for a command that streams its output: into ``out``
+    all or nothing (see ``atomic_open``), or to stdout when ``out`` is None,
+    where text already printed stays printed if the command then fails."""
+    if out is None:
+        yield lambda text: click.echo(text, nl=False)
+    else:
+        with atomic_open(out) as fh:
+            yield fh.write
 
 
 def _write_manifest(
@@ -487,31 +512,32 @@ def rtt_gen_cmd(ctx, **_kwargs) -> None:
     started = _now()
     y_to_x = _load_backend(params["to_pivot"])
     x_to_y = _load_backend(params["from_pivot"])
-    intermediates: list[str] | None = [] if params["intermediate"] else None
-    pairs = generate_rtt(
-        iter_lines(params["in_path"]),
-        y_to_x,
-        x_to_y,
-        _filter_config(params),
-        filter_sides=params["filter_sides"],
-        jobs=params["jobs"],
-        cache_dir=params["cache_dir"],
-        intermediates=intermediates,
-    )
-    for pair in pairs:
-        if "\t" in pair.original or "\t" in pair.round_trip:
-            side = "original" if "\t" in pair.original else "round trip"
-            line_no = next(
-                i for i, line in enumerate(iter_lines(params["in_path"]), 1)
-                if line == pair.original
-            )
-            raise DataError(
-                f"{params['in_path']}:{line_no}: {side} contains a tab, "
-                "which the original<TAB>round_trip output cannot hold"
-            )
-    _emit(params["out"], "".join(f"{p.original}\t{p.round_trip}\n" for p in pairs))
-    if params["intermediate"]:
-        write_lines(params["intermediate"], intermediates)
+    with contextlib.ExitStack() as stack:
+        write = stack.enter_context(_output(params["out"]))
+        pivot_out = (
+            stack.enter_context(atomic_open(params["intermediate"]))
+            if params["intermediate"] else None
+        )
+        for line_no, pivot, pair in iter_rtt(
+            iter_lines(params["in_path"]),
+            y_to_x,
+            x_to_y,
+            _filter_config(params),
+            filter_sides=params["filter_sides"],
+            jobs=params["jobs"],
+            cache_dir=params["cache_dir"],
+        ):
+            if pivot_out is not None:
+                pivot_out.write(pivot + "\n")
+            if pair is None:
+                continue
+            if "\t" in pair.original or "\t" in pair.round_trip:
+                side = "original" if "\t" in pair.original else "round trip"
+                raise DataError(
+                    f"{params['in_path']}:{line_no}: {side} contains a tab, "
+                    "which the original<TAB>round_trip output cannot hold"
+                )
+            write(f"{pair.original}\t{pair.round_trip}\n")
     _write_manifest(ctx, params, [params["in_path"]], started, params["out"])
 
 
@@ -531,22 +557,38 @@ def make_pairs_cmd(ctx, **_kwargs) -> None:
     params = _resolved(ctx)
     _require(params, "in_path")
     started = _now()
-    rtt_pairs = []
-    for i, line in enumerate(iter_lines(params["in_path"])):
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise DataError(f"{params['in_path']}:{i + 1}: expected 2 tab-separated fields")
-        rtt_pairs.append(RttPair(original=cells[0], round_trip=cells[1]))
-    pairs = make_training_pairs(rtt_pairs, params["direction"], _filter_config(params))
-    if params["out_src"] or params["out_tgt"]:
-        _require(params, "out_src", "out_tgt")
-        write_lines(params["out_src"], (p.source for p in pairs))
-        write_lines(params["out_tgt"], (p.target for p in pairs))
-        primary_out = params["out_src"]
-    else:
-        _emit(params["out"], "".join(f"{p.source}\t{p.target}\n" for p in pairs))
-        primary_out = params["out"]
-    _write_manifest(ctx, params, [params["in_path"]], started, primary_out)
+    in_path = params["in_path"]
+    cfg = _filter_config(params)
+
+    def rtt_pairs():
+        for i, line in enumerate(iter_lines(in_path)):
+            cells = line.split("\t")
+            if len(cells) != 2:
+                raise DataError(f"{in_path}:{i + 1}: expected 2 tab-separated fields")
+            yield RttPair(original=cells[0], round_trip=cells[1])
+
+    with contextlib.ExitStack() as stack:
+        if params["out_src"] or params["out_tgt"]:
+            _require(params, "out_src", "out_tgt")
+            src = stack.enter_context(atomic_open(params["out_src"]))
+            tgt = stack.enter_context(atomic_open(params["out_tgt"]))
+
+            def write(pair: SentencePair) -> None:
+                src.write(pair.source + "\n")
+                tgt.write(pair.target + "\n")
+
+            primary_out = params["out_src"]
+        else:
+            emit = stack.enter_context(_output(params["out"]))
+
+            def write(pair: SentencePair) -> None:
+                emit(f"{pair.source}\t{pair.target}\n")
+
+            primary_out = params["out"]
+        for chunk in chunked(rtt_pairs(), PAIRS_PER_CHUNK):
+            for pair in make_training_pairs(chunk, params["direction"], cfg):
+                write(pair)
+    _write_manifest(ctx, params, [in_path], started, primary_out)
 
 
 @cli.command("ape-apply")

@@ -1,6 +1,7 @@
 """Backend behavior: toy channel determinism, denoiser idempotence, command
 and HTTP framing, caching, and order preservation."""
 
+import contextlib
 import http.server
 import json
 import sys
@@ -226,6 +227,18 @@ class TestTranslateBatch:
         # Through the identity backend, which starts no thread.
         assert translate_batch(BackendSpec.identity(), ["a"], jobs=MAX_JOBS) == ["a"]
 
+    def test_start_offsets_salts_and_error_lines(self):
+        noisy = BackendSpec.toy_channel(ChannelConfig(drop_prob=0.3, swap_prob=0.3, seed=5))
+        lines = [f"ein satz mit der nummer {i}" for i in range(10)]
+        pieces = translate_batch(noisy, lines[:4]) + translate_batch(noisy, lines[4:], start=4)
+        assert pieces == translate_batch(noisy, lines)
+        with pytest.raises(DataError, match="input line 11 contains a newline"):
+            translate_batch(BackendSpec.identity(), ["a", "b\nc"], start=10)
+        failing = BackendSpec(kind="command", command_template="false", retries=0, batch_size=2)
+        with pytest.raises(BackendError) as exc_info:
+            translate_batch(failing, ["a", "b", "c"], start=100)
+        assert (exc_info.value.first_line, exc_info.value.last_line) == (100, 101)
+
     def test_command_invalid_utf8_names_batch_lines(self):
         cmd = r'''python3 -c "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'ok\n\xff\n')"'''
         spec = BackendSpec(kind="command", command_template=cmd, batch_size=2)
@@ -263,10 +276,12 @@ def test_concurrent_cache_writes_of_one_batch(tmp_path):
 
 
 class _EchoUpperHandler(http.server.BaseHTTPRequestHandler):
+    transform = staticmethod(str.upper)
+
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         payload = json.loads(self.rfile.read(length))
-        body = json.dumps({"lines": [line.upper() for line in payload["lines"]]}).encode()
+        body = json.dumps({"lines": [self.transform(line) for line in payload["lines"]]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -277,20 +292,45 @@ class _EchoUpperHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def http_backend_url():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _EchoUpperHandler)
+class _EchoHandler(_EchoUpperHandler):
+    transform = staticmethod(str)
+
+
+@contextlib.contextmanager
+def _serve(handler):
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/translate"
     server.shutdown()
     server.server_close()
+    thread.join(timeout=10)
+
+
+@pytest.fixture()
+def http_backend_url():
+    with _serve(_EchoUpperHandler) as url:
+        yield url
+
+
+@pytest.fixture(scope="module")
+def http_echo_url():
+    # Module scope: hypothesis refuses function-scoped fixtures, which it
+    # could not reset between examples.
+    with _serve(_EchoHandler) as url:
+        yield url
 
 
 class TestHttpBackend:
     def test_round_trip(self, http_backend_url):
         spec = BackendSpec(kind="http", url=http_backend_url, batch_size=2, timeout=5)
         assert translate_batch(spec, ["ab", "cd", "ef"]) == ["AB", "CD", "EF"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(LINE, min_size=1, max_size=8))
+    def test_any_line_survives_http(self, http_echo_url, lines):
+        spec = BackendSpec(kind="http", url=http_echo_url, batch_size=3, timeout=5, retries=0)
+        assert translate_batch(spec, lines) == lines
 
     def test_unreachable_endpoint(self):
         spec = BackendSpec(kind="http", url="http://127.0.0.1:9/none", retries=0, timeout=0.2)

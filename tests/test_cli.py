@@ -1,11 +1,17 @@
 """CLI surface: flags, exit codes, JSON output, manifests, composition."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rtt_ape.backends import BackendSpec, spec_from_dict
 from rtt_ape.cli import main
+from rtt_ape.corpus import SentencePair, bitext_filter, mono_filter
+from rtt_ape.pipeline import generate_rtt
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,6 +203,14 @@ class TestCorpusCommands:
         counters = json.loads(report.read_text())
         assert counters["rejected_by_rule"] == {"length_ratio": 1, "empty_side": 1}
 
+    def test_dedup_failing_on_last_line_leaves_no_output(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(b"".join(b"zeile %d\n" % i for i in range(20_000)) + b"\xff\n")
+        out = tmp_path / "unique.txt.gz"
+        assert run("dedup", "--in", str(raw), "--out", str(out)) == 2
+        assert "data error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["raw.txt"]
+
     def test_filter_bitext_tsv(self, tmp_path):
         tsv = tmp_path / "pairs.tsv"
         tsv.write_text("ein haus\ta house\nzu lang\t" + " ".join(["x"] * 10) + "\n")
@@ -301,6 +315,14 @@ class TestPipelineCommands:
             "guten tag\tguten tag", "wie geht es\twie geht es",
         ]
 
+    def test_make_pairs_malformed_row_leaves_no_output(self, tmp_path, capsys):
+        tsv = tmp_path / "pairs.tsv"
+        write(tsv, [f"satz {i}\tsatz {i}" for i in range(3000)] + ["kein tab"])
+        assert run("make-pairs", "--in", str(tsv), "--out-src", str(tmp_path / "train.src"),
+                   "--out-tgt", str(tmp_path / "train.tgt")) == 2
+        assert f"{tsv}:3001: expected 2 tab-separated fields" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["pairs.tsv"]
+
     def test_ape_apply_identity(self, tmp_path):
         hyp = tmp_path / "hyp.txt"
         write(hyp, ["line one", "line two"])
@@ -357,6 +379,105 @@ class TestPipelineCommands:
         spec = tmp_path / "broken.json"
         spec.write_text(json.dumps({"kind": "command", "command": "false", "retries": 0}))
         assert run("ape-apply", "--in", str(hyp), "--backend", str(spec)) == 3
+
+
+def _spec_file(path: Path, spec: dict) -> Path:
+    path.write_text(json.dumps(spec))
+    return path
+
+
+NOISY_CHANNEL = {
+    "kind": "toy_channel", "from_lang": "de", "to_lang": "en", "batch_size": 1,
+    "channel": {"lexicon": {"straße": "street"}, "drop_prob": 0.2, "swap_prob": 0.2, "seed": 4},
+}
+
+# Not "\n" (the line terminator) or "\t" (the TSV separator), but every
+# other character, including those that other framings treat as line breaks.
+LINE = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("\r\f\v\x85\u2028\u2029"),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\t"),
+    ),
+    max_size=20,
+)
+
+
+class TestStreamingRttGen:
+    """rtt-gen and make-pairs stream in chunks of CHUNK_BATCHES batches per
+    worker; these corpora span several chunks."""
+
+    def test_output_is_independent_of_jobs(self, tmp_path):
+        channel = _spec_file(tmp_path / "de-en.json", NOISY_CHANNEL)
+        cat = _spec_file(tmp_path / "en-de.json", {
+            "kind": "command", "from_lang": "en", "to_lang": "de", "command": "cat",
+            "batch_size": 2, "retries": 0})
+        # Chunks of lcm(1, 2) * jobs * 8 lines: 16 at --jobs 1, 128 at --jobs 8.
+        lines = [f"satz {i} auf der straße" if i % 5 else f"wort{i}" for i in range(300)]
+        lines[7] = "x" * 600
+        mono = tmp_path / "mono.txt"
+        write(mono, lines)
+        outs = {}
+        for jobs in (1, 8):
+            outs[jobs] = tmp_path / f"jobs{jobs}.tsv"
+            assert run("rtt-gen", "--in", str(mono), "--to-pivot", str(channel),
+                       "--from-pivot", str(cat), "--jobs", str(jobs),
+                       "--out", str(outs[jobs])) == 0
+        assert outs[1].read_bytes() == outs[8].read_bytes()
+        pairs = generate_rtt(lines, spec_from_dict(NOISY_CHANNEL),
+                             BackendSpec.identity("en", "de"))
+        assert outs[1].read_text() == "".join(f"{p.original}\t{p.round_trip}\n" for p in pairs)
+        assert 200 < len(pairs) < 299  # some lines dropped by each filter
+
+    def test_backend_failure_in_third_chunk_leaves_no_output(self, tmp_path, capsys):
+        channel = _spec_file(tmp_path / "de-en.json", {
+            "kind": "toy_channel", "from_lang": "de", "to_lang": "en", "batch_size": 1,
+            "channel": {"lexicon": {"satz": "sentence"}}})
+        failing = _spec_file(tmp_path / "en-de.json", {
+            "kind": "command", "from_lang": "en", "to_lang": "de",
+            "command": "awk '/BOOM/ { exit 1 } { print }'", "batch_size": 1, "retries": 0})
+        mono = tmp_path / "mono.txt"
+        # Chunks of 8 lines: line 21 is in the third.
+        write(mono, [f"satz {i}" for i in range(1, 21)] + ["BOOM", "satz 22"])
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        out, pivot, cache = tmp_path / "pairs.tsv", tmp_path / "pivot.txt", tmp_path / "cache"
+        assert run("rtt-gen", "--in", str(mono), "--to-pivot", str(channel),
+                   "--from-pivot", str(failing), "--intermediate", str(pivot),
+                   "--cache-dir", str(cache), "--out", str(out)) == 3
+        assert "input lines 20..20" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + ["cache"])
+        # Every batch before the failing one ran and is cached for a rerun.
+        assert len(list(cache.rglob("*.txt"))) == 20
+
+    def test_stdout_streams_and_failure_still_sets_exit_code(self, tmp_path, capsys):
+        failing = _spec_file(tmp_path / "en-de.json", {
+            "kind": "command", "from_lang": "xx", "to_lang": "xx",
+            "command": "awk '/BOOM/ { exit 1 } { print }'", "batch_size": 8, "retries": 0})
+        mono = tmp_path / "mono.txt"
+        # Chunks of lcm(64, 8) * 8 = 512 lines: the failure is in the second.
+        write(mono, [f"satz {i}" for i in range(600)] + ["BOOM"])
+        assert run("rtt-gen", "--in", str(mono), "--to-pivot", "identity",
+                   "--from-pivot", str(failing)) == 3
+        printed = capsys.readouterr().out
+        assert printed == "".join(f"satz {i}\tsatz {i}\n" for i in range(512))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(LINE, min_size=1, max_size=8))
+    def test_any_line_survives_rtt_gen_then_make_pairs(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cat = _spec_file(tmp / "cat.json", {"kind": "command", "command": "cat",
+                                                "batch_size": 3, "retries": 0})
+            mono = tmp / "mono.txt"
+            write(mono, lines)
+            tsv, src, tgt = tmp / "pairs.tsv", tmp / "train.src", tmp / "train.tgt"
+            assert run("rtt-gen", "--in", str(mono), "--to-pivot", "identity",
+                       "--from-pivot", str(cat), "--out", str(tsv)) == 0
+            kept = [line for line in lines if mono_filter(line)]
+            assert tsv.read_bytes() == "".join(f"{x}\t{x}\n" for x in kept).encode("utf-8")
+            assert run("make-pairs", "--in", str(tsv), "--out-src", str(src),
+                       "--out-tgt", str(tgt)) == 0
+            trained = "".join(x + "\n" for x in kept if bitext_filter(SentencePair(x, x)))
+            assert src.read_bytes() == tgt.read_bytes() == trained.encode("utf-8")
 
 
 class TestAnalysisCommands:

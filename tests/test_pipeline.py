@@ -1,14 +1,21 @@
 """Round-trip generation, training-pair emission, and APE application."""
 
+import dataclasses
+import gc
+import tracemalloc
+
 import pytest
 
-from rtt_ape.backends import BackendSpec, ChannelConfig
-from rtt_ape.corpus import SentencePair
+from rtt_ape import pipeline
+from rtt_ape.backends import BackendSpec, ChannelConfig, translate_batch
+from rtt_ape.corpus import SentencePair, mono_filter
 from rtt_ape.pipeline import (
     ApeMode,
     RttPair,
     apply_ape,
+    chunked,
     generate_rtt,
+    iter_rtt,
     make_training_pairs,
 )
 from rtt_ape.testset import SplitHalves
@@ -79,6 +86,89 @@ class TestGenerateRtt:
         pairs = generate_rtt(["klein"], upper, IDENT_EN_DE, intermediates=intermediates)
         assert intermediates == ["KLEIN"]
         assert pairs[0].round_trip == "KLEIN"
+
+
+NOISY_DE_EN = BackendSpec(
+    kind="toy_channel", from_lang="de", to_lang="en", batch_size=3,
+    channel=ChannelConfig(lexicon={"straße": "street"}, drop_prob=0.2, swap_prob=0.2, seed=3),
+)
+
+
+def _cat_en_de(batch_size: int, counter=None) -> BackendSpec:
+    cmd = f"bash -c 'cat; echo run >> {counter}'" if counter else "cat"
+    return BackendSpec(kind="command", from_lang="en", to_lang="de", command_template=cmd,
+                       batch_size=batch_size, retries=0)
+
+
+class TestIterRtt:
+    def test_chunked(self):
+        assert list(chunked(range(7), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert list(chunked(range(6), 3)) == [[0, 1, 2], [3, 4, 5]]
+        assert list(chunked([], 3)) == [[]]
+
+    def test_chunks_translate_like_one_whole_corpus_call(self, monkeypatch):
+        # Chunks of lcm(3, 4) * 2 jobs = 24 lines; the noisy channel's
+        # salts must still count from the start of the corpus.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        lines = [f"satz {i} auf der straße" if i % 4 else f"wort{i}" for i in range(100)]
+        lines += ["x" * 600, "ende"]
+        kept = [line for line in lines if mono_filter(line)]
+        pivot = translate_batch(NOISY_DE_EN, kept)
+        expected = [(n, p, RttPair(o, p) if mono_filter(p) else None)
+                    for n, o, p in zip([*range(1, 101), 102], kept, pivot)]
+        got = list(iter_rtt(iter(lines), NOISY_DE_EN, _cat_en_de(4), jobs=2))
+        assert got == expected
+        assert any(pair is None for _, _, pair in got)  # the round-trip filter dropped some
+        intermediates: list[str] = []
+        assert generate_rtt(lines, NOISY_DE_EN, _cat_en_de(4), jobs=2,
+                            intermediates=intermediates) == [p for _, _, p in got if p]
+        assert intermediates == pivot
+
+    def test_cache_of_one_whole_corpus_call_serves_every_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        counter, cache = tmp_path / "runs", tmp_path / "cache"
+        cat = _cat_en_de(4, counter)
+        lines = [f"satz {i} auf der straße" for i in range(100)]
+        translate_batch(cat, translate_batch(NOISY_DE_EN, lines), cache_dir=cache)
+        runs = counter.read_text().count("run")
+        files = sorted(cache.rglob("*"))
+        assert runs == 25
+        rtt = list(iter_rtt(lines, NOISY_DE_EN, cat, jobs=2, cache_dir=cache))
+        assert len(rtt) == 100
+        assert counter.read_text().count("run") == runs
+        assert sorted(cache.rglob("*")) == files
+
+    def test_arguments_checked_before_any_line_is_read(self):
+        def lines():
+            raise AssertionError("read")
+            yield ""
+
+        for kwargs, match in (({"jobs": 0}, "jobs"), ({"filter_sides": "x"}, "filter_sides")):
+            with pytest.raises(ValueError, match=match):
+                next(iter_rtt(lines(), IDENT_DE_EN, IDENT_EN_DE, **kwargs))
+        with pytest.raises(ValueError, match="compose"):
+            next(iter_rtt(lines(), IDENT_DE_EN, IDENT_DE_EN))
+
+    def test_memory_does_not_grow_with_the_corpus(self):
+        channel = dataclasses.replace(NOISY_DE_EN, batch_size=16)
+
+        def corpus(n):
+            # Long lines, so that a chunk's text outweighs allocator noise.
+            return (f"satz {i} " + "über die straße der stadt " * 10 for i in range(n))
+
+        def peak(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                for _ in iter_rtt(corpus(n), channel, _cat_en_de(16)):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Chunks of 16 * 8 = 128 lines: 2 of them, then 16.
+        small, large = peak(256), peak(8 * 256)
+        assert large <= 1.5 * small, (small, large)
 
 
 class TestMakeTrainingPairs:

@@ -10,7 +10,7 @@ import threading
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scoring_oracle
@@ -32,6 +32,13 @@ TEXT = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)),
     max_size=80,
 )
+
+
+@pytest.fixture(scope="module")
+def warm_oracle():
+    """Build the oracle's raw classes (~0.4 s) before hypothesis times an
+    example against its deadline."""
+    scoring_oracle.tokenize("")
 
 
 class TestTokenizer:
@@ -72,10 +79,19 @@ class TestTokenizer:
         assert all(token for token in tokens)
         assert not any(" " in token for token in tokens)
 
+    @pytest.mark.usefixtures("warm_oracle")
     @given(TEXT)
+    @example("::?0")
     def test_retokenization_fixed_point(self, text):
-        tokens = tokenize_intl(text)
-        assert tokenize_intl(" ".join(tokens)) == tokens
+        # Not a fixed point: a match of the non-digit/punctuation pass
+        # consumes the character before the mark, so in "::?0" the "?" stays
+        # joined to the "0", while in the re-joined ": : ?0" it is split off.
+        joined = " ".join(tokenize_intl(text))
+        assert tuple(tokenize_intl(joined)) == scoring_oracle.tokenize(joined)
+
+    def test_retokenization_can_split_further(self):
+        assert tokenize_intl("::?0") == [":", ":", "?0"]
+        assert tokenize_intl(": : ?0") == [":", ":", "?", "0"]
 
 
 class TestTokenizerAgainstRawClassOracle:
@@ -99,6 +115,7 @@ class TestTokenizerAgainstRawClassOracle:
         ]
         assert mismatches == []
 
+    @pytest.mark.usefixtures("warm_oracle")
     @given(TEXT)
     def test_arbitrary_text(self, text):
         assert tuple(tokenize_intl(text)) == scoring_oracle.tokenize(text)
