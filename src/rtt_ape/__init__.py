@@ -6,13 +6,11 @@ __version__ = "0.1.0"
 from .backends import BackendSpec, ChannelConfig, channel_apply, toy_denoiser, translate_batch
 from .corpus import (
     FilterConfig,
-    MonolingualCorpus,
     SentencePair,
     bitext_filter,
     dedup,
     mono_filter,
     sample_lines,
-    sample_subset,
 )
 from .errors import AlignmentError, BackendError, DataError, SgmParseError
 from .pipeline import ApeMode, RttPair, apply_ape, generate_rtt, iter_rtt, make_training_pairs

@@ -4,12 +4,14 @@ scriptable subcommand.
 Conventions shared by all subcommands:
 
 * machine output goes to stdout or ``--out``; diagnostics go to stderr;
-* line files are written through a temp file that replaces the output only
-  on success (see ``lineio.atomic_open``); output on stdout streams, so
-  lines printed before a failure stay printed;
+* every file a run writes (``--out``, ``--report``, the line files and the
+  manifest) goes through a temp file that replaces it only on success (see
+  ``lineio.atomic_open``); output on stdout streams, so lines printed before
+  a failure stay printed;
 * a run manifest (resolved config, input fingerprints, seed, version,
   timestamps) is written next to ``--out`` as ``<out>.manifest.json``;
-* config precedence is flags > ``--config`` file > built-in defaults;
+* config precedence is flags > ``--config`` file > built-in defaults, and
+  config values are converted and checked by the same types as flags;
 * randomness always takes an explicit ``--seed`` and defaults to 0;
 * exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
 """
@@ -17,14 +19,15 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import click
-from click.core import ParameterSource
 
 from . import __version__
 from .analysis import (
@@ -51,6 +54,7 @@ from .lineio import atomic_open, file_fingerprint, iter_lines, read_lines, smart
 from .pipeline import (
     PAIRS_PER_CHUNK,
     ApeMode,
+    ChangeReport,
     RttPair,
     apply_ape,
     chunked,
@@ -77,41 +81,12 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _resolved(ctx: click.Context) -> dict:
-    """Materialize this command's parameters: explicit flags win, then the
-    --config file section named after the subcommand, then defaults."""
-    section = (ctx.obj or {}).get("config", {}).get(ctx.info_name, {})
-    params = dict(ctx.params)
-    for name, value in section.items():
-        if name in params and ctx.get_parameter_source(name) == ParameterSource.DEFAULT:
-            params[name] = value
-    return params
-
-
 def _require(params: dict, *names: str) -> None:
+    """Options required only in some modes; always-required ones say so to click."""
     for name in names:
         if params.get(name) in (None, ()):
             flag = "--" + name.replace("_", "-")
             raise click.UsageError(f"missing required option {flag}")
-
-
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
-def _emit(out: str | None, text: str) -> None:
-    if text and not text.endswith("\n"):
-        text += "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
 
 
 @contextlib.contextmanager
@@ -126,32 +101,56 @@ def _output(out: str | None) -> Iterator[Callable[[str], object]]:
             yield fh.write
 
 
-def _write_manifest(
-    ctx: click.Context,
-    params: dict,
-    inputs: list,
-    started: str,
-    out: str | None,
-) -> None:
-    if out is None:
-        return
-    manifest = {
-        "tool": "rtt-ape",
-        "version": __version__,
-        "subcommand": ctx.info_name,
-        "config": {k: _jsonable(v) for k, v in sorted(params.items())},
-        "inputs": {str(p): file_fingerprint(p) for p in inputs if p},
-        "seed": params.get("seed"),
-        "started": started,
-        "finished": _now(),
-    }
-    Path(str(out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _emit(out: str | None, text: str) -> None:
+    if text and not text.endswith("\n"):
+        text += "\n"
+    with _output(out) as write:
+        write(text)
+
+
+def _emit_lines(out: str | None, lines: Iterable[str]) -> None:
+    with _output(out) as write:
+        for line in lines:
+            write(line + "\n")
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False)
+
+
+def _report_out(report: FilterReport | ChangeReport, report_path: str | None) -> None:
+    """A run's JSON counters, to ``--report`` or stderr."""
+    text = _dump_json(report.as_dict())
+    if report_path:
+        _emit(report_path, text)
+    else:
+        click.echo(text, err=True)
+
+
+def _tsv_rows(path: str, n: int) -> Iterator[list[str]]:
+    """The cells of each line of a TSV file that must have ``n`` fields."""
+    for i, line in enumerate(iter_lines(path), 1):
+        cells = line.split("\t")
+        if len(cells) != n:
+            raise DataError(f"{path}:{i}: expected {n} tab-separated fields")
+        yield cells
+
+
+def _pair_writer(stack: contextlib.ExitStack, params: dict) -> Callable[[SentencePair], None]:
+    """Write bitext to ``--out-src``/``--out-tgt`` when either is given, else
+    as ``source<TAB>target`` lines to ``--out`` or stdout."""
+    if params["out_src"] or params["out_tgt"]:
+        _require(params, "out_src", "out_tgt")
+        src = stack.enter_context(atomic_open(params["out_src"]))
+        tgt = stack.enter_context(atomic_open(params["out_tgt"]))
+
+        def write(pair: SentencePair) -> None:
+            src.write(pair.source + "\n")
+            tgt.write(pair.target + "\n")
+
+        return write
+    emit = stack.enter_context(_output(params["out"]))
+    return lambda pair: emit(f"{pair.source}\t{pair.target}\n")
 
 
 def _load_backend(value: str) -> BackendSpec:
@@ -193,34 +192,76 @@ def _filter_config(params: dict) -> FilterConfig:
 
 @click.group()
 @click.version_option(version=__version__, prog_name="rtt-ape")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+@click.option("--config", "config_path", type=click.Path(exists=True),
               help="JSON file with per-subcommand defaults (flags still win).")
 @click.pass_context
 def cli(ctx: click.Context, config_path: str | None) -> None:
     """Round-trip translation pipelines, post-editing application, and
     origin-split BLEU evaluation."""
-    ctx.ensure_object(dict)
-    if config_path:
-        ctx.obj["config"] = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    else:
-        ctx.obj["config"] = {}
+    if config_path is None:
+        return
+    try:
+        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"bad config file {config_path!r}: {exc}") from exc
+    if not isinstance(config, dict) or not all(isinstance(v, dict) for v in config.values()):
+        raise DataError(
+            f"bad config file {config_path!r}: expected an object of objects keyed by subcommand"
+        )
+    # Click reads each subcommand's section as its defaults, below flags and
+    # environment variables, and converts the values with the options' types.
+    ctx.default_map = config
 
 
-@cli.command("parse-sgm")
-@click.option("--sgm", type=click.Path(exists=True), default=None, help="SGM input file.")
+def _command(name: str) -> Callable[[Callable[[dict], Iterable[str] | None]], click.Command]:
+    """Register ``body(params)`` as the subcommand ``name``.
+
+    When the body succeeds and the run has an output file (``--out-src``,
+    else ``--out``), ``<output>.manifest.json`` records the resolved
+    parameters, seed, version, start and finish times, and a fingerprint of
+    every input: each set ``click.Path(exists=True)`` option, plus the paths
+    the body returns (inputs named inside other values)."""
+
+    def register(body: Callable[[dict], Iterable[str] | None]) -> click.Command:
+        @functools.wraps(body)
+        def run(**params) -> None:
+            started = _now()
+            extra_inputs = body(params) or ()
+            out = params.get("out_src") or params.get("out")
+            if out is None:
+                return
+            inputs = [
+                params[p.name] for p in click.get_current_context().command.params
+                if isinstance(p.type, click.Path) and p.type.exists and params[p.name]
+            ]
+            manifest = {
+                "tool": "rtt-ape",
+                "version": __version__,
+                "subcommand": name,
+                "config": params,
+                "inputs": {p: file_fingerprint(p) for p in [*inputs, *extra_inputs]},
+                "seed": params.get("seed"),
+                "started": started,
+                "finished": _now(),
+            }
+            _emit(out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+
+        return cli.command(name)(run)
+
+    return register
+
+
+@_command("parse-sgm")
+@click.option("--sgm", type=click.Path(exists=True), required=True, help="SGM input file.")
 @click.option("--side", type=click.Choice(["src", "ref", "hyp"]), default="src")
 @click.option("--format", "out_format", type=click.Choice(["text", "tsv", "json", "sgm"]),
               default="text", help="text: one segment text per line; tsv: id/doc/origin/text; "
                                    "json: segment records; sgm: canonical re-serialization.")
-@click.option("--labels-out", type=click.Path(), default=None,
+@click.option("--labels-out", type=click.Path(),
               help="Also write the origin-labels sidecar (one language code per line).")
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def parse_sgm_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def parse_sgm_cmd(params: dict) -> None:
     """Parse a WMT-style SGM file into segments."""
-    params = _resolved(ctx)
-    _require(params, "sgm")
-    started = _now()
     with open(params["sgm"], "rb") as fh:
         segments = parse_sgm(fh, side=params["side"])
     fmt = params["out_format"]
@@ -231,13 +272,12 @@ def parse_sgm_cmd(ctx, **_kwargs) -> None:
             f"{s.doc_id}\t{s.seg_id}\t{s.orig_lang}\t{s.text}\n" for s in segments
         )
     elif fmt == "json":
-        text = _dump_json([vars(s) for s in segments]) + "\n"
+        text = _dump_json([vars(s) for s in segments])
     else:
         text = serialize_sgm(segments, side=params["side"])
     _emit(params["out"], text)
     if params["labels_out"]:
         write_lines(params["labels_out"], (s.orig_lang for s in segments))
-    _write_manifest(ctx, params, [params["sgm"]], started, params["out"])
 
 
 def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
@@ -269,21 +309,17 @@ def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
     )
 
 
-@cli.command("split")
-@click.option("--sgm", type=click.Path(exists=True), default=None, help="Source-side SGM file.")
-@click.option("--text", type=click.Path(exists=True), default=None, help="Plain-text test set.")
-@click.option("--origins", type=click.Path(exists=True), default=None,
+@_command("split")
+@click.option("--sgm", type=click.Path(exists=True), help="Source-side SGM file.")
+@click.option("--text", type=click.Path(exists=True), help="Plain-text test set.")
+@click.option("--origins", type=click.Path(exists=True),
               help="Origin-labels sidecar for --text.")
-@click.option("--src", default=None, help="Source language code, e.g. en.")
-@click.option("--tgt", default=None, help="Target language code, e.g. de.")
-@click.option("--name", default=None, help="Test set name for reports.")
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def split_cmd(ctx, **_kwargs) -> None:
+@click.option("--src", required=True, help="Source language code, e.g. en.")
+@click.option("--tgt", required=True, help="Target language code, e.g. de.")
+@click.option("--name", help="Test set name for reports.")
+@click.option("--out", type=click.Path())
+def split_cmd(params: dict) -> None:
     """Partition a test set by original language; emits index lists as JSON."""
-    params = _resolved(ctx)
-    _require(params, "src", "tgt")
-    started = _now()
     ts = _load_testset(params)
     halves = split_by_origin(ts)
     payload = {
@@ -294,47 +330,33 @@ def split_cmd(ctx, **_kwargs) -> None:
         "target_original": list(halves.target_original),
         "unknown": list(halves.unknown),
     }
-    _emit(params["out"], _dump_json(payload) + "\n")
-    inputs = [p for p in (params.get("sgm"), params.get("text"), params.get("origins")) if p]
-    _write_manifest(ctx, params, inputs, started, params["out"])
+    _emit(params["out"], _dump_json(payload))
 
 
-@cli.command("merge")
-@click.option("--base", type=click.Path(exists=True), default=None)
-@click.option("--edited", type=click.Path(exists=True), default=None)
-@click.option("--split", "split_path", type=click.Path(exists=True), default=None,
+@_command("merge")
+@click.option("--base", type=click.Path(exists=True), required=True)
+@click.option("--edited", type=click.Path(exists=True), required=True)
+@click.option("--split", "split_path", type=click.Path(exists=True), required=True,
               help="JSON produced by the split subcommand.")
 @click.option("--mode", type=click.Choice(["all", "target_original_only"]),
               default="target_original_only")
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def merge_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def merge_cmd(params: dict) -> None:
     """Merge post-edited lines into a base hypothesis, selectively or fully."""
-    params = _resolved(ctx)
-    _require(params, "base", "edited", "split_path")
-    started = _now()
     base = read_lines(params["base"])
     edited = read_lines(params["edited"])
     halves = _load_split(params["split_path"])
-    merged = merge_selective(base, edited, halves, params["mode"])
-    _emit(params["out"], "".join(line + "\n" for line in merged))
-    _write_manifest(
-        ctx, params, [params["base"], params["edited"], params["split_path"]], started, params["out"]
-    )
+    _emit_lines(params["out"], merge_selective(base, edited, halves, params["mode"]))
 
 
-@cli.command("bleu")
-@click.option("--hyp", type=click.Path(exists=True), default=None)
-@click.option("--ref", type=click.Path(exists=True), default=None)
+@_command("bleu")
+@click.option("--hyp", type=click.Path(exists=True), required=True)
+@click.option("--ref", type=click.Path(exists=True), required=True)
 @click.option("--lang", default="unknown", help="Language pair, e.g. en-de.")
 @click.option("--set", "set_name", default="unknown", help="Test set name for the signature.")
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def bleu_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def bleu_cmd(params: dict) -> None:
     """Corpus BLEU of line-aligned hypothesis and reference files."""
-    params = _resolved(ctx)
-    _require(params, "hyp", "ref")
-    started = _now()
     hyp = read_lines(params["hyp"])
     ref = read_lines(params["ref"])
     if len(hyp) != len(ref):
@@ -342,32 +364,19 @@ def bleu_cmd(ctx, **_kwargs) -> None:
     score = corpus_bleu(zip(hyp, ref), BleuConfig(params["lang"], params["set_name"]))
     payload = score.as_dict()
     payload["unicode_version"] = UNICODE_VERSION
-    _emit(params["out"], _dump_json(payload) + "\n")
+    _emit(params["out"], _dump_json(payload))
     click.echo(score.format(), err=True)
-    _write_manifest(ctx, params, [params["hyp"], params["ref"]], started, params["out"])
 
 
-def _report_out(report: FilterReport, report_path: str | None) -> None:
-    text = _dump_json(report.as_dict())
-    if report_path:
-        Path(report_path).write_text(text + "\n", encoding="utf-8")
-    else:
-        click.echo(text, err=True)
-
-
-@cli.command("filter-mono")
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None)
+@_command("filter-mono")
+@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--max-chars", type=int, default=500, show_default=True)
 @click.option("--max-tokens", type=int, default=70, show_default=True)
-@click.option("--report", "report_path", type=click.Path(), default=None,
+@click.option("--report", "report_path", type=click.Path(),
               help="Write the JSON counters here instead of stderr.")
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def filter_mono_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def filter_mono_cmd(params: dict) -> None:
     """Drop monolingual lines exceeding the character or token caps."""
-    params = _resolved(ctx)
-    _require(params, "in_path")
-    started = _now()
     cfg = _filter_config(params)
     report = FilterReport()
 
@@ -381,135 +390,98 @@ def filter_mono_cmd(ctx, **_kwargs) -> None:
             else:
                 report.reject(reason)
 
-    if params["out"] is None:
-        for line in kept():
-            click.echo(line)
-    else:
-        write_lines(params["out"], kept())
+    _emit_lines(params["out"], kept())
     _report_out(report, params["report_path"])
-    _write_manifest(ctx, params, [params["in_path"]], started, params["out"])
 
 
-@cli.command("filter-bitext")
-@click.option("--src", "src_path", type=click.Path(exists=True), default=None)
-@click.option("--tgt", "tgt_path", type=click.Path(exists=True), default=None)
-@click.option("--tsv", "tsv_path", type=click.Path(exists=True), default=None,
+def _parallel_pairs(src_path: str, tgt_path: str) -> Iterator[SentencePair]:
+    """Stream line-aligned source and target files as pairs; a data error if
+    their line counts differ, raised once the shorter file ends."""
+    rows = itertools.zip_longest(iter_lines(src_path), iter_lines(tgt_path))
+    for n, (source, target) in enumerate(rows):
+        if source is None or target is None:
+            longer = n + 1 + sum(1 for _ in rows)
+            counts = (n, longer) if source is None else (longer, n)
+            raise DataError(f"line count mismatch: {counts[0]} vs {counts[1]}")
+        yield SentencePair(source, target)
+
+
+@_command("filter-bitext")
+@click.option("--src", "src_path", type=click.Path(exists=True))
+@click.option("--tgt", "tgt_path", type=click.Path(exists=True))
+@click.option("--tsv", "tsv_path", type=click.Path(exists=True),
               help="Tab-separated source/target pairs instead of two files.")
-@click.option("--out-src", type=click.Path(), default=None)
-@click.option("--out-tgt", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None, help="TSV output (with --tsv).")
+@click.option("--out-src", type=click.Path())
+@click.option("--out-tgt", type=click.Path())
+@click.option("--out", type=click.Path(), help="TSV output (with --tsv).")
 @click.option("--max-tokens", "bitext_max_tokens", type=int, default=250, show_default=True)
 @click.option("--max-ratio", type=float, default=2.0, show_default=True)
-@click.option("--report", "report_path", type=click.Path(), default=None)
-@click.pass_context
-def filter_bitext_cmd(ctx, **_kwargs) -> None:
+@click.option("--report", "report_path", type=click.Path())
+def filter_bitext_cmd(params: dict) -> None:
     """Drop bitext pairs with an empty side, an over-long side, or an
     excessive token length ratio."""
-    params = _resolved(ctx)
-    started = _now()
-    cfg = _filter_config(params)
-    report = FilterReport()
-
     if params["tsv_path"]:
-        def pairs():
-            for i, line in enumerate(iter_lines(params["tsv_path"])):
-                cells = line.split("\t")
-                if len(cells) != 2:
-                    raise DataError(f"{params['tsv_path']}:{i + 1}: expected 2 tab-separated fields")
-                yield SentencePair(cells[0], cells[1])
-        inputs = [params["tsv_path"]]
-        primary_out = params["out"]
+        pairs = (SentencePair(*cells) for cells in _tsv_rows(params["tsv_path"], 2))
     else:
         _require(params, "src_path", "tgt_path", "out_src", "out_tgt")
-        src_lines = read_lines(params["src_path"])
-        tgt_lines = read_lines(params["tgt_path"])
-        if len(src_lines) != len(tgt_lines):
-            raise DataError(f"line count mismatch: {len(src_lines)} vs {len(tgt_lines)}")
-        def pairs():
-            for s, t in zip(src_lines, tgt_lines):
-                yield SentencePair(s, t)
-        inputs = [params["src_path"], params["tgt_path"]]
-        primary_out = params["out_src"]
-
-    survivors = []
-    for pair in pairs():
-        report.read += 1
-        reason = bitext_reject_reason(pair, cfg)
-        if reason is None:
-            report.kept += 1
-            survivors.append(pair)
-        else:
-            report.reject(reason)
-
-    if params["tsv_path"]:
-        _emit(params["out"], "".join(f"{p.source}\t{p.target}\n" for p in survivors))
-    else:
-        write_lines(params["out_src"], (p.source for p in survivors))
-        write_lines(params["out_tgt"], (p.target for p in survivors))
+        pairs = _parallel_pairs(params["src_path"], params["tgt_path"])
+    cfg = _filter_config(params)
+    report = FilterReport()
+    with contextlib.ExitStack() as stack:
+        write = _pair_writer(stack, params)
+        for pair in pairs:
+            report.read += 1
+            reason = bitext_reject_reason(pair, cfg)
+            if reason is None:
+                report.kept += 1
+                write(pair)
+            else:
+                report.reject(reason)
     _report_out(report, params["report_path"])
-    _write_manifest(ctx, params, inputs, started, primary_out)
 
 
-@cli.command("dedup")
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None)
+@_command("dedup")
+@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--exact", is_flag=True, default=False,
               help="Keep full lines instead of 128-bit fingerprints (audit mode).")
-@click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def dedup_cmd(ctx, **_kwargs) -> None:
+@click.option("--report", "report_path", type=click.Path())
+@click.option("--out", type=click.Path())
+def dedup_cmd(params: dict) -> None:
     """Keep the first occurrence of each exact line, preserving order."""
-    params = _resolved(ctx)
-    _require(params, "in_path")
-    started = _now()
     report = FilterReport()
     unique = dedup_lines(iter_lines(params["in_path"]), exact=params["exact"], report=report)
-    if params["out"] is None:
-        for line in unique:
-            click.echo(line)
-    else:
-        write_lines(params["out"], unique)
+    _emit_lines(params["out"], unique)
     _report_out(report, params["report_path"])
-    _write_manifest(ctx, params, [params["in_path"]], started, params["out"])
 
 
-@cli.command("sample")
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None)
-@click.option("--n", type=int, default=None)
+@_command("sample")
+@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
+@click.option("--n", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def sample_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def sample_cmd(params: dict) -> None:
     """Uniform random subset of exactly n lines, in original order."""
-    params = _resolved(ctx)
-    _require(params, "in_path", "n")
-    started = _now()
     subset = sample_lines(iter_lines(params["in_path"]), params["n"], params["seed"])
-    _emit(params["out"], "".join(line + "\n" for line in subset))
-    _write_manifest(ctx, params, [params["in_path"]], started, params["out"])
+    _emit_lines(params["out"], subset)
 
 
-@cli.command("rtt-gen")
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None,
+@_command("rtt-gen")
+@click.option("--in", "in_path", type=click.Path(exists=True), required=True,
               help="Monolingual corpus, one sentence per line.")
-@click.option("--to-pivot", default=None, help="Backend spec (JSON file) or 'identity'.")
-@click.option("--from-pivot", default=None, help="Backend spec (JSON file) or 'identity'.")
+@click.option("--to-pivot", required=True, help="Backend spec (JSON file) or 'identity'.")
+@click.option("--from-pivot", required=True, help="Backend spec (JSON file) or 'identity'.")
 @click.option("--max-chars", type=int, default=500, show_default=True)
 @click.option("--max-tokens", type=int, default=70, show_default=True)
 @click.option("--filter-sides", type=click.Choice(["both", "original", "round_trip"]),
               default="both", show_default=True,
               help="Which side(s) of each pair the length filter applies to.")
-@click.option("--intermediate", type=click.Path(), default=None,
+@click.option("--intermediate", type=click.Path(),
               help="Also write the pivot-language text for auditing.")
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--cache-dir", envvar="RTT_APE_CACHE", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None, help="TSV: original<TAB>round_trip.")
-@click.pass_context
-def rtt_gen_cmd(ctx, **_kwargs) -> None:
+@click.option("--cache-dir", envvar="RTT_APE_CACHE", type=click.Path())
+@click.option("--out", type=click.Path(), help="TSV: original<TAB>round_trip.")
+def rtt_gen_cmd(params: dict) -> None:
     """Generate round-trip translations for every surviving line."""
-    params = _resolved(ctx)
-    _require(params, "in_path", "to_pivot", "from_pivot")
-    started = _now()
     y_to_x = _load_backend(params["to_pivot"])
     x_to_y = _load_backend(params["from_pivot"])
     with contextlib.ExitStack() as stack:
@@ -538,80 +510,46 @@ def rtt_gen_cmd(ctx, **_kwargs) -> None:
                     "which the original<TAB>round_trip output cannot hold"
                 )
             write(f"{pair.original}\t{pair.round_trip}\n")
-    _write_manifest(ctx, params, [params["in_path"]], started, params["out"])
 
 
-@cli.command("make-pairs")
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None,
+@_command("make-pairs")
+@click.option("--in", "in_path", type=click.Path(exists=True), required=True,
               help="TSV of original<TAB>round_trip as written by rtt-gen.")
 @click.option("--direction", type=click.Choice(["normal", "reverse"]), default="normal",
               show_default=True)
-@click.option("--out-src", type=click.Path(), default=None)
-@click.option("--out-tgt", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None, help="TSV output instead of two files.")
+@click.option("--out-src", type=click.Path())
+@click.option("--out-tgt", type=click.Path())
+@click.option("--out", type=click.Path(), help="TSV output instead of two files.")
 @click.option("--max-tokens", "bitext_max_tokens", type=int, default=250, show_default=True)
 @click.option("--max-ratio", type=float, default=2.0, show_default=True)
-@click.pass_context
-def make_pairs_cmd(ctx, **_kwargs) -> None:
+def make_pairs_cmd(params: dict) -> None:
     """Turn round-trip pairs into filtered training bitext."""
-    params = _resolved(ctx)
-    _require(params, "in_path")
-    started = _now()
-    in_path = params["in_path"]
     cfg = _filter_config(params)
-
-    def rtt_pairs():
-        for i, line in enumerate(iter_lines(in_path)):
-            cells = line.split("\t")
-            if len(cells) != 2:
-                raise DataError(f"{in_path}:{i + 1}: expected 2 tab-separated fields")
-            yield RttPair(original=cells[0], round_trip=cells[1])
-
+    rtt_pairs = (RttPair(*cells) for cells in _tsv_rows(params["in_path"], 2))
     with contextlib.ExitStack() as stack:
-        if params["out_src"] or params["out_tgt"]:
-            _require(params, "out_src", "out_tgt")
-            src = stack.enter_context(atomic_open(params["out_src"]))
-            tgt = stack.enter_context(atomic_open(params["out_tgt"]))
-
-            def write(pair: SentencePair) -> None:
-                src.write(pair.source + "\n")
-                tgt.write(pair.target + "\n")
-
-            primary_out = params["out_src"]
-        else:
-            emit = stack.enter_context(_output(params["out"]))
-
-            def write(pair: SentencePair) -> None:
-                emit(f"{pair.source}\t{pair.target}\n")
-
-            primary_out = params["out"]
-        for chunk in chunked(rtt_pairs(), PAIRS_PER_CHUNK):
+        write = _pair_writer(stack, params)
+        for chunk in chunked(rtt_pairs, PAIRS_PER_CHUNK):
             for pair in make_training_pairs(chunk, params["direction"], cfg):
                 write(pair)
-    _write_manifest(ctx, params, [in_path], started, primary_out)
 
 
-@cli.command("ape-apply")
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None,
+@_command("ape-apply")
+@click.option("--in", "in_path", type=click.Path(exists=True), required=True,
               help="Translation output to post-edit, one line per sentence.")
-@click.option("--backend", default=None, help="Backend spec (JSON file) or 'identity'.")
+@click.option("--backend", required=True, help="Backend spec (JSON file) or 'identity'.")
 @click.option("--scope", type=click.Choice(["all", "target_original_only"]), default="all",
               show_default=True)
 @click.option("--iterations", type=int, default=1, show_default=True)
-@click.option("--split", "split_path", type=click.Path(exists=True), default=None,
+@click.option("--split", "split_path", type=click.Path(exists=True),
               help="JSON from the split subcommand (needed for selective scope).")
-@click.option("--report", "report_path", type=click.Path(), default=None)
+@click.option("--report", "report_path", type=click.Path())
 @click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--cache-dir", envvar="RTT_APE_CACHE", type=click.Path(), default=None)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def ape_apply_cmd(ctx, **_kwargs) -> None:
+@click.option("--cache-dir", envvar="RTT_APE_CACHE", type=click.Path())
+@click.option("--out", type=click.Path())
+def ape_apply_cmd(params: dict) -> None:
     """Post-edit translation output through a backend, fully or selectively."""
-    params = _resolved(ctx)
-    _require(params, "in_path", "backend")
     if params["scope"] == "target_original_only":
         _require(params, "split_path")
-    started = _now()
     hyp = read_lines(params["in_path"])
     halves = _load_split(params["split_path"]) if params["split_path"] else None
     output, change_report = apply_ape(
@@ -622,57 +560,42 @@ def ape_apply_cmd(ctx, **_kwargs) -> None:
         jobs=params["jobs"],
         cache_dir=params["cache_dir"],
     )
-    _emit(params["out"], "".join(line + "\n" for line in output))
-    text = _dump_json(change_report.as_dict())
-    if params["report_path"]:
-        Path(params["report_path"]).write_text(text + "\n", encoding="utf-8")
-    else:
-        click.echo(text, err=True)
-    inputs = [params["in_path"]] + ([params["split_path"]] if params["split_path"] else [])
-    _write_manifest(ctx, params, inputs, started, params["out"])
+    _emit_lines(params["out"], output)
+    _report_out(change_report, params["report_path"])
 
 
-@cli.command("report-rtt")
-@click.option("--original", type=click.Path(exists=True), default=None)
-@click.option("--roundtrip", type=click.Path(exists=True), default=None)
+@_command("report-rtt")
+@click.option("--original", type=click.Path(exists=True), required=True)
+@click.option("--roundtrip", type=click.Path(exists=True), required=True)
 @click.option("--lang", default="unknown")
 @click.option("--set", "set_name", default="unknown")
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def report_rtt_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def report_rtt_cmd(params: dict) -> None:
     """Round-trip quality: BLEU against the originals, precision breakdown,
     and vocabulary sizes of both sides."""
-    params = _resolved(ctx)
-    _require(params, "original", "roundtrip")
-    started = _now()
     originals = read_lines(params["original"])
     round_trips = read_lines(params["roundtrip"])
     report = rtt_quality_report(
         originals, round_trips, BleuConfig(params["lang"], params["set_name"])
     )
-    _emit(params["out"], _dump_json(report.as_dict()) + "\n")
-    _write_manifest(ctx, params, [params["original"], params["roundtrip"]], started, params["out"])
+    _emit(params["out"], _dump_json(report.as_dict()))
 
 
-@cli.command("report-split")
-@click.option("--src-sgm", type=click.Path(exists=True), default=None)
-@click.option("--ref-sgm", type=click.Path(exists=True), default=None)
-@click.option("--ref-text", type=click.Path(exists=True), default=None,
+@_command("report-split")
+@click.option("--src-sgm", type=click.Path(exists=True))
+@click.option("--ref-sgm", type=click.Path(exists=True))
+@click.option("--ref-text", type=click.Path(exists=True),
               help="Plain-text references (with --origins) instead of SGM.")
-@click.option("--origins", type=click.Path(exists=True), default=None)
-@click.option("--src", default=None, help="Source language code.")
-@click.option("--tgt", default=None, help="Target language code.")
-@click.option("--name", default=None, help="Test set name for signatures.")
-@click.option("--hyp", "hyp_specs", multiple=True,
+@click.option("--origins", type=click.Path(exists=True))
+@click.option("--src", required=True, help="Source language code.")
+@click.option("--tgt", required=True, help="Target language code.")
+@click.option("--name", help="Test set name for signatures.")
+@click.option("--hyp", "hyp_specs", multiple=True, required=True,
               help="LABEL=PATH; repeat for several systems.")
 @click.option("--table", is_flag=True, default=False, help="Also print an aligned table to stderr.")
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def report_split_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def report_split_cmd(params: dict) -> list[str]:
     """Score systems on the full set and on both origin halves."""
-    params = _resolved(ctx)
-    _require(params, "src", "tgt", "hyp_specs")
-    started = _now()
     ts = _load_testset(params, with_refs=bool(params.get("src_sgm")))
     hyps = {}
     for spec in params["hyp_specs"]:
@@ -682,83 +605,56 @@ def report_split_cmd(ctx, **_kwargs) -> None:
         hyps[label] = read_lines(path)
     table = split_score_table(ts, hyps)
     payload = {label: report.as_dict() for label, report in table.items()}
-    _emit(params["out"], _dump_json(payload) + "\n")
+    _emit(params["out"], _dump_json(payload))
     if params["table"]:
         click.echo(render_split_table(table, ts), err=True)
-    inputs = [p for p in (params.get("src_sgm"), params.get("ref_sgm"),
-                          params.get("ref_text"), params.get("origins")) if p]
-    inputs += [spec.partition("=")[2] for spec in params["hyp_specs"]]
-    _write_manifest(ctx, params, inputs, started, params["out"])
+    return [spec.partition("=")[2] for spec in params["hyp_specs"]]
 
 
-@cli.command("vocab")
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None)
+@_command("vocab")
+@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--tokenizer", type=click.Choice(["whitespace", "intl"]), default="whitespace",
               show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def vocab_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def vocab_cmd(params: dict) -> None:
     """Count distinct tokens (case-sensitive)."""
-    params = _resolved(ctx)
-    _require(params, "in_path")
-    started = _now()
     count = vocab_size(iter_lines(params["in_path"]), params["tokenizer"])
-    payload = {"vocab_size": count, "tokenizer": params["tokenizer"]}
-    _emit(params["out"], _dump_json(payload) + "\n")
-    _write_manifest(ctx, params, [params["in_path"]], started, params["out"])
+    _emit(params["out"], _dump_json({"vocab_size": count, "tokenizer": params["tokenizer"]}))
 
 
-@cli.command("humaneval-make")
-@click.option("--items", type=click.Path(exists=True), default=None,
+@_command("humaneval-make")
+@click.option("--items", type=click.Path(exists=True), required=True,
               help="TSV: source<TAB>output<TAB>system_label.")
 @click.option("--raters", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def humaneval_make_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def humaneval_make_cmd(params: dict) -> None:
     """Build blind rating tasks: one row per (item, rater slot)."""
-    params = _resolved(ctx)
-    _require(params, "items")
-    started = _now()
-    items = []
-    for i, line in enumerate(iter_lines(params["items"])):
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise DataError(f"{params['items']}:{i + 1}: expected 3 tab-separated fields")
-        items.append((cells[0], cells[1], cells[2]))
+    items = [tuple(cells) for cells in _tsv_rows(params["items"], 3)]
     text = humaneval_make_tasks(items, raters_per_item=params["raters"], seed=params["seed"])
     _emit(params["out"], text)
-    _write_manifest(ctx, params, [params["items"]], started, params["out"])
 
 
-@cli.command("humaneval-agg")
-@click.option("--tasks", type=click.Path(exists=True), default=None,
+@_command("humaneval-agg")
+@click.option("--tasks", type=click.Path(exists=True), required=True,
               help="Completed task file.")
 @click.option("--allow-partial", is_flag=True, default=False,
               help="Skip items with missing ratings instead of failing.")
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def humaneval_agg_cmd(ctx, **_kwargs) -> None:
+@click.option("--out", type=click.Path())
+def humaneval_agg_cmd(params: dict) -> None:
     """Aggregate completed ratings per system: mean fluency and accuracy %."""
-    params = _resolved(ctx)
-    _require(params, "tasks")
-    started = _now()
     with smart_open(params["tasks"]) as fh:
         results = humaneval_aggregate(fh.read(), allow_partial=params["allow_partial"])
-    _emit(params["out"], _dump_json(results) + "\n")
+    _emit(params["out"], _dump_json(results))
     click.echo(format_ratings(results), err=True)
-    _write_manifest(ctx, params, [params["tasks"]], started, params["out"])
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False, obj={})
+        cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE

@@ -2,9 +2,11 @@
 
 All operations are single-pass and line-oriented.  Deduplication keeps
 128-bit fingerprints of the exact line bytes rather than the lines
-themselves (about 16 bytes per distinct line, so a 200M-line corpus fits
-in a few GB); an exact mode that stores full lines exists for audit runs
-where even a negligible collision probability is unwelcome.
+themselves.  Each is a 16-byte ``bytes`` object in a ``set``, which costs
+80-100 bytes per distinct line in CPython (measured with ``tracemalloc``),
+so 200M distinct lines need about 16-20 GB; an exact mode that stores
+full lines exists for audit runs where even a negligible collision
+probability is unwelcome.
 """
 
 from __future__ import annotations
@@ -45,13 +47,6 @@ class SentencePair:
 
 
 @dataclass
-class MonolingualCorpus:
-    lang: str
-    lines: Iterable[str]
-    provenance: str = ""
-
-
-@dataclass
 class FilterReport:
     """JSON-able counters for one filtering/dedup pass."""
 
@@ -78,8 +73,8 @@ def dedup(
 ) -> Iterator[str]:
     """Yield the first occurrence of each line, preserving order.
 
-    Memory is O(distinct lines): 16-byte fingerprints by default, full
-    lines with ``exact=True``.  Duplicate counts land in ``report`` as the
+    Memory is O(distinct lines): a set of 16-byte fingerprints by default
+    (80-100 bytes per line in all), full lines with ``exact=True``.  Duplicate counts land in ``report`` as the
     stream is consumed.
     """
     seen: set = set()
@@ -161,11 +156,3 @@ def sample_lines(lines: Iterable[str], n: int, seed: int) -> list[str]:
         raise ValueError(f"cannot sample {n} lines from a corpus of {count}")
     reservoir.sort()
     return [line for _, line in reservoir]
-
-
-def sample_subset(corpus: MonolingualCorpus, n: int, seed: int) -> MonolingualCorpus:
-    return MonolingualCorpus(
-        lang=corpus.lang,
-        lines=sample_lines(corpus.lines, n, seed),
-        provenance=f"{corpus.provenance} [sample n={n} seed={seed}]".strip(),
-    )

@@ -52,7 +52,7 @@ class TestSet:
 
     Source and reference are aligned positionally (document order in the
     SGM files); construction verifies that their (doc_id, seg_id) sequences
-    agree and that an attached hypothesis has matching length.
+    agree.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -62,7 +62,6 @@ class TestSet:
     tgt_lang: str
     source: list[Segment]
     reference: list[Segment]
-    hypothesis: list[str] | None = None
 
     def __post_init__(self) -> None:
         if len(self.source) != len(self.reference):
@@ -75,10 +74,6 @@ class TestSet:
                     f"source/reference disagree at index {i}: "
                     f"({s.doc_id!r}, {s.seg_id!r}) vs ({r.doc_id!r}, {r.seg_id!r})"
                 )
-        if self.hypothesis is not None and len(self.hypothesis) != len(self.source):
-            raise AlignmentError(
-                f"hypothesis has {len(self.hypothesis)} lines, test set has {len(self.source)}"
-            )
 
     def __len__(self) -> int:
         return len(self.source)

@@ -1,17 +1,21 @@
 """CLI surface: flags, exit codes, JSON output, manifests, composition."""
 
+import gc
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtt_ape.analysis import humaneval_make_tasks
 from rtt_ape.backends import BackendSpec, spec_from_dict
-from rtt_ape.cli import main
+from rtt_ape.cli import cli, main
 from rtt_ape.corpus import SentencePair, bitext_filter, mono_filter
 from rtt_ape.pipeline import generate_rtt
+from rtt_ape.testset import parse_sgm
 
 DATA = Path(__file__).parent / "data"
 
@@ -549,3 +553,211 @@ class TestCliMisc:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run("vocab", "--wat") == 1
+
+
+def make_command_inputs(d: Path) -> None:
+    """Input files for one flags-only run of every subcommand, under ``d``."""
+    for name in ("src", "ref"):
+        (d / f"{name}.sgm").write_bytes((DATA / f"mini_ende_{name}.sgm").read_bytes())
+    write(d / "hyp.txt", ["der hund läuft schnell weg", "die katze schläft tief"])
+    write(d / "ref.txt", ["der hund läuft schnell weg", "die katze schläft fest"])
+    write(d / "origins.txt", ["de", "en"])
+    write(d / "mono.txt", ["guten tag", "wie geht es", "guten tag", "x" * 600])
+    write(d / "pairs.tsv", ["guten tag\tguten tag", "wie geht es\twie es geht"])
+    write(d / "base.txt", [f"satz {i}" for i in range(20)])
+    write(d / "ape.txt", [f"satz {i} neu" for i in range(20)])
+    (d / "split.json").write_text(json.dumps({"source_original": [1], "target_original": [0]}))
+    write(d / "items.tsv", ["src a\tout a\tbase", "src b\tout b\tape"])
+    tasks = humaneval_make_tasks([("src a", "out a", "base"), ("src b", "out b", "ape")], 2)
+    write(d / "done.tsv", [
+        line.replace("\t\t", "\t4\t", 1).replace("\t\t", "\t0\t", 1) for line in tasks.splitlines()
+    ])
+
+
+# subcommand: (flags, config keys, input files).  The manifest sits next to
+# --out-src, else --out.
+COMMAND_CASES = {
+    "parse-sgm": ("--sgm {d}/src.sgm --labels-out {d}/labels.txt --out {d}/out.txt",
+                  {"sgm", "side", "out_format", "labels_out", "out"}, ["src.sgm"]),
+    "split": ("--text {d}/hyp.txt --origins {d}/origins.txt --src en --tgt de --out {d}/out.json",
+              {"sgm", "text", "origins", "src", "tgt", "name", "out"}, ["hyp.txt", "origins.txt"]),
+    "merge": ("--base {d}/hyp.txt --edited {d}/ref.txt --split {d}/split.json --out {d}/out.txt",
+              {"base", "edited", "split_path", "mode", "out"},
+              ["hyp.txt", "ref.txt", "split.json"]),
+    "bleu": ("--hyp {d}/hyp.txt --ref {d}/ref.txt --lang en-de --out {d}/out.json",
+             {"hyp", "ref", "lang", "set_name", "out"}, ["hyp.txt", "ref.txt"]),
+    "filter-mono": ("--in {d}/mono.txt --report {d}/report.json --out {d}/out.txt",
+                    {"in_path", "max_chars", "max_tokens", "report_path", "out"}, ["mono.txt"]),
+    "filter-bitext": ("--src {d}/hyp.txt --tgt {d}/ref.txt --out-src {d}/out.src "
+                      "--out-tgt {d}/out.tgt --report {d}/report.json",
+                      {"src_path", "tgt_path", "tsv_path", "out_src", "out_tgt", "out",
+                       "bitext_max_tokens", "max_ratio", "report_path"}, ["hyp.txt", "ref.txt"]),
+    "dedup": ("--in {d}/mono.txt --out {d}/out.txt",
+              {"in_path", "exact", "report_path", "out"}, ["mono.txt"]),
+    "sample": ("--in {d}/mono.txt --n 2 --seed 1 --out {d}/out.txt",
+               {"in_path", "n", "seed", "out"}, ["mono.txt"]),
+    "rtt-gen": ("--in {d}/mono.txt --to-pivot identity --from-pivot identity "
+                "--intermediate {d}/pivot.txt --out {d}/out.tsv",
+                {"in_path", "to_pivot", "from_pivot", "max_chars", "max_tokens", "filter_sides",
+                 "intermediate", "jobs", "cache_dir", "out"}, ["mono.txt"]),
+    "make-pairs": ("--in {d}/pairs.tsv --out-src {d}/out.src --out-tgt {d}/out.tgt",
+                   {"in_path", "direction", "out_src", "out_tgt", "out", "bitext_max_tokens",
+                    "max_ratio"}, ["pairs.tsv"]),
+    "ape-apply": ("--in {d}/hyp.txt --backend identity --scope target_original_only "
+                  "--split {d}/split.json --report {d}/report.json --out {d}/out.txt",
+                  {"in_path", "backend", "scope", "iterations", "split_path", "report_path",
+                   "jobs", "cache_dir", "out"}, ["hyp.txt", "split.json"]),
+    "report-rtt": ("--original {d}/hyp.txt --roundtrip {d}/ref.txt --out {d}/out.json",
+                   {"original", "roundtrip", "lang", "set_name", "out"}, ["hyp.txt", "ref.txt"]),
+    "report-split": ("--src-sgm {d}/src.sgm --ref-sgm {d}/ref.sgm --src en --tgt de "
+                     "--hyp base={d}/base.txt --hyp ape={d}/ape.txt --out {d}/out.json",
+                     {"src_sgm", "ref_sgm", "ref_text", "origins", "src", "tgt", "name",
+                      "hyp_specs", "table", "out"}, ["src.sgm", "ref.sgm", "base.txt", "ape.txt"]),
+    "vocab": ("--in {d}/mono.txt --out {d}/out.json",
+              {"in_path", "tokenizer", "out"}, ["mono.txt"]),
+    "humaneval-make": ("--items {d}/items.tsv --seed 2 --out {d}/out.tsv",
+                       {"items", "raters", "seed", "out"}, ["items.tsv"]),
+    "humaneval-agg": ("--tasks {d}/done.tsv --out {d}/out.json",
+                      {"tasks", "allow_partial", "out"}, ["done.tsv"]),
+}
+
+
+class TestManifests:
+    def test_every_subcommand_has_a_case(self):
+        assert set(COMMAND_CASES) == set(cli.commands)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_CASES))
+    def test_manifest_keys(self, command, tmp_path, monkeypatch):
+        monkeypatch.delenv("RTT_APE_CACHE", raising=False)
+        make_command_inputs(tmp_path)
+        flags, config_keys, inputs = COMMAND_CASES[command]
+        argv = flags.format(d=tmp_path).split()
+        assert run(command, *argv) == 0
+        out = argv[argv.index("--out-src" if "--out-src" in argv else "--out") + 1]
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert set(manifest) == {
+            "tool", "version", "subcommand", "config", "inputs", "seed", "started", "finished",
+        }
+        assert manifest["subcommand"] == command
+        assert set(manifest["config"]) == config_keys
+        assert set(manifest["inputs"]) == {str(tmp_path / name) for name in inputs}
+        assert manifest["seed"] == manifest["config"].get("seed")
+
+
+class TestConfigFile:
+    """--config values go through the options' own click types."""
+
+    @pytest.fixture()
+    def config(self, tmp_path):
+        def make(obj) -> str:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(obj))
+            return str(path)
+
+        return make
+
+    @pytest.mark.parametrize("command, section, argv", [
+        ("filter-mono", {"max_chars": "abc"}, ["--in", "{mono}"]),
+        ("parse-sgm", {"out_format": "xml"}, ["--sgm", str(DATA / "mini_ende_src.sgm")]),
+        ("ape-apply", {"jobs": "two"}, ["--in", "{mono}", "--backend", "identity"]),
+        ("bleu", {"hyp": "{missing}"}, ["--ref", "{mono}"]),
+    ])
+    def test_bad_value_is_usage_error(self, config, tmp_path, capsys, command, section, argv):
+        mono = tmp_path / "mono.txt"
+        write(mono, ["ein satz"])
+        paths = {"mono": mono, "missing": tmp_path / "missing.txt"}
+        section = {k: v.format(**paths) for k, v in section.items()}
+        argv = [a.format(**paths) for a in argv]
+        out = tmp_path / "out.txt"
+        assert run("--config", config({command: section}), command, *argv, "--out", str(out)) == 1
+        assert "Invalid value for" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, value", [("iterations", "2"), ("jobs", "2")])
+    def test_string_number_works_like_the_flag(self, config, tmp_path, denoiser_spec,
+                                                name, value):
+        hyp = tmp_path / "hyp.txt"
+        write(hyp, ["Obama erhält Netanjahu", "Obama sagt"])
+        by_flag, by_config = tmp_path / "flag.txt", tmp_path / "config.txt"
+        common = ["ape-apply", "--in", str(hyp), "--backend", str(denoiser_spec)]
+        assert run(*common, f"--{name}", value, "--out", str(by_flag)) == 0
+        assert run("--config", config({"ape-apply": {name: value}}), *common,
+                   "--out", str(by_config)) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        manifests = [json.loads(Path(f"{p}.manifest.json").read_text())["config"]
+                     for p in (by_flag, by_config)]
+        assert manifests[0][name] == manifests[1][name] == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"bleu": 3}', "{"])
+    def test_config_not_an_object_of_objects_is_data_error(self, tmp_path, corpus_files,
+                                                            capsys, text):
+        hyp, ref = corpus_files
+        path = str(tmp_path / "cfg.json")
+        Path(path).write_text(text)
+        assert run("--config", path, "bleu", "--hyp", str(hyp), "--ref", str(ref)) == 2
+        err = capsys.readouterr().err
+        assert f"bad config file {path!r}" in err
+        assert "Traceback" not in err
+
+
+class TestAtomicWholeTextOutputs:
+    """An output that fails to encode leaves a previous file untouched."""
+
+    @pytest.mark.parametrize("command", ["bleu", "report-split"])
+    def test_unencodable_output_keeps_old_file(self, tmp_path, capsys, command):
+        hyp = tmp_path / "hyp.txt"
+        with open(DATA / "mini_ende_ref.sgm", "rb") as fh:
+            write(hyp, [seg.text for seg in parse_sgm(fh)])
+        out = tmp_path / "score.json"
+        out.write_text('{"old": true}\n')
+        before = sorted(p.name for p in tmp_path.iterdir())
+        # A non-UTF-8 argv byte (b"\xff") arrives as a lone surrogate.
+        name = "news\udcff"
+        if command == "bleu":
+            argv = ["bleu", "--hyp", str(hyp), "--ref", str(hyp), "--set", name]
+        else:
+            argv = ["report-split", "--src-sgm", str(DATA / "mini_ende_src.sgm"),
+                    "--ref-sgm", str(DATA / "mini_ende_ref.sgm"), "--src", "en", "--tgt", "de",
+                    "--name", name, "--hyp", f"base={hyp}"]
+        assert run(*argv, "--out", str(out)) == 2
+        assert "data error" in capsys.readouterr().err
+        assert out.read_bytes() == b'{"old": true}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+class TestFilterBitextStreaming:
+    @pytest.mark.parametrize("n_src, n_tgt", [(3, 2), (2, 3)])
+    def test_line_count_mismatch_leaves_no_output(self, tmp_path, capsys, n_src, n_tgt):
+        src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
+        write(src, [f"satz {i}" for i in range(n_src)])
+        write(tgt, [f"sentence {i}" for i in range(n_tgt)])
+        assert run("filter-bitext", "--src", str(src), "--tgt", str(tgt),
+                   "--out-src", str(tmp_path / "o.src"), "--out-tgt", str(tmp_path / "o.tgt"),
+                   "--report", str(tmp_path / "report.json")) == 2
+        assert f"line count mismatch: {n_src} vs {n_tgt}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt", "t.txt"]
+
+    def test_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        # Lines of ~1 kB, so that both sizes exceed the 1 MiB block in which
+        # the manifest fingerprints each input.
+        padding = " " + "straße" * 170
+
+        def peak(n):
+            d = tmp_path / str(n)
+            d.mkdir()
+            write(d / "s.txt", (f"satz {i}{padding}" for i in range(n)))
+            write(d / "t.txt", (f"sentence {i}{padding}" for i in range(n)))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run("filter-bitext", "--src", str(d / "s.txt"), "--tgt", str(d / "t.txt"),
+                           "--out-src", str(d / "o.src"), "--out-tgt", str(d / "o.tgt"),
+                           "--report", str(d / "report.json")) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first run: imports and lazy module state
+        small, large = peak(1000), peak(8000)
+        assert (d := tmp_path / "8000" / "o.src").read_text().count("\n") == 8000, d
+        assert large <= 1.5 * small, (small, large)

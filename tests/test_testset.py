@@ -208,11 +208,6 @@ class TestTestSetValidation:
         with pytest.raises(AlignmentError, match="disagree at index 0"):
             TestSet("t", "en", "de", a, b)
 
-    def test_hypothesis_length_checked(self):
-        a = [Segment("1", "d", "de", "x")]
-        with pytest.raises(AlignmentError, match="hypothesis"):
-            TestSet("t", "en", "de", a, a, hypothesis=["h1", "h2"])
-
 
 class TestPlainLoader:
     def test_with_origin_labels(self):
