@@ -9,11 +9,13 @@ Per-line randomness in the toy channel derives from (config seed, line
 index), so corpus-level output is independent of batch sizes and worker
 counts.  Command and HTTP outputs are cached on disk per batch, keyed by
 (backend fingerprint, batch fingerprint), which makes expensive passes
-over large corpora resumable.
+over large corpora resumable.  A ``BatchPool`` runs their batches on
+threads shared by every call of one run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -22,10 +24,10 @@ import shlex
 import subprocess
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import BackendError, DataError
 
@@ -240,14 +242,8 @@ def _cache_write(path: Path, lines: list[str]) -> None:
 
 
 def _run_external_batch(
-    spec: BackendSpec, batch: list[str], start: int, cache_dir: Path | None
+    spec: BackendSpec, batch: list[str], start: int, cache_path: Path | None
 ) -> list[str]:
-    cache_path = _cache_file(cache_dir, spec, batch) if cache_dir is not None else None
-    if cache_path is not None:
-        cached = _cache_read(cache_path, len(batch))
-        if cached is not None:
-            return cached
-
     runner = _run_command_batch if spec.kind == "command" else _run_http_batch
     last_error: Exception | None = None
     for attempt in range(spec.retries + 1):
@@ -287,6 +283,70 @@ def check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
 
 
+class BatchPool:
+    """Up to ``jobs`` threads that run command and HTTP batches for every
+    ``submit`` of a run, so a run that translates its corpus piece by piece
+    starts one pool, not one per piece.  ``jobs == 1`` starts no thread:
+    ``submit`` runs every batch before it returns.  Cache hits are read on
+    the calling thread either way, so only misses reach the threads.
+
+    Leaving the ``with`` block joins the threads; leaving it by an exception
+    first cancels the batches that have not started."""
+
+    def __init__(self, jobs: int = 1) -> None:
+        check_jobs(jobs)
+        self._executor = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+
+    def __enter__(self) -> "BatchPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
+
+    def submit(
+        self,
+        spec: BackendSpec,
+        lines: Iterable[str],
+        *,
+        cache_dir: str | Path | None = None,
+        start: int = 0,
+    ) -> Callable[[], list[str]]:
+        """Start translating ``lines`` (see ``translate_batch``) and return a
+        function that waits for the translation and returns it, raising the
+        error of the first batch that failed."""
+        lines = list(lines)
+        for index, line in enumerate(lines, start):
+            if "\n" in line:
+                raise DataError(f"input line {index} contains a newline")
+        if spec.kind == "identity":
+            return lambda: lines
+        if spec.kind == "toy_channel":
+            out = [channel_apply(spec.channel, line, salt) for salt, line in enumerate(lines, start)]
+            return lambda: out
+        if spec.kind == "toy_denoiser":
+            out = [toy_denoiser(spec.channel, line) for line in lines]
+            return lambda: out
+
+        cache = Path(cache_dir) if cache_dir is not None else None
+        parts: list[list[str] | Future] = []
+        for offset in range(0, len(lines), spec.batch_size):
+            batch = lines[offset : offset + spec.batch_size]
+            cache_path = _cache_file(cache, spec, batch) if cache is not None else None
+            cached = _cache_read(cache_path, len(batch)) if cache_path is not None else None
+            if cached is not None:
+                parts.append(cached)
+            elif self._executor is None:
+                parts.append(_run_external_batch(spec, batch, start + offset, cache_path))
+            else:
+                parts.append(self._executor.submit(
+                    _run_external_batch, spec, batch, start + offset, cache_path))
+        return lambda: [
+            line for part in parts
+            for line in (part.result() if isinstance(part, Future) else part)
+        ]
+
+
 def translate_batch(
     spec: BackendSpec,
     lines: Iterable[str],
@@ -294,6 +354,7 @@ def translate_batch(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     start: int = 0,
+    pool: BatchPool | None = None,
 ) -> list[str]:
     """Translate lines through the backend, one output line per input line,
     order preserved.  Batching, retries, and caching are internal; command
@@ -305,29 +366,7 @@ def translate_batch(
     ``start`` is the corpus index of ``lines[0]`` when a caller translates a
     corpus piece by piece: toy-channel salts and the line indices in errors
     count from it, so pieces cut on multiples of ``spec.batch_size``
-    translate, and cache, exactly like one call over the whole corpus."""
-    check_jobs(jobs)
-    lines = list(lines)
-    for index, line in enumerate(lines, start):
-        if "\n" in line:
-            raise DataError(f"input line {index} contains a newline")
-    if spec.kind == "identity":
-        return lines
-    if spec.kind == "toy_channel":
-        return [channel_apply(spec.channel, line, salt) for salt, line in enumerate(lines, start)]
-    if spec.kind == "toy_denoiser":
-        return [toy_denoiser(spec.channel, line) for line in lines]
-
-    cache = Path(cache_dir) if cache_dir is not None else None
-    batches = [
-        (start + offset, lines[offset : offset + spec.batch_size])
-        for offset in range(0, len(lines), spec.batch_size)
-    ]
-    if jobs <= 1 or len(batches) <= 1:
-        results = [_run_external_batch(spec, batch, first, cache) for first, batch in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda sb: _run_external_batch(spec, sb[1], sb[0], cache), batches)
-            )
-    return [line for chunk in results for line in chunk]
+    translate, and cache, exactly like one call over the whole corpus.
+    Such a caller passes its own ``pool``, which then replaces ``jobs``."""
+    with BatchPool(jobs) if pool is None else contextlib.nullcontext(pool) as runner:
+        return runner.submit(spec, lines, cache_dir=cache_dir, start=start)()

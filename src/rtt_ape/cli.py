@@ -153,6 +153,11 @@ def _pair_writer(stack: contextlib.ExitStack, params: dict) -> Callable[[Sentenc
     return lambda pair: emit(f"{pair.source}\t{pair.target}\n")
 
 
+def _spec_files(*values: str) -> list[str]:
+    """The backend flag values that name spec files, for the manifest."""
+    return [value for value in values if value != "identity"]
+
+
 def _load_backend(value: str) -> BackendSpec:
     """A backend flag value is either a bare kind needing no config
     ("identity") or the path of a JSON spec file."""
@@ -480,7 +485,7 @@ def sample_cmd(params: dict) -> None:
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--cache-dir", envvar="RTT_APE_CACHE", type=click.Path())
 @click.option("--out", type=click.Path(), help="TSV: original<TAB>round_trip.")
-def rtt_gen_cmd(params: dict) -> None:
+def rtt_gen_cmd(params: dict) -> list[str]:
     """Generate round-trip translations for every surviving line."""
     y_to_x = _load_backend(params["to_pivot"])
     x_to_y = _load_backend(params["from_pivot"])
@@ -510,6 +515,7 @@ def rtt_gen_cmd(params: dict) -> None:
                     "which the original<TAB>round_trip output cannot hold"
                 )
             write(f"{pair.original}\t{pair.round_trip}\n")
+    return _spec_files(params["to_pivot"], params["from_pivot"])
 
 
 @_command("make-pairs")
@@ -546,7 +552,7 @@ def make_pairs_cmd(params: dict) -> None:
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--cache-dir", envvar="RTT_APE_CACHE", type=click.Path())
 @click.option("--out", type=click.Path())
-def ape_apply_cmd(params: dict) -> None:
+def ape_apply_cmd(params: dict) -> list[str]:
     """Post-edit translation output through a backend, fully or selectively."""
     if params["scope"] == "target_original_only":
         _require(params, "split_path")
@@ -562,6 +568,7 @@ def ape_apply_cmd(params: dict) -> None:
     )
     _emit_lines(params["out"], output)
     _report_out(change_report, params["report_path"])
+    return _spec_files(params["backend"])
 
 
 @_command("report-rtt")
@@ -581,6 +588,17 @@ def report_rtt_cmd(params: dict) -> None:
     _emit(params["out"], _dump_json(report.as_dict()))
 
 
+def _check_hyp_specs(ctx: click.Context, param: click.Parameter, specs: tuple[str, ...]):
+    """Each ``--hyp LABEL=PATH`` names an existing file, checked like any
+    ``click.Path(exists=True)`` input."""
+    for spec in specs:
+        label, sep, path = spec.partition("=")
+        if not sep or not label or not path:
+            raise click.UsageError(f"--hyp expects LABEL=PATH, got {spec!r}")
+        click.Path(exists=True).convert(path, param, ctx)
+    return specs
+
+
 @_command("report-split")
 @click.option("--src-sgm", type=click.Path(exists=True))
 @click.option("--ref-sgm", type=click.Path(exists=True))
@@ -590,7 +608,7 @@ def report_rtt_cmd(params: dict) -> None:
 @click.option("--src", required=True, help="Source language code.")
 @click.option("--tgt", required=True, help="Target language code.")
 @click.option("--name", help="Test set name for signatures.")
-@click.option("--hyp", "hyp_specs", multiple=True, required=True,
+@click.option("--hyp", "hyp_specs", multiple=True, required=True, callback=_check_hyp_specs,
               help="LABEL=PATH; repeat for several systems.")
 @click.option("--table", is_flag=True, default=False, help="Also print an aligned table to stderr.")
 @click.option("--out", type=click.Path())
@@ -599,9 +617,7 @@ def report_split_cmd(params: dict) -> list[str]:
     ts = _load_testset(params, with_refs=bool(params.get("src_sgm")))
     hyps = {}
     for spec in params["hyp_specs"]:
-        label, sep, path = spec.partition("=")
-        if not sep or not label or not path:
-            raise click.UsageError(f"--hyp expects LABEL=PATH, got {spec!r}")
+        label, _, path = spec.partition("=")
         hyps[label] = read_lines(path)
     table = split_score_table(ts, hyps)
     payload = {label: report.as_dict() for label, report in table.items()}

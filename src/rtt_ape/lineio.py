@@ -7,8 +7,18 @@ import gzip
 import hashlib
 import io
 import os
+import queue
+import threading
 from pathlib import Path
 from typing import IO, Iterable, Iterator
+
+# A .gz output is compressed on a writer thread of its own (see
+# ``_GzipWriter``), fed the blocks ``io.TextIOWrapper`` writes (8 KiB each,
+# give or take a line) through a queue of at most GZIP_QUEUE_BLOCKS of them.
+GZIP_QUEUE_BLOCKS = 8
+
+_FLUSH = object()
+_CLOSE = object()
 
 
 def smart_open(path: str | Path) -> IO[str]:
@@ -19,6 +29,72 @@ def smart_open(path: str | Path) -> IO[str]:
     return open(path, encoding="utf-8", newline="\n")
 
 
+class _GzipWriter(io.BufferedIOBase):
+    """A write-only binary stream into ``raw`` that gzips on a thread of its
+    own, so that deflate, which releases the GIL, runs while the caller
+    produces the next lines.  Writes and flushes are queued, in order, for
+    the thread, which owns the ``GzipFile``: the compressed bytes are those
+    the same calls straight on a ``GzipFile`` give.  An error on the thread
+    is re-raised on the caller's by the next write, flush or close.  As a
+    context manager it closes on success and, when left by an exception,
+    stops the thread without raising the thread's error."""
+
+    def __init__(self, raw: IO[bytes]) -> None:
+        self._gz = gzip.GzipFile(filename="", mode="wb", compresslevel=9, fileobj=raw, mtime=0)
+        self._queue: queue.Queue = queue.Queue(GZIP_QUEUE_BLOCKS)
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._drain, name="gzip-writer", daemon=True)
+        self._thread.start()
+
+    def _drain(self) -> None:
+        item = None
+        try:
+            while (item := self._queue.get()) is not _CLOSE:
+                if item is _FLUSH:
+                    self._gz.flush()
+                else:
+                    self._gz.write(item)
+            self._gz.close()
+        except BaseException as exc:  # handed to the caller's thread
+            self._error = exc
+            with contextlib.suppress(Exception):
+                self._gz.close()
+            # Keep taking blocks until told to stop, so that the caller
+            # never waits on a full queue.
+            while item is not _CLOSE:
+                item = self._queue.get()
+
+    def _put(self, item: object) -> None:
+        if self._error is not None:
+            raise self._error
+        self._queue.put(item)
+
+    @property
+    def closed(self) -> bool:
+        return not self._thread.is_alive()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self._put(bytes(data))  # no copy: TextIOWrapper writes fresh bytes
+        return len(data)
+
+    def flush(self) -> None:
+        self._put(_FLUSH)
+
+    def close(self, raise_error: bool = True) -> None:
+        if self.closed:
+            return
+        self._queue.put(_CLOSE)
+        self._thread.join()
+        if raise_error and self._error is not None:
+            raise self._error
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(raise_error=exc_type is None)
+
+
 @contextlib.contextmanager
 def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     """Write a text file (UTF-8, '\\n' newlines, gzipped if it ends in .gz)
@@ -27,17 +103,18 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     when it raises, so a failed run never leaves a truncated output.
 
     Gzip headers carry no file name and a zero mtime, so equal text always
-    compresses to equal bytes."""
+    compresses to equal bytes.  A .gz file is compressed on a writer thread
+    (see ``_GzipWriter``), which has ended by the time the block exits."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         with open(tmp, "wb") as raw, contextlib.ExitStack() as stack:
             binary: IO[bytes] = raw
             if path.suffix == ".gz":
-                binary = stack.enter_context(
-                    gzip.GzipFile(filename="", mode="wb", compresslevel=9, fileobj=raw, mtime=0)
-                )
-            yield stack.enter_context(io.TextIOWrapper(binary, encoding="utf-8", newline="\n"))
+                binary = stack.enter_context(_GzipWriter(raw))
+            text = io.TextIOWrapper(binary, encoding="utf-8", newline="\n")
+            yield text
+            text.flush()
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

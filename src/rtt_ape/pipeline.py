@@ -13,12 +13,13 @@ target-original half of a test set and optionally iterated.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TypeVar
 
-from .backends import BackendSpec, check_jobs, translate_batch
+from .backends import BackendSpec, BatchPool, check_jobs, translate_batch
 from .corpus import FilterConfig, SentencePair, bitext_filter, mono_filter
 from .testset import SplitHalves
 
@@ -29,9 +30,12 @@ FILTER_SIDES = ("both", "original", "round_trip")
 # Streaming chunk sizes, which bound memory in place of the corpus size:
 # ``iter_rtt`` translates lcm(both batch sizes) * jobs * CHUNK_BATCHES lines
 # at a time (CHUNK_BATCHES batches per worker when the batch sizes are
-# equal), and make-pairs filters PAIRS_PER_CHUNK pairs at a time.
+# equal), and make-pairs filters PAIRS_PER_CHUNK pairs at a time.  With
+# jobs > 1, ``iter_rtt`` keeps LOOKAHEAD_CHUNKS chunks in flight ahead of the
+# one it yields from.
 CHUNK_BATCHES = 8
 PAIRS_PER_CHUNK = 1024
+LOOKAHEAD_CHUNKS = 1
 
 T = TypeVar("T")
 
@@ -80,6 +84,23 @@ def chunked(items: Iterable[T], size: int) -> Iterator[list[T]]:
         yield chunk
 
 
+def _lookahead(items: Iterator[T], n: int) -> Iterator[T]:
+    """The items of ``items`` in order, each yielded once the ``n`` after it
+    have been produced, so producing those overlaps the work done on it.  An
+    error in producing an item is raised after every item before it has
+    been yielded."""
+    ahead: deque[T] = deque()
+    try:
+        for item in items:
+            ahead.append(item)
+            if len(ahead) > n:
+                yield ahead.popleft()
+    except Exception:
+        yield from ahead
+        raise
+    yield from ahead
+
+
 def iter_rtt(
     lines: Iterable[str],
     y_to_x: BackendSpec,
@@ -98,7 +119,11 @@ def iter_rtt(
     Lines are read lazily and translated in chunks cut on multiples of both
     backends' batch sizes (see ``CHUNK_BATCHES``), so memory does not grow
     with the corpus and every batch (and so every cache file) is the one a
-    single call over the whole corpus would make.
+    single call over the whole corpus would make.  One ``BatchPool`` serves
+    the whole run.  With ``jobs`` > 1 the next chunk's pivot is translated on
+    the calling thread while this chunk's return batches run on the pool
+    (see ``LOOKAHEAD_CHUNKS``); with ``jobs`` == 1 each chunk is translated
+    just before it is yielded, and no thread is started.
     Arguments are checked when iteration starts.
     """
     check_jobs(jobs)
@@ -117,15 +142,24 @@ def iter_rtt(
         if not filter_original or mono_filter(line, cfg)
     )
     size = math.lcm(y_to_x.batch_size, x_to_y.batch_size) * jobs * CHUNK_BATCHES
-    start = 0
-    for chunk in chunked(numbered, size):
-        originals = [line for _, line in chunk]
-        pivot = translate_batch(y_to_x, originals, jobs=jobs, cache_dir=cache_dir, start=start)
-        round_trips = translate_batch(x_to_y, pivot, jobs=jobs, cache_dir=cache_dir, start=start)
-        for (line_no, original), p, r in zip(chunk, pivot, round_trips):
-            keep = not filter_round_trip or mono_filter(r, cfg)
-            yield line_no, p, RttPair(original, r) if keep else None
-        start += len(chunk)
+
+    with BatchPool(jobs) as pool:
+
+        def submitted():
+            start = 0
+            for chunk in chunked(numbered, size):
+                originals = [line for _, line in chunk]
+                pivot = translate_batch(
+                    y_to_x, originals, cache_dir=cache_dir, start=start, pool=pool
+                )
+                yield chunk, pivot, pool.submit(x_to_y, pivot, cache_dir=cache_dir, start=start)
+                start += len(chunk)
+
+        ahead = LOOKAHEAD_CHUNKS if jobs > 1 else 0
+        for chunk, pivot, round_trips in _lookahead(submitted(), ahead):
+            for (line_no, original), p, r in zip(chunk, pivot, round_trips()):
+                keep = not filter_round_trip or mono_filter(r, cfg)
+                yield line_no, p, RttPair(original, r) if keep else None
 
 
 def generate_rtt(

@@ -1,4 +1,4 @@
-"""Shared generators for the test suite.
+"""Shared generators and checks for the test suite.
 
 ``random_parallel_corpus`` produces natural-looking (hypothesis, reference)
 pairs for scorer property tests.  ``build_bias_fixture`` constructs the
@@ -7,12 +7,19 @@ noise channel whose many-to-one lexicon collapses synonym pairs onto a
 generic word, a denoiser mapping the generic word back to one designated
 synonym, and a reference set whose two halves are natural text and
 channel text respectively.
+
+Every test must also stop the threads it starts: ``no_leaked_threads``
+fails it otherwise, as the ``error::ResourceWarning`` filter in
+``pyproject.toml`` fails a test that leaks a file or socket.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
+
+import pytest
 
 from rtt_ape.backends import BackendSpec, ChannelConfig
 from rtt_ape.testset import Segment, SplitHalves, TestSet
@@ -51,6 +58,24 @@ WORDS = (
     "today during short better best however low hours black products happened "
     "whole measure remember early waves reached"
 ).split()
+
+# How long a thread a test started may take to finish after the test.
+THREAD_JOIN_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread of its own running.  Threads of
+    broader-scoped fixtures (the HTTP test servers) start before this
+    snapshot, so they do not count."""
+    before = set(threading.enumerate())
+    yield
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(THREAD_JOIN_S)
+    leaked = [t.name for t in started if t.is_alive()]
+    assert not leaked, f"threads still running after the test: {leaked}"
+
 
 PUNCT = ["", "", "", "", ",", ".", "!", "?", ";", ":"]
 DIGITS = ["3.5", "1,000", "2019", "42", "7", "120"]

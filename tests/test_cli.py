@@ -521,6 +521,21 @@ class TestAnalysisCommands:
         assert "orig-de" in capsys.readouterr().err
         assert refs[0] == ref_segs[0].text
 
+    @pytest.mark.parametrize("command, flags", [
+        ("bleu", ["--hyp", "nope.txt", "--ref", "{ref}"]),
+        ("report-split", ["--ref-text", "{ref}", "--origins", "{origins}", "--src", "en",
+                          "--tgt", "de", "--hyp", "base={ref}", "--hyp", "ape=nope.txt"]),
+    ])
+    def test_missing_hyp_file_is_usage_error(self, command, flags, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "ref.txt", ["a b"])
+        write(tmp_path / "origins.txt", ["de"])
+        argv = [flag.format(ref="ref.txt", origins="origins.txt") for flag in flags]
+        assert run(command, *argv) == 1
+        assert "Invalid value for '--hyp': Path 'nope.txt' does not exist." in (
+            capsys.readouterr().err)
+
     def test_humaneval_roundtrip(self, tmp_path, capsys):
         items = tmp_path / "items.tsv"
         items.write_text("src a\tout a\tbase\nsrc b\tout b\tape\n")
@@ -642,6 +657,25 @@ class TestManifests:
         assert set(manifest["config"]) == config_keys
         assert set(manifest["inputs"]) == {str(tmp_path / name) for name in inputs}
         assert manifest["seed"] == manifest["config"].get("seed")
+
+    @pytest.mark.parametrize("command, flags, specs", [
+        ("rtt-gen", "--in {d}/mono.txt --to-pivot {d}/de-en.json --from-pivot identity "
+                    "--out {d}/out.tsv", ["de-en.json"]),
+        ("rtt-gen", "--in {d}/mono.txt --to-pivot {d}/de-en.json --from-pivot {d}/en-de.json "
+                    "--out {d}/out.tsv", ["de-en.json", "en-de.json"]),
+        ("ape-apply", "--in {d}/hyp.txt --backend {d}/ape.json --out {d}/out.txt", ["ape.json"]),
+    ])
+    def test_backend_spec_files_are_inputs(self, command, flags, specs, tmp_path, monkeypatch):
+        monkeypatch.delenv("RTT_APE_CACHE", raising=False)
+        make_command_inputs(tmp_path)
+        for name in ("de-en.json", "en-de.json", "ape.json"):
+            _spec_file(tmp_path / name, {"kind": "identity"})
+        argv = flags.format(d=tmp_path).split()
+        assert run(command, *argv) == 0
+        out = argv[argv.index("--out") + 1]
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        inputs = ["hyp.txt" if command == "ape-apply" else "mono.txt", *specs]
+        assert set(manifest["inputs"]) == {str(tmp_path / name) for name in inputs}
 
 
 class TestConfigFile:

@@ -1,10 +1,19 @@
 """Line I/O: atomic writes and byte-stable gzip output."""
 
+import errno
 import gzip
+import io
+import sys
+import tempfile
+import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from rtt_ape import lineio
 from rtt_ape.lineio import atomic_open, read_lines, write_lines
 
 
@@ -45,3 +54,111 @@ def test_atomic_open_writes_only_on_success(tmp_path):
         fh.write("a\r b\n")
         assert not out.exists()
     assert out.read_bytes() == "a\r b\n".encode("utf-8")
+
+
+LINE = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("\r\f\v\x85\u2028\u2029"),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+    ),
+    max_size=40,
+)
+
+
+def _single_threaded_gzip(lines: list[str]) -> bytes:
+    buf = io.BytesIO()
+    gz = gzip.GzipFile(filename="", mode="wb", compresslevel=9, fileobj=buf, mtime=0)
+    with io.TextIOWrapper(gz, encoding="utf-8", newline="\n") as text:
+        for line in lines:
+            text.write(line + "\n")
+    return buf.getvalue()
+
+
+def _writer_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name == "gzip-writer"]
+
+
+class TestGzipWriterThread:
+    """A .gz output is compressed on a writer thread."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(LINE, max_size=30), st.sampled_from([1, 3, 2000]))
+    @example([], 1)
+    @example(["eine zeile"], 1)
+    def test_bytes_equal_single_threaded_gzip(self, lines, repeat):
+        # 2000 repeats of up to 30 lines span many 8 KiB blocks, more than
+        # the queue holds.
+        lines = lines * repeat
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "x.gz"
+            with atomic_open(out) as fh:
+                for line in lines:
+                    fh.write(line + "\n")
+            assert out.read_bytes() == _single_threaded_gzip(lines)
+        assert not _writer_threads()
+
+    @pytest.mark.parametrize("n_lines", [1, 50_000])
+    def test_error_on_writer_thread_reaches_the_caller(self, tmp_path, monkeypatch, n_lines):
+        out = tmp_path / "out.txt.gz"
+        write_lines(out, ["old"])
+        before = out.read_bytes()
+        error = OSError(errno.ENOSPC, "No space left on device")
+        real_open = open
+
+        class FullDisk(io.FileIO):
+            # The gzip header is written on the caller's thread; every
+            # later write, on the writer thread, fails.
+            def write(self, data):
+                if threading.current_thread() is not threading.main_thread():
+                    raise error
+                return super().write(data)
+
+        def fake_open(path, mode="r", *args, **kwargs):
+            return FullDisk(path, "wb") if mode == "wb" else real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(lineio, "open", fake_open, raising=False)
+        with pytest.raises(OSError) as raised:
+            write_lines(out, (f"zeile {i}" for i in range(n_lines)))
+        assert raised.value is error
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+        assert not _writer_threads()
+
+    def test_interrupt_inside_the_block_stops_the_writer(self, tmp_path):
+        out = tmp_path / "out.txt.gz"
+        write_lines(out, ["old"])
+        before = out.read_bytes()
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(out) as fh:
+                for i in range(50_000):
+                    fh.write(f"zeile {i}\n")
+                assert _writer_threads()
+                raise KeyboardInterrupt
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+        assert not _writer_threads()
+
+    def test_concurrent_writers_under_a_short_switch_interval(self, tmp_path):
+        # More writers than cores, each with its own writer thread, while
+        # the interpreter switches threads as often as it can: every file
+        # must still hold its own blocks, in order.
+        texts = {i: [f"datei {i} zeile {j} über die straße" for j in range(3000)]
+                 for i in range(4)}
+
+        def write(i):
+            write_lines(tmp_path / f"{i}.txt.gz", texts[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(i,)) for i in texts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, lines in texts.items():
+            assert (tmp_path / f"{i}.txt.gz").read_bytes() == _single_threaded_gzip(lines)
+        assert not _writer_threads()

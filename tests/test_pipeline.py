@@ -2,13 +2,16 @@
 
 import dataclasses
 import gc
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from rtt_ape import pipeline
 from rtt_ape.backends import BackendSpec, ChannelConfig, translate_batch
 from rtt_ape.corpus import SentencePair, mono_filter
+from rtt_ape.errors import BackendError
 from rtt_ape.pipeline import (
     ApeMode,
     RttPair,
@@ -169,6 +172,94 @@ class TestIterRtt:
         # Chunks of 16 * 8 = 128 lines: 2 of them, then 16.
         small, large = peak(256), peak(8 * 256)
         assert large <= 1.5 * small, (small, large)
+
+
+def _command(cmd: str, from_lang: str, to_lang: str, batch_size: int) -> BackendSpec:
+    return BackendSpec(kind="command", from_lang=from_lang, to_lang=to_lang,
+                       command_template=cmd, batch_size=batch_size, retries=0)
+
+
+def _cache_contents(cache) -> dict:
+    return {p.relative_to(cache): p.read_bytes() for p in cache.rglob("*") if p.is_file()}
+
+
+class TestPipelinedIterRtt:
+    """With jobs > 1 one pool serves the whole run, and the next chunk's
+    pivot is translated while this chunk's return batches run."""
+
+    def test_command_backends_both_ways_match_whole_corpus_calls(self, tmp_path, monkeypatch):
+        # Chunks of lcm(3, 4) * 2 jobs = 24 lines.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        to_en = _command("tr aeiou AEIOU", "de", "en", 3)
+        to_de = _command("tr st TS", "en", "de", 4)
+        lines = [f"satz {i} auf der straße" for i in range(100)] + ["x" * 600, "ende"]
+        numbers = [n for n, line in enumerate(lines, 1) if mono_filter(line)]
+        kept = [line for line in lines if mono_filter(line)]
+        pivot = translate_batch(to_en, kept, cache_dir=tmp_path / "whole")
+        round_trips = translate_batch(to_de, pivot, cache_dir=tmp_path / "whole")
+        got = list(iter_rtt(lines, to_en, to_de, jobs=2, cache_dir=tmp_path / "chunked"))
+        assert got == [(n, p, RttPair(o, r))
+                       for n, o, p, r in zip(numbers, kept, pivot, round_trips)]
+        assert got[0][2] == RttPair("satz 0 auf der straße", "TASz 0 AUf dEr TSrAßE")
+        assert _cache_contents(tmp_path / "chunked") == _cache_contents(tmp_path / "whole")
+
+    @pytest.mark.parametrize("failing_side", ["pivot", "return"])
+    def test_backend_error_comes_after_the_chunks_before_it(self, monkeypatch, failing_side):
+        # Chunks of 2 * 2 jobs = 4 lines: line 11 is in the third.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        failing = "awk '/BOOM/ { exit 1 } { print }'"
+        to_en = _command(failing if failing_side == "pivot" else "cat", "de", "en", 2)
+        to_de = _command(failing if failing_side == "return" else "cat", "en", "de", 2)
+        lines = [f"satz {i}" for i in range(1, 17)]
+        lines[10] = "BOOM"
+        got = []
+        with pytest.raises(BackendError, match=r"input lines 10\.\.11"):
+            for item in iter_rtt(lines, to_en, to_de, jobs=2):
+                got.append(item)
+        assert got == [(n, f"satz {n}", RttPair(f"satz {n}", f"satz {n}")) for n in range(1, 9)]
+
+    def test_closing_the_generator_early_stops_every_thread(self):
+        before = set(threading.enumerate())
+        rtt = iter_rtt((f"satz {i}" for i in range(1000)), NOISY_DE_EN, _cat_en_de(4), jobs=2)
+        next(rtt)
+        assert set(threading.enumerate()) > before  # the pool's threads
+        rtt.close()
+        assert set(threading.enumerate()) == before
+
+    def test_resume_over_a_full_cache_submits_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        counter, cache = tmp_path / "runs", tmp_path / "cache"
+        cat = _cat_en_de(4, counter)
+        lines = [f"satz {i} auf der straße" for i in range(100)]
+        cold = list(iter_rtt(lines, NOISY_DE_EN, cat, jobs=2, cache_dir=cache))
+        assert counter.read_text().count("run") == 25
+        submitted = []
+        real_submit = ThreadPoolExecutor.submit
+
+        def submit(pool, *args, **kwargs):
+            submitted.append(args)
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        assert list(iter_rtt(lines, NOISY_DE_EN, cat, jobs=2, cache_dir=cache)) == cold
+        assert counter.read_text().count("run") == 25
+        assert submitted == []
+
+    def test_jobs_1_is_serial_and_starts_no_thread(self, monkeypatch):
+        # Chunks of lcm(3, 4) = 12 lines, each read and translated just
+        # before its pairs are yielded.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        read = []
+
+        def lines():
+            for i in range(50):
+                read.append(i)
+                yield f"satz {i}"
+
+        before = set(threading.enumerate())
+        for n, _, _ in iter_rtt(lines(), NOISY_DE_EN, _cat_en_de(4)):
+            assert len(read) == min(50, (n + 11) // 12 * 12)
+            assert set(threading.enumerate()) == before
 
 
 class TestMakeTrainingPairs:
