@@ -24,12 +24,14 @@ import shlex
 import subprocess
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .errors import BackendError, DataError
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 KINDS = ("command", "http", "toy_channel", "toy_denoiser", "identity")
 
@@ -295,7 +297,12 @@ class BatchPool:
 
     def __init__(self, jobs: int = 1) -> None:
         check_jobs(jobs)
-        self._executor = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
+        self._executor = None
+        self.queued = 0  # batches handed to the threads so far
+        if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor  # ~7 ms; only threads need it
+
+            self._executor = ThreadPoolExecutor(max_workers=jobs)
 
     def __enter__(self) -> "BatchPool":
         return self
@@ -341,9 +348,10 @@ class BatchPool:
             else:
                 parts.append(self._executor.submit(
                     _run_external_batch, spec, batch, start + offset, cache_path))
+                self.queued += 1
         return lambda: [
             line for part in parts
-            for line in (part.result() if isinstance(part, Future) else part)
+            for line in (part if isinstance(part, list) else part.result())
         ]
 
 

@@ -13,7 +13,9 @@ Conventions shared by all subcommands:
 * config precedence is flags > ``--config`` file > built-in defaults, and
   config values are converted and checked by the same types as flags;
 * randomness always takes an explicit ``--seed`` and defaults to 0;
-* exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
+* exit codes: 0 success, 1 usage error, 2 data error, 3 backend error;
+* each subcommand imports the library modules it runs, in its body, so a
+  start loads only those (``--version`` loads none).
 """
 
 from __future__ import annotations
@@ -25,52 +27,19 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import click
 
 from . import __version__
-from .analysis import (
-    format_ratings,
-    humaneval_aggregate,
-    humaneval_make_tasks,
-    render_split_table,
-    rtt_quality_report,
-    split_score_table,
-    vocab_size,
-)
-from .backends import BackendSpec, spec_from_dict
-from .corpus import (
-    FilterConfig,
-    FilterReport,
-    SentencePair,
-    bitext_reject_reason,
-    dedup as dedup_lines,
-    mono_reject_reason,
-    sample_lines,
-)
 from .errors import BackendError, DataError
 from .lineio import atomic_open, file_fingerprint, iter_lines, read_lines, smart_open, write_lines
-from .pipeline import (
-    PAIRS_PER_CHUNK,
-    ApeMode,
-    ChangeReport,
-    RttPair,
-    apply_ape,
-    chunked,
-    iter_rtt,
-    make_training_pairs,
-)
-from .scoring import UNICODE_VERSION, BleuConfig, corpus_bleu
-from .testset import (
-    SplitHalves,
-    TestSet,
-    merge_selective,
-    parse_sgm,
-    segments_from_lines,
-    serialize_sgm,
-    split_by_origin,
-)
+
+if TYPE_CHECKING:
+    from .backends import BackendSpec
+    from .corpus import FilterConfig, FilterReport, SentencePair
+    from .pipeline import ChangeReport
+    from .testset import SplitHalves, TestSet
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -161,6 +130,8 @@ def _spec_files(*values: str) -> list[str]:
 def _load_backend(value: str) -> BackendSpec:
     """A backend flag value is either a bare kind needing no config
     ("identity") or the path of a JSON spec file."""
+    from .backends import BackendSpec, spec_from_dict
+
     if value == "identity":
         return BackendSpec.identity()
     path = Path(value)
@@ -175,6 +146,8 @@ def _load_backend(value: str) -> BackendSpec:
 
 
 def _load_split(path: str) -> SplitHalves:
+    from .testset import SplitHalves
+
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))
         return SplitHalves(
@@ -187,6 +160,8 @@ def _load_split(path: str) -> SplitHalves:
 
 
 def _filter_config(params: dict) -> FilterConfig:
+    from .corpus import FilterConfig
+
     return FilterConfig(
         max_chars=params.get("max_chars", 500),
         max_tokens=params.get("max_tokens", 70),
@@ -267,6 +242,8 @@ def _command(name: str) -> Callable[[Callable[[dict], Iterable[str] | None]], cl
 @click.option("--out", type=click.Path())
 def parse_sgm_cmd(params: dict) -> None:
     """Parse a WMT-style SGM file into segments."""
+    from .testset import parse_sgm, serialize_sgm
+
     with open(params["sgm"], "rb") as fh:
         segments = parse_sgm(fh, side=params["side"])
     fmt = params["out_format"]
@@ -287,6 +264,8 @@ def parse_sgm_cmd(params: dict) -> None:
 
 def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
     """Build a TestSet from either SGM files or plain text + origin labels."""
+    from .testset import TestSet, parse_sgm, segments_from_lines
+
     if params.get("sgm") or params.get("src_sgm"):
         src_path = params.get("sgm") or params.get("src_sgm")
         with open(src_path, "rb") as fh:
@@ -325,6 +304,8 @@ def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
 @click.option("--out", type=click.Path())
 def split_cmd(params: dict) -> None:
     """Partition a test set by original language; emits index lists as JSON."""
+    from .testset import split_by_origin
+
     ts = _load_testset(params)
     halves = split_by_origin(ts)
     payload = {
@@ -348,6 +329,8 @@ def split_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path())
 def merge_cmd(params: dict) -> None:
     """Merge post-edited lines into a base hypothesis, selectively or fully."""
+    from .testset import merge_selective
+
     base = read_lines(params["base"])
     edited = read_lines(params["edited"])
     halves = _load_split(params["split_path"])
@@ -362,6 +345,8 @@ def merge_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path())
 def bleu_cmd(params: dict) -> None:
     """Corpus BLEU of line-aligned hypothesis and reference files."""
+    from .scoring import UNICODE_VERSION, BleuConfig, corpus_bleu
+
     hyp = read_lines(params["hyp"])
     ref = read_lines(params["ref"])
     if len(hyp) != len(ref):
@@ -382,6 +367,8 @@ def bleu_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path())
 def filter_mono_cmd(params: dict) -> None:
     """Drop monolingual lines exceeding the character or token caps."""
+    from .corpus import FilterReport, mono_reject_reason
+
     cfg = _filter_config(params)
     report = FilterReport()
 
@@ -402,6 +389,8 @@ def filter_mono_cmd(params: dict) -> None:
 def _parallel_pairs(src_path: str, tgt_path: str) -> Iterator[SentencePair]:
     """Stream line-aligned source and target files as pairs; a data error if
     their line counts differ, raised once the shorter file ends."""
+    from .corpus import SentencePair
+
     rows = itertools.zip_longest(iter_lines(src_path), iter_lines(tgt_path))
     for n, (source, target) in enumerate(rows):
         if source is None or target is None:
@@ -425,6 +414,8 @@ def _parallel_pairs(src_path: str, tgt_path: str) -> Iterator[SentencePair]:
 def filter_bitext_cmd(params: dict) -> None:
     """Drop bitext pairs with an empty side, an over-long side, or an
     excessive token length ratio."""
+    from .corpus import FilterReport, SentencePair, bitext_reject_reason
+
     if params["tsv_path"]:
         pairs = (SentencePair(*cells) for cells in _tsv_rows(params["tsv_path"], 2))
     else:
@@ -453,8 +444,10 @@ def filter_bitext_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path())
 def dedup_cmd(params: dict) -> None:
     """Keep the first occurrence of each exact line, preserving order."""
+    from .corpus import FilterReport, dedup
+
     report = FilterReport()
-    unique = dedup_lines(iter_lines(params["in_path"]), exact=params["exact"], report=report)
+    unique = dedup(iter_lines(params["in_path"]), exact=params["exact"], report=report)
     _emit_lines(params["out"], unique)
     _report_out(report, params["report_path"])
 
@@ -466,6 +459,8 @@ def dedup_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path())
 def sample_cmd(params: dict) -> None:
     """Uniform random subset of exactly n lines, in original order."""
+    from .corpus import sample_lines
+
     subset = sample_lines(iter_lines(params["in_path"]), params["n"], params["seed"])
     _emit_lines(params["out"], subset)
 
@@ -487,6 +482,8 @@ def sample_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path(), help="TSV: original<TAB>round_trip.")
 def rtt_gen_cmd(params: dict) -> list[str]:
     """Generate round-trip translations for every surviving line."""
+    from .pipeline import iter_rtt
+
     y_to_x = _load_backend(params["to_pivot"])
     x_to_y = _load_backend(params["from_pivot"])
     with contextlib.ExitStack() as stack:
@@ -530,6 +527,8 @@ def rtt_gen_cmd(params: dict) -> list[str]:
 @click.option("--max-ratio", type=float, default=2.0, show_default=True)
 def make_pairs_cmd(params: dict) -> None:
     """Turn round-trip pairs into filtered training bitext."""
+    from .pipeline import PAIRS_PER_CHUNK, RttPair, chunked, make_training_pairs
+
     cfg = _filter_config(params)
     rtt_pairs = (RttPair(*cells) for cells in _tsv_rows(params["in_path"], 2))
     with contextlib.ExitStack() as stack:
@@ -554,6 +553,8 @@ def make_pairs_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path())
 def ape_apply_cmd(params: dict) -> list[str]:
     """Post-edit translation output through a backend, fully or selectively."""
+    from .pipeline import ApeMode, apply_ape
+
     if params["scope"] == "target_original_only":
         _require(params, "split_path")
     hyp = read_lines(params["in_path"])
@@ -580,6 +581,9 @@ def ape_apply_cmd(params: dict) -> list[str]:
 def report_rtt_cmd(params: dict) -> None:
     """Round-trip quality: BLEU against the originals, precision breakdown,
     and vocabulary sizes of both sides."""
+    from .analysis import rtt_quality_report
+    from .scoring import BleuConfig
+
     originals = read_lines(params["original"])
     round_trips = read_lines(params["roundtrip"])
     report = rtt_quality_report(
@@ -614,6 +618,8 @@ def _check_hyp_specs(ctx: click.Context, param: click.Parameter, specs: tuple[st
 @click.option("--out", type=click.Path())
 def report_split_cmd(params: dict) -> list[str]:
     """Score systems on the full set and on both origin halves."""
+    from .analysis import render_split_table, split_score_table
+
     ts = _load_testset(params, with_refs=bool(params.get("src_sgm")))
     hyps = {}
     for spec in params["hyp_specs"]:
@@ -634,6 +640,8 @@ def report_split_cmd(params: dict) -> list[str]:
 @click.option("--out", type=click.Path())
 def vocab_cmd(params: dict) -> None:
     """Count distinct tokens (case-sensitive)."""
+    from .analysis import vocab_size
+
     count = vocab_size(iter_lines(params["in_path"]), params["tokenizer"])
     _emit(params["out"], _dump_json({"vocab_size": count, "tokenizer": params["tokenizer"]}))
 
@@ -646,6 +654,8 @@ def vocab_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path())
 def humaneval_make_cmd(params: dict) -> None:
     """Build blind rating tasks: one row per (item, rater slot)."""
+    from .analysis import humaneval_make_tasks
+
     items = [tuple(cells) for cells in _tsv_rows(params["items"], 3)]
     text = humaneval_make_tasks(items, raters_per_item=params["raters"], seed=params["seed"])
     _emit(params["out"], text)
@@ -659,6 +669,8 @@ def humaneval_make_cmd(params: dict) -> None:
 @click.option("--out", type=click.Path())
 def humaneval_agg_cmd(params: dict) -> None:
     """Aggregate completed ratings per system: mean fluency and accuracy %."""
+    from .analysis import format_ratings, humaneval_aggregate
+
     with smart_open(params["tasks"]) as fh:
         results = humaneval_aggregate(fh.read(), allow_partial=params["allow_partial"])
     _emit(params["out"], _dump_json(results))

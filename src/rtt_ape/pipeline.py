@@ -17,11 +17,13 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 from .backends import BackendSpec, BatchPool, check_jobs, translate_batch
 from .corpus import FilterConfig, SentencePair, bitext_filter, mono_filter
-from .testset import SplitHalves
+
+if TYPE_CHECKING:
+    from .testset import SplitHalves
 
 TRAINING_DIRECTIONS = ("normal", "reverse")
 APE_SCOPES = ("all", "target_original_only")
@@ -32,7 +34,7 @@ FILTER_SIDES = ("both", "original", "round_trip")
 # at a time (CHUNK_BATCHES batches per worker when the batch sizes are
 # equal), and make-pairs filters PAIRS_PER_CHUNK pairs at a time.  With
 # jobs > 1, ``iter_rtt`` keeps LOOKAHEAD_CHUNKS chunks in flight ahead of the
-# one it yields from.
+# one it yields from, when that one has batches on the pool.
 CHUNK_BATCHES = 8
 PAIRS_PER_CHUNK = 1024
 LOOKAHEAD_CHUNKS = 1
@@ -84,21 +86,22 @@ def chunked(items: Iterable[T], size: int) -> Iterator[list[T]]:
         yield chunk
 
 
-def _lookahead(items: Iterator[T], n: int) -> Iterator[T]:
-    """The items of ``items`` in order, each yielded once the ``n`` after it
-    have been produced, so producing those overlaps the work done on it.  An
-    error in producing an item is raised after every item before it has
-    been yielded."""
-    ahead: deque[T] = deque()
+def _lookahead(items: Iterator[tuple[T, bool]], n: int) -> Iterator[T]:
+    """The items of ``items`` in order.  Each comes paired with whether work
+    on it runs in the background; such an item is yielded once the ``n``
+    after it have been produced, so producing those overlaps that work, and
+    any other item at once.  An error in producing an item is raised after
+    every item before it has been yielded."""
+    ahead: deque[tuple[T, bool]] = deque()
     try:
         for item in items:
             ahead.append(item)
-            if len(ahead) > n:
-                yield ahead.popleft()
+            while ahead and (len(ahead) > n or not ahead[0][1]):
+                yield ahead.popleft()[0]
     except Exception:
-        yield from ahead
+        yield from (item for item, _ in ahead)
         raise
-    yield from ahead
+    yield from (item for item, _ in ahead)
 
 
 def iter_rtt(
@@ -122,8 +125,10 @@ def iter_rtt(
     single call over the whole corpus would make.  One ``BatchPool`` serves
     the whole run.  With ``jobs`` > 1 the next chunk's pivot is translated on
     the calling thread while this chunk's return batches run on the pool
-    (see ``LOOKAHEAD_CHUNKS``); with ``jobs`` == 1 each chunk is translated
-    just before it is yielded, and no thread is started.
+    (see ``LOOKAHEAD_CHUNKS``); a chunk whose batches were all cache hits is
+    yielded at once, so a resume pass holds one chunk.  With ``jobs`` == 1
+    each chunk is translated just before it is yielded, and no thread is
+    started.
     Arguments are checked when iteration starts.
     """
     check_jobs(jobs)
@@ -152,7 +157,9 @@ def iter_rtt(
                 pivot = translate_batch(
                     y_to_x, originals, cache_dir=cache_dir, start=start, pool=pool
                 )
-                yield chunk, pivot, pool.submit(x_to_y, pivot, cache_dir=cache_dir, start=start)
+                queued = pool.queued
+                round_trips = pool.submit(x_to_y, pivot, cache_dir=cache_dir, start=start)
+                yield (chunk, pivot, round_trips), pool.queued > queued
                 start += len(chunk)
 
         ahead = LOOKAHEAD_CHUNKS if jobs > 1 else 0

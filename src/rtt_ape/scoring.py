@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import sys
 import unicodedata
@@ -152,8 +153,14 @@ class NgramStats:
         )
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(n)]))
+def _ngram_counts(tokens: tuple[str, ...]) -> Counter:
+    """Counts of the n-grams of every order 1..4, keyed by token tuple: a
+    key's order is its length."""
+    shifted = [tokens[i:] for i in range(NGRAM_ORDER)]
+    counts = Counter()
+    for n in range(1, NGRAM_ORDER + 1):
+        counts.update(zip(*shifted[:n]))
+    return counts
 
 
 # Scoring meets the same (hypothesis, reference) pair again and again (full
@@ -161,26 +168,31 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
 # a bounded cache changes nothing semantically.
 @functools.lru_cache(maxsize=1 << 16)
 def _clipped_matches(hyp_tokens: tuple[str, ...], ref_tokens: tuple[str, ...]) -> tuple[int, ...]:
+    ref_counts = _ngram_counts(ref_tokens)
     match = [0] * NGRAM_ORDER
-    for n in range(1, min(len(hyp_tokens), NGRAM_ORDER) + 1):
-        ref_counts = _ngram_counts(ref_tokens, n)
-        match[n - 1] = sum(
-            min(c, ref_counts.get(g, 0)) for g, c in _ngram_counts(hyp_tokens, n).items()
-        )
+    for gram, count in _ngram_counts(hyp_tokens).items():
+        ref_count = ref_counts.get(gram)
+        if ref_count:
+            match[len(gram) - 1] += count if count < ref_count else ref_count  # min(), inlined
     return tuple(match)
+
+
+@functools.lru_cache(maxsize=None)
+def _ngram_totals(hyp_len: int) -> tuple[int, ...]:
+    return tuple(max(hyp_len - n + 1, 0) for n in range(1, NGRAM_ORDER + 1))
 
 
 def ngram_stats(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> NgramStats:
     """Clipped match and total counts of one hypothesis against one reference.
 
     Returns a fresh ``NgramStats`` on every call, so mutating a result never
-    reaches the cache behind it.
+    reaches the caches behind it.
     """
     hyp_tokens, ref_tokens = tuple(hyp_tokens), tuple(ref_tokens)
     hyp_len = len(hyp_tokens)
     return NgramStats(
         list(_clipped_matches(hyp_tokens, ref_tokens)),
-        [max(hyp_len - n + 1, 0) for n in range(1, NGRAM_ORDER + 1)],
+        list(_ngram_totals(hyp_len)),
         hyp_len,
         len(ref_tokens),
     )
@@ -284,7 +296,12 @@ def corpus_stats(pairs: Iterable[tuple[str, str]]) -> NgramStats:
     seen = False
     for hyp, ref in pairs:
         seen = True
-        stats += ngram_stats(_tokenize_cached(hyp), _tokenize_cached(ref))
+        pair = ngram_stats(_tokenize_cached(hyp), _tokenize_cached(ref))
+        # Summed into the one result, without a new NgramStats per pair.
+        stats.match = list(map(operator.add, stats.match, pair.match))
+        stats.total = list(map(operator.add, stats.total, pair.total))
+        stats.hyp_len += pair.hyp_len
+        stats.ref_len += pair.ref_len
     if not seen:
         raise ValueError("cannot score an empty corpus")
     return stats

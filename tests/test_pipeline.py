@@ -261,6 +261,32 @@ class TestPipelinedIterRtt:
             assert len(read) == min(50, (n + 11) // 12 * 12)
             assert set(threading.enumerate()) == before
 
+    def test_resume_holds_one_chunk_like_jobs_1(self, tmp_path, monkeypatch):
+        # Equal chunks of 16 * 8 = 128 lines at either jobs value, so the
+        # two passes differ only in how many chunks they hold at once.
+        channel = dataclasses.replace(NOISY_DE_EN, batch_size=16)
+        cat, cache = _cat_en_de(16), tmp_path / "cache"
+        lines = [f"satz {i} " + "über die straße der stadt " * 10 for i in range(1024)]
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 8)
+        cold = list(iter_rtt(lines, channel, cat, cache_dir=cache))  # also warms up
+
+        def peak(jobs):
+            monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 8 // jobs)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                for _ in iter_rtt(iter(lines), channel, cat, jobs=jobs, cache_dir=cache):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # The best of two passes each: a one-off growth of an interpreter
+        # table (the interned strings) can land in either.
+        serial, pooled = min(peak(1), peak(1)), min(peak(2), peak(2))
+        assert list(iter_rtt(lines, channel, cat, jobs=2, cache_dir=cache)) == cold
+        assert pooled <= 1.2 * serial, (serial, pooled)
+
 
 class TestMakeTrainingPairs:
     PAIRS = [RttPair(original="y", round_trip="r"), RttPair(original="b c", round_trip="b d")]

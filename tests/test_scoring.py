@@ -22,6 +22,7 @@ from rtt_ape.scoring import (
     BleuConfig,
     NgramStats,
     corpus_bleu,
+    corpus_stats,
     ngram_stats,
     score_from_stats,
     signature,
@@ -410,6 +411,36 @@ class TestCorpusBleu:
             score = corpus_bleu(zip(hyps, refs))
             assert 0.0 <= score.score <= 100.0
             assert 0.0 < score.brevity_penalty <= 1.0
+
+
+SENTENCE = st.lists(st.sampled_from("a b c d".split()), max_size=8).map(" ".join)
+
+
+class TestCorpusStats:
+    @given(st.lists(st.tuples(SENTENCE, SENTENCE), min_size=1, max_size=12))
+    def test_equals_fieldwise_sum_of_oracle_stats(self, pairs):
+        expected = NgramStats.zero()
+        for hyp, ref in pairs:
+            expected = expected + scoring_oracle.ngram_stats(hyp.split(), ref.split())
+        assert corpus_stats(pairs) == expected
+
+    def test_counts_each_pair_once(self, monkeypatch):
+        calls = []
+        real = scoring.ngram_stats
+
+        def counted(hyp_tokens, ref_tokens):
+            calls.append((hyp_tokens, ref_tokens))
+            return real(hyp_tokens, ref_tokens)
+
+        monkeypatch.setattr(scoring, "ngram_stats", counted)
+        pairs = [("a b c", "a b d"), ("a b c", "a b d"), ("", "c d"), ("d", "")]
+        stats = corpus_stats(iter(pairs))
+        assert calls == [(tuple(h.split()), tuple(r.split())) for h, r in pairs]
+        assert stats == NgramStats([4, 2, 0, 0], [7, 4, 2, 0], hyp_len=7, ref_len=8)
+
+    def test_empty_corpus_is_an_error(self):
+        with pytest.raises(ValueError, match="empty corpus"):
+            corpus_stats([])
 
 
 class TestBrevityPenalty:
