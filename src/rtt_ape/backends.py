@@ -20,8 +20,6 @@ import hashlib
 import json
 import os
 import random
-import shlex
-import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
@@ -185,16 +183,22 @@ def toy_denoiser(cfg: ChannelConfig, line: str) -> str:
 
 
 def _run_command_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
+    import shlex
+    import subprocess  # ~5 ms with shlex at every CLI start; only command backends need them
+
     # Bytes in, bytes out, framed on "\n" alone: text mode and
     # str.splitlines() would also break lines at "\r", "\f", U+0085, U+2028
     # and the like, which occur inside lines of crawled text.
     cmd = spec.command_template.replace("{from}", spec.from_lang).replace("{to}", spec.to_lang)
-    proc = subprocess.run(
-        shlex.split(cmd),
-        input=("\n".join(batch) + "\n").encode("utf-8"),
-        capture_output=True,
-        timeout=spec.timeout if spec.timeout > 0 else None,
-    )
+    try:
+        proc = subprocess.run(
+            shlex.split(cmd),
+            input=("\n".join(batch) + "\n").encode("utf-8"),
+            capture_output=True,
+            timeout=spec.timeout if spec.timeout > 0 else None,
+        )
+    except subprocess.TimeoutExpired as exc:  # retried, like any failed run
+        raise TimeoutError(str(exc)) from exc
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", "replace").strip()
         raise OSError(f"command backend exited {proc.returncode}: {stderr[:500]}")
@@ -260,7 +264,7 @@ def _run_external_batch(
                 first_line=start,
                 last_line=start + len(batch) - 1,
             ) from exc
-        except (OSError, subprocess.SubprocessError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             last_error = exc
     else:
         raise BackendError(

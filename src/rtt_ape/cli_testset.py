@@ -1,0 +1,85 @@
+"""Test-set subcommands: parse SGM, split by origin, merge post-edits.
+
+Loaded by ``cli`` the first time one of its subcommands is looked up."""
+
+from __future__ import annotations
+
+import click
+
+from .cli import _command, _dump_json, _emit, _emit_lines, _load_split, _load_testset
+from .lineio import read_lines, write_lines
+
+
+@_command("parse-sgm")
+@click.option("--sgm", type=click.Path(exists=True), required=True, help="SGM input file.")
+@click.option("--side", type=click.Choice(["src", "ref", "hyp"]), default="src")
+@click.option("--format", "out_format", type=click.Choice(["text", "tsv", "json", "sgm"]),
+              default="text", help="text: one segment text per line; tsv: id/doc/origin/text; "
+                                   "json: segment records; sgm: canonical re-serialization.")
+@click.option("--labels-out", type=click.Path(),
+              help="Also write the origin-labels sidecar (one language code per line).")
+@click.option("--out", type=click.Path())
+def parse_sgm_cmd(params: dict) -> None:
+    """Parse a WMT-style SGM file into segments."""
+    from .testset import parse_sgm, serialize_sgm
+
+    with open(params["sgm"], "rb") as fh:
+        segments = parse_sgm(fh, side=params["side"])
+    fmt = params["out_format"]
+    if fmt == "text":
+        text = "\n".join(seg.text for seg in segments) + "\n"
+    elif fmt == "tsv":
+        text = "".join(
+            f"{s.doc_id}\t{s.seg_id}\t{s.orig_lang}\t{s.text}\n" for s in segments
+        )
+    elif fmt == "json":
+        text = _dump_json([vars(s) for s in segments])
+    else:
+        text = serialize_sgm(segments, side=params["side"])
+    _emit(params["out"], text)
+    if params["labels_out"]:
+        write_lines(params["labels_out"], (s.orig_lang for s in segments))
+
+
+@_command("split")
+@click.option("--sgm", type=click.Path(exists=True), help="Source-side SGM file.")
+@click.option("--text", type=click.Path(exists=True), help="Plain-text test set.")
+@click.option("--origins", type=click.Path(exists=True),
+              help="Origin-labels sidecar for --text.")
+@click.option("--src", required=True, help="Source language code, e.g. en.")
+@click.option("--tgt", required=True, help="Target language code, e.g. de.")
+@click.option("--name", help="Test set name for reports.")
+@click.option("--out", type=click.Path())
+def split_cmd(params: dict) -> None:
+    """Partition a test set by original language; emits index lists as JSON."""
+    from .testset import split_by_origin
+
+    ts = _load_testset(params)
+    halves = split_by_origin(ts)
+    payload = {
+        "n": len(ts),
+        "src_lang": ts.src_lang,
+        "tgt_lang": ts.tgt_lang,
+        "source_original": list(halves.source_original),
+        "target_original": list(halves.target_original),
+        "unknown": list(halves.unknown),
+    }
+    _emit(params["out"], _dump_json(payload))
+
+
+@_command("merge")
+@click.option("--base", type=click.Path(exists=True), required=True)
+@click.option("--edited", type=click.Path(exists=True), required=True)
+@click.option("--split", "split_path", type=click.Path(exists=True), required=True,
+              help="JSON produced by the split subcommand.")
+@click.option("--mode", type=click.Choice(["all", "target_original_only"]),
+              default="target_original_only")
+@click.option("--out", type=click.Path())
+def merge_cmd(params: dict) -> None:
+    """Merge post-edited lines into a base hypothesis, selectively or fully."""
+    from .testset import merge_selective
+
+    base = read_lines(params["base"])
+    edited = read_lines(params["edited"])
+    halves = _load_split(params["split_path"])
+    _emit_lines(params["out"], merge_selective(base, edited, halves, params["mode"]))

@@ -157,6 +157,11 @@ class TestTranslateBatch:
         assert exc_info.value.first_line == 0
         assert exc_info.value.last_line == 2
 
+    def test_command_timeout_is_retried_then_a_backend_error(self):
+        spec = BackendSpec(kind="command", command_template="sleep 5", timeout=0.1, retries=1)
+        with pytest.raises(BackendError, match="after 2 attempts: .* timed out after 0.1 seconds"):
+            translate_batch(spec, ["a"])
+
     def test_order_preserved_with_parallel_batches(self):
         spec = BackendSpec(kind="command", command_template=UPPERCASE_CMD, batch_size=1)
         lines = [f"line {i}" for i in range(12)]

@@ -6,13 +6,14 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import click
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtt_ape.analysis import humaneval_make_tasks
 from rtt_ape.backends import BackendSpec, spec_from_dict
-from rtt_ape.cli import cli, main
+from rtt_ape.cli import SUBCOMMANDS, cli, main
 from rtt_ape.corpus import SentencePair, bitext_filter, mono_filter
 from rtt_ape.pipeline import generate_rtt
 from rtt_ape.testset import parse_sgm
@@ -536,6 +537,18 @@ class TestAnalysisCommands:
         assert "Invalid value for '--hyp': Path 'nope.txt' does not exist." in (
             capsys.readouterr().err)
 
+    def test_report_split_repeated_label_is_usage_error(self, tmp_path, capsys):
+        hyps = [tmp_path / "x.txt", tmp_path / "y.txt"]
+        for hyp in hyps:
+            write(hyp, ["a b"])
+        write(tmp_path / "origins.txt", ["de"])
+        out = tmp_path / "out.json"
+        assert run("report-split", "--ref-text", str(hyps[0]), "--origins",
+                   str(tmp_path / "origins.txt"), "--src", "en", "--tgt", "de",
+                   "--hyp", f"a={hyps[0]}", "--hyp", f"a={hyps[1]}", "--out", str(out)) == 1
+        assert "--hyp label 'a' given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_humaneval_roundtrip(self, tmp_path, capsys):
         items = tmp_path / "items.tsv"
         items.write_text("src a\tout a\tbase\nsrc b\tout b\tape\n")
@@ -562,6 +575,22 @@ class TestCliMisc:
     def test_version(self, capsys):
         assert run("--version") == 0
         assert "rtt-ape" in capsys.readouterr().out
+
+    def test_help_lists_every_subcommand_with_its_short_help(self, capsys):
+        assert run("--help") == 0
+        listing = capsys.readouterr().out.split("Commands:\n", 1)[1].splitlines()
+        rows = dict(line.split(None, 1) for line in listing)
+        assert list(rows) == sorted(SUBCOMMANDS)
+        for name, short in rows.items():
+            first_line = cli.get_command(click.Context(cli), name).help.split("\n")[0]
+            assert first_line.startswith(short.removesuffix("...")), name
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_every_map_entry_builds_its_command(self, name):
+        command = cli.get_command(click.Context(cli), name)
+        assert isinstance(command, click.Command)
+        assert command.name == name
+        assert command.help
 
     def test_unknown_command_is_usage_error(self):
         assert run("frobnicate") == 1
@@ -639,7 +668,7 @@ COMMAND_CASES = {
 
 class TestManifests:
     def test_every_subcommand_has_a_case(self):
-        assert set(COMMAND_CASES) == set(cli.commands)
+        assert set(COMMAND_CASES) == set(cli.list_commands(click.Context(cli)))
 
     @pytest.mark.parametrize("command", sorted(COMMAND_CASES))
     def test_manifest_keys(self, command, tmp_path, monkeypatch):
@@ -721,6 +750,30 @@ class TestConfigFile:
         manifests = [json.loads(Path(f"{p}.manifest.json").read_text())["config"]
                      for p in (by_flag, by_config)]
         assert manifests[0][name] == manifests[1][name] == 2
+
+    @pytest.mark.parametrize("config_obj, offender", [
+        ({"ape-aply": {"iterations": 2}}, "no subcommand 'ape-aply'"),
+        ({"dedup": {"exactt": True}}, "dedup has no parameter 'exactt'"),
+    ])
+    def test_misspelled_section_or_key_is_usage_error(self, config, tmp_path, capsys,
+                                                      config_obj, offender):
+        mono = tmp_path / "mono.txt"
+        write(mono, ["ein satz", "ein satz"])
+        out = tmp_path / "out.txt"
+        path = config(config_obj)
+        assert run("--config", path, "dedup", "--in", str(mono), "--out", str(out)) == 1
+        assert f"bad config file {path!r}: {offender}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sections_of_several_subcommands(self, config, tmp_path):
+        mono = tmp_path / "mono.txt"
+        write(mono, ["ein satz", "ein satz", "zwei"])
+        out = tmp_path / "out.txt"
+        path = config({"dedup": {"exact": True}, "bleu": {"set_name": "x"},
+                       "ape-apply": {"iterations": 2}})
+        assert run("--config", path, "dedup", "--in", str(mono), "--out", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == "ein satz\nzwei\n"
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["config"]["exact"] is True
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"bleu": 3}', "{"])
     def test_config_not_an_object_of_objects_is_data_error(self, tmp_path, corpus_files,

@@ -1,5 +1,6 @@
 """What each entry point imports: the package resolves its public names on
-first use, and each CLI subcommand loads only the library modules it runs.
+first use, the CLI imports a subcommand's module on first use, and each
+subcommand loads only the library modules and the stdlib modules it runs.
 
 The boundary checks run in a fresh interpreter, since this process has
 already imported everything."""
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import rtt_ape
+from rtt_ape.cli import SUBCOMMANDS
 
 SRC = Path(rtt_ape.__file__).resolve().parents[1]
 PACKAGE = SRC / "rtt_ape"
@@ -50,6 +52,15 @@ class TestImportBoundary:
         assert _ours(_modules_after("import rtt_ape.cli")) == {
             "rtt_ape.cli", "rtt_ape.errors", "rtt_ape.lineio"}
 
+    def test_version_loads_no_subcommand_module_no_subprocess_and_no_gzip(self):
+        modules = _modules_after(_run_cli("--version"))
+        assert _ours(modules) == {"rtt_ape.cli", "rtt_ape.errors", "rtt_ape.lineio"}
+        assert not {"subprocess", "gzip", "queue"} & modules
+
+    def test_help_loads_every_subcommand_module(self):
+        modules = _modules_after(_run_cli("--help"))
+        assert {f"rtt_ape.{m}" for m in SUBCOMMANDS.values()} <= modules
+
     def test_ape_apply_loads_no_scoring_and_no_thread_pool(self, tmp_path):
         spec, split, hyp = tmp_path / "den.json", tmp_path / "split.json", tmp_path / "hyp.txt"
         spec.write_text(json.dumps({"kind": "toy_denoiser", "from_lang": "de", "to_lang": "de",
@@ -61,7 +72,10 @@ class TestImportBoundary:
             "ape-apply", "--in", str(hyp), "--backend", str(spec), "--scope",
             "target_original_only", "--split", str(split), "--out", str(out)))
         assert out.read_text(encoding="utf-8") == "er erhält es\nsie empfängt es\n"
-        assert not {"rtt_ape.scoring", "rtt_ape.analysis", "concurrent.futures"} & modules
+        assert not {"rtt_ape.scoring", "rtt_ape.analysis", "concurrent.futures",
+                    "subprocess"} & modules
+        assert _ours(modules) & {f"rtt_ape.{m}" for m in SUBCOMMANDS.values()} == {
+            "rtt_ape.cli_pipeline"}
 
     def test_split_loads_no_backends_and_no_scoring(self, tmp_path):
         out = tmp_path / "split.json"
@@ -69,7 +83,36 @@ class TestImportBoundary:
             "split", "--sgm", str(DATA / "mini_ende_src.sgm"), "--src", "en", "--tgt", "de",
             "--out", str(out)))
         assert json.loads(out.read_text())["n"] == 20
-        assert not {"rtt_ape.backends", "rtt_ape.scoring"} & modules
+        assert not {"rtt_ape.backends", "rtt_ape.scoring", "gzip", "queue"} & modules
+
+    def test_report_split_loads_no_backends_and_no_gzip(self, tmp_path):
+        from rtt_ape.testset import parse_sgm
+
+        with open(DATA / "mini_ende_ref.sgm", "rb") as fh:
+            refs = [segment.text for segment in parse_sgm(fh, side="ref")]
+        hyp, out = tmp_path / "hyp.txt", tmp_path / "report.json"
+        hyp.write_text("".join(f"{line}\n" for line in refs), encoding="utf-8")
+        modules = _modules_after(_run_cli(
+            "report-split", "--src-sgm", str(DATA / "mini_ende_src.sgm"), "--ref-sgm",
+            str(DATA / "mini_ende_ref.sgm"), "--src", "en", "--tgt", "de",
+            "--hyp", f"ref={hyp}", "--out", str(out)))
+        assert json.loads(out.read_text())["ref"]["split_scores"]["full"]["score"] == 100.0
+        assert not {"rtt_ape.backends", "gzip", "queue"} & modules
+
+    def test_rtt_gen_with_a_cat_backend_loads_subprocess_and_matches_identity(self, tmp_path):
+        mono = tmp_path / "mono.txt"
+        mono.write_text("guten tag\nwie geht es\n", encoding="utf-8")
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps({"kind": "command", "command": "cat"}))
+        outs = {name: tmp_path / f"{name}.tsv" for name in ("cat", "identity")}
+        for name, backend in (("cat", str(cat)), ("identity", "identity")):
+            modules = _modules_after(_run_cli(
+                "rtt-gen", "--in", str(mono), "--to-pivot", backend, "--from-pivot", backend,
+                "--out", str(outs[name])))
+            assert ("subprocess" in modules) == (name == "cat")
+        assert outs["cat"].read_bytes() == outs["identity"].read_bytes()
+        assert outs["cat"].read_text(encoding="utf-8") == (
+            "guten tag\tguten tag\nwie geht es\twie geht es\n")
 
 
 class TestLazyPackageApi:
@@ -100,9 +143,9 @@ class TestLazyPackageApi:
         assert _ours(_modules_after("import rtt_ape; rtt_ape.__version__")) == set()
 
 
-def _deferred_imports() -> list[tuple[str, int, str, str]]:
-    """Every ``from .module import name`` inside a function of the package,
-    as (file, line, module, name)."""
+def _deferred_imports() -> list[tuple[str, int, ast.Import | ast.ImportFrom]]:
+    """Every import statement inside a function of the package, as (file,
+    line, statement)."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -110,18 +153,20 @@ def _deferred_imports() -> list[tuple[str, int, str, str]]:
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(func):
-                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-                    found += [(path.name, node.lineno, node.module, alias.name)
-                              for alias in node.names]
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.append((path.name, node.lineno, node))
     return found
 
 
 class TestDeferredImports:
-    """A misspelled import in a rarely run subcommand fails here, not in a
-    user's run."""
+    """A misspelled import in a rarely run path fails here, not in a user's
+    run."""
 
     def test_every_deferred_import_names_an_existing_attribute(self):
-        imports = _deferred_imports()
+        imports = [(file, line, node.module, alias.name)
+                   for file, line, node in _deferred_imports()
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names]
         assert len(imports) > 20  # the CLI's subcommands import inside their bodies
         missing = [
             f"{file}:{line}: from .{module} import {name}"
@@ -129,3 +174,22 @@ class TestDeferredImports:
             if not hasattr(importlib.import_module(f"rtt_ape.{module}"), name)
         ]
         assert missing == []
+
+    def test_every_deferred_stdlib_import_imports(self):
+        imports = [(file, line, alias.name, None) for file, line, node in _deferred_imports()
+                   if isinstance(node, ast.Import) for alias in node.names]
+        imports += [(file, line, node.module, alias.name)
+                    for file, line, node in _deferred_imports()
+                    if isinstance(node, ast.ImportFrom) and node.level == 0
+                    for alias in node.names]
+        assert {"gzip", "queue", "shlex", "subprocess", "urllib.request"} <= {
+            module for _, _, module, _ in imports}
+        failed = []
+        for file, line, module, name in imports:
+            try:
+                imported = importlib.import_module(module)
+                if name is not None and not hasattr(imported, name):
+                    importlib.import_module(f"{module}.{name}")  # a submodule
+            except ImportError:
+                failed.append(f"{file}:{line}: {module} {name or ''}".rstrip())
+        assert failed == []
