@@ -17,8 +17,9 @@ _EXPORTS = {
                  "make_training_pairs"),
     "scoring": ("BleuConfig", "BleuScore", "NgramStats", "corpus_bleu", "ngram_stats",
                 "signature", "tokenize_intl"),
-    "testset": ("Segment", "SplitHalves", "TestSet", "merge_selective", "parse_sgm",
-                "segments_from_lines", "serialize_sgm", "split_by_origin"),
+    "halves": ("SplitHalves",),
+    "testset": ("Segment", "TestSet", "merge_selective", "parse_sgm", "segments_from_lines",
+                "serialize_sgm", "split_by_origin"),
     "analysis": ("AnalysisReport", "humaneval_aggregate", "humaneval_make_tasks",
                  "rtt_quality_report", "split_score_table", "vocab_size"),
 }

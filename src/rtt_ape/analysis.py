@@ -188,6 +188,16 @@ def humaneval_make_tasks(
     return "\n".join(lines) + "\n"
 
 
+def _ratings(item_id: str, column: str, cells: list[str]) -> list[int]:
+    ratings = []
+    for cell in cells:
+        try:
+            ratings.append(int(cell))
+        except ValueError:
+            raise DataError(f"{column} of {item_id} is not an integer: {cell!r}") from None
+    return ratings
+
+
 def humaneval_aggregate(task_text: str, *, allow_partial: bool = False) -> dict[str, dict[str, float]]:
     """Aggregate a completed task file per system.
 
@@ -196,8 +206,14 @@ def humaneval_aggregate(task_text: str, *, allow_partial: bool = False) -> dict[
     NOT contradict the reference information (rating 0; 1 means it does).
     Items with any empty rating cell are an error unless ``allow_partial``,
     which skips them.
+
+    Rows end at "\n", or at "\r\n" as spreadsheet exports write them; not
+    at the other breaks ``str.splitlines`` knows (U+0085, U+2028, "\f" and
+    the like), which ``humaneval_make_tasks`` leaves inside cells of crawled
+    text.
     """
-    lines = [line for line in task_text.splitlines() if line and not line.startswith("#")]
+    rows = (line.removesuffix("\r") for line in task_text.split("\n"))
+    lines = [line for line in rows if line and not line.startswith("#")]
     if not lines:
         raise DataError("empty task file")
     header = lines[0].split("\t")
@@ -229,8 +245,8 @@ def humaneval_aggregate(task_text: str, *, allow_partial: bool = False) -> dict[
     for item_id, item in by_item.items():
         if item_id in incomplete:
             continue
-        fluency = [int(x) for x in item["fluency"]]
-        accuracy = [int(x) for x in item["accuracy"]]
+        fluency = _ratings(item_id, "fluency_rating", item["fluency"])
+        accuracy = _ratings(item_id, "accuracy_rating", item["accuracy"])
         if any(not 1 <= x <= 5 for x in fluency):
             raise DataError(f"fluency ratings out of range 1..5 for {item_id}")
         if any(x not in (0, 1) for x in accuracy):

@@ -144,20 +144,22 @@ def spec_from_dict(d: Mapping) -> BackendSpec:
     )
 
 
-def _line_rng(seed: int, salt: int) -> random.Random:
-    digest = hashlib.blake2b(f"{seed}:{salt}".encode("ascii"), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
-def channel_apply(cfg: ChannelConfig, line: str, salt: int) -> str:
+def channel_apply(
+    cfg: ChannelConfig, line: str, salt: int, rng: random.Random | None = None
+) -> str:
     """Push one line through the noise channel; a pure function of
     (cfg.seed, salt, line).  With an empty lexicon and zero probabilities
-    the line comes back verbatim."""
+    the line comes back verbatim.  A caller that pushes many lines may pass
+    one ``rng`` for all of them, which each call reseeds, instead of a new
+    generator per line (``random.Random(n)`` seeds twice: from OS entropy,
+    then from ``n``)."""
     tokens = line.split()
     out = [cfg.lexicon.get(t, t) for t in tokens]
     changed = out != tokens
     if cfg.drop_prob > 0.0 or cfg.swap_prob > 0.0:
-        rng = _line_rng(cfg.seed, salt)
+        digest = hashlib.blake2b(f"{cfg.seed}:{salt}".encode("ascii"), digest_size=8).digest()
+        rng = rng or random.Random()
+        rng.seed(int.from_bytes(digest, "big"))
         if cfg.drop_prob > 0.0:
             kept = [t for t in out if rng.random() >= cfg.drop_prob]
             changed = changed or len(kept) != len(out)
@@ -333,7 +335,11 @@ class BatchPool:
         if spec.kind == "identity":
             return lambda: lines
         if spec.kind == "toy_channel":
-            out = [channel_apply(spec.channel, line, salt) for salt, line in enumerate(lines, start)]
+            rng = random.Random()
+            out = [
+                channel_apply(spec.channel, line, salt, rng)
+                for salt, line in enumerate(lines, start)
+            ]
             return lambda: out
         if spec.kind == "toy_denoiser":
             out = [toy_denoiser(spec.channel, line) for line in lines]

@@ -47,7 +47,8 @@ from .lineio import atomic_open, file_fingerprint, iter_lines, read_lines
 if TYPE_CHECKING:
     from .corpus import FilterConfig, FilterReport, SentencePair
     from .pipeline import ChangeReport
-    from .testset import SplitHalves, TestSet
+    from .halves import SplitHalves
+    from .testset import TestSet
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -153,7 +154,7 @@ def _pair_writer(stack: contextlib.ExitStack, params: dict) -> Callable[[Sentenc
 
 
 def _load_split(path: str) -> SplitHalves:
-    from .testset import SplitHalves
+    from .halves import SplitHalves
 
     try:
         d = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 from .backends import BackendSpec, BatchPool, check_jobs, translate_batch
-from .corpus import FilterConfig, SentencePair, bitext_filter, mono_filter
 
 if TYPE_CHECKING:
-    from .testset import SplitHalves
+    from .corpus import FilterConfig, SentencePair
+    from .halves import SplitHalves
 
 TRAINING_DIRECTIONS = ("normal", "reverse")
 APE_SCOPES = ("all", "target_original_only")
@@ -108,7 +108,7 @@ def iter_rtt(
     lines: Iterable[str],
     y_to_x: BackendSpec,
     x_to_y: BackendSpec,
-    cfg: FilterConfig = FilterConfig(),
+    cfg: FilterConfig | None = None,
     *,
     filter_sides: str = "both",
     jobs: int = 1,
@@ -129,8 +129,15 @@ def iter_rtt(
     yielded at once, so a resume pass holds one chunk.  With ``jobs`` == 1
     each chunk is translated just before it is yielded, and no thread is
     started.
-    Arguments are checked when iteration starts.
+    ``cfg`` defaults to ``FilterConfig()``.  Arguments are checked when
+    iteration starts.
     """
+    # Not imported at module level: ``apply_ape`` filters nothing, so
+    # ``ape-apply`` never loads ``corpus``.
+    from .corpus import FilterConfig, mono_filter
+
+    if cfg is None:
+        cfg = FilterConfig()
     check_jobs(jobs)
     if filter_sides not in FILTER_SIDES:
         raise ValueError(f"filter_sides must be one of {FILTER_SIDES}, got {filter_sides!r}")
@@ -173,7 +180,7 @@ def generate_rtt(
     lines: Iterable[str],
     y_to_x: BackendSpec,
     x_to_y: BackendSpec,
-    cfg: FilterConfig = FilterConfig(),
+    cfg: FilterConfig | None = None,
     *,
     filter_sides: str = "both",
     jobs: int = 1,
@@ -203,13 +210,18 @@ def generate_rtt(
 def make_training_pairs(
     pairs: Iterable[RttPair],
     direction: str = "normal",
-    cfg: FilterConfig = FilterConfig(),
+    cfg: FilterConfig | None = None,
 ) -> list[SentencePair]:
     """Emit bitext from round-trip pairs.
 
     "normal" trains a denoiser (source = round trip, target = original);
-    "reverse" flips source and target.  The bitext filter applies either way.
+    "reverse" flips source and target.  The bitext filter, ``cfg`` or
+    ``FilterConfig()``, applies either way.
     """
+    from .corpus import FilterConfig, SentencePair, bitext_filter
+
+    if cfg is None:
+        cfg = FilterConfig()
     if direction not in TRAINING_DIRECTIONS:
         raise ValueError(f"direction must be one of {TRAINING_DIRECTIONS}, got {direction!r}")
     out = []

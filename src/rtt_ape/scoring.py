@@ -12,6 +12,14 @@ The tokenizer's punctuation and symbol tables are built from the host
 the Unicode version in use is exposed as ``UNICODE_VERSION`` and should be
 reported alongside scores, since table drift across Unicode versions
 silently changes tokenization.
+
+Tokenizing runs no Python per character or per regex match.  Each line
+costs one search of a pattern that matches any character of a page not
+seen yet; only a hit scans the new pages and recompiles the classes.  The
+substitutions' replacements are bound ``str.format`` methods, which ``re``
+calls from C, where Python 3.11 would expand template strings in Python
+per match.  Each side of a pair has its n-grams of all four orders counted
+into one ``Counter``, in C.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 NGRAM_ORDER = 4
 
@@ -66,32 +75,49 @@ def _category_classes(code_points: Iterable[int] = range(sys.maxunicode)) -> tup
 
 _PAGE_BITS = 8
 
+# The replacements are bound ``str.format`` methods of the match, which
+# ``re`` calls per match from C.  Python 3.11 expands a template string such
+# as r"\1 \2 " with Python code on every ``sub`` call and every match; from
+# 3.12 on templates are expanded in C and either form costs the same.
+_NONDIGIT_PUNCT = "{0[1]} {0[2]} ".format
+_PUNCT_NONDIGIT = " {0[1]} {0[2]}".format
+_SYMBOL = " {0[1]} ".format
 
-def _build_state(
-    page_classes: dict[int, tuple[str, str]],
-) -> tuple[dict[int, tuple[str, str]], tuple[tuple[re.Pattern[str], str], ...]]:
+
+def _build_state(page_classes: dict[int, tuple[str, str]]) -> tuple[
+    dict[int, tuple[str, str]],
+    tuple[tuple[re.Pattern[str], Callable[[re.Match[str]], str]], ...],
+    re.Pattern[str],
+]:
     """The tokenizer's substitutions, in order, over the punctuation and
-    symbol classes of each 256-code-point page in ``page_classes``; an empty
-    class has no substitution, since ``[]`` is not a regex."""
+    symbol classes of each 256-code-point page in ``page_classes`` (an empty
+    class has no substitution, since ``[]`` is not a regex), and a pattern
+    that matches any character of a page not in ``page_classes``."""
     ordered = [page_classes[page] for page in sorted(page_classes)]
     punct = "".join(punct for punct, _ in ordered)
     symbol = "".join(symbol for _, symbol in ordered)
     substitutions = []
     if punct:
-        substitutions.append((re.compile(r"([^\d])([" + punct + r"])"), r"\1 \2 "))
-        substitutions.append((re.compile(r"([" + punct + r"])([^\d])"), r" \1 \2"))
+        substitutions.append((re.compile(r"([^\d])([" + punct + r"])"), _NONDIGIT_PUNCT))
+        substitutions.append((re.compile(r"([" + punct + r"])([^\d])"), _PUNCT_NONDIGIT))
     if symbol:
-        substitutions.append((re.compile(r"([" + symbol + r"])"), r" \1 "))
-    return page_classes, tuple(substitutions)
+        substitutions.append((re.compile(r"([" + symbol + r"])"), _SYMBOL))
+    seen = "".join(
+        f"\\U{page << _PAGE_BITS:08x}-\\U{page << _PAGE_BITS | 0xFF:08x}" for page in page_classes
+    )
+    unseen = re.compile(f"[^{seen}]" if seen else "(?s:.)")
+    return page_classes, tuple(substitutions), unseen
 
 
 # A line's tokens depend only on whether its own characters are in the
 # classes, so classes holding every P/S character of each page seen so far
 # tokenize exactly like the full classes, without scanning all of Unicode.
-# Each page is scanned once.  (page classes, substitutions) is never mutated
-# and is replaced whole, in one assignment, so a thread never pairs new
-# pages with old regexes; two threads that build at once may each publish
-# only their own pages, which costs a later rescan, never a wrong token.
+# Each page is scanned once; one regex search per line finds a character of
+# a page not seen yet.  (page classes, substitutions, unseen) is never
+# mutated and is replaced whole, in one assignment, so a thread never pairs
+# new pages with old regexes; two threads that build at once may each
+# publish only their own pages, which costs a later rescan, never a wrong
+# token.
 _state = _build_state({})
 
 
@@ -102,14 +128,14 @@ _state = _build_state({})
 def _tokenize_cached(text: str) -> tuple[str, ...]:
     global _state
     text = text.rstrip()
-    page_classes, substitutions = _state
-    new_pages = {ord(char) >> _PAGE_BITS for char in set(text)}.difference(page_classes)
-    if new_pages:
+    page_classes, substitutions, unseen = _state
+    if unseen.search(text):
+        new_pages = {ord(char) >> _PAGE_BITS for char in set(text)}.difference(page_classes)
         page_classes = page_classes | {
             page: _category_classes(range(page << _PAGE_BITS, (page + 1) << _PAGE_BITS))
             for page in new_pages
         }
-        page_classes, substitutions = _state = _build_state(page_classes)
+        page_classes, substitutions, unseen = _state = _build_state(page_classes)
     for pattern, replacement in substitutions:
         text = pattern.sub(replacement, text)
     # Interned, so the cached token tuples share one string per vocabulary word.
@@ -157,10 +183,8 @@ def _ngram_counts(tokens: tuple[str, ...]) -> Counter:
     """Counts of the n-grams of every order 1..4, keyed by token tuple: a
     key's order is its length."""
     shifted = [tokens[i:] for i in range(NGRAM_ORDER)]
-    counts = Counter()
-    for n in range(1, NGRAM_ORDER + 1):
-        counts.update(zip(*shifted[:n]))
-    return counts
+    # One Counter over all four orders: counted in C, with no update per order.
+    return Counter(chain.from_iterable(zip(*shifted[:n]) for n in range(1, NGRAM_ORDER + 1)))
 
 
 # Scoring meets the same (hypothesis, reference) pair again and again (full

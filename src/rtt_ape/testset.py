@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .errors import AlignmentError, SgmParseError
+from .halves import SplitHalves
 
 SIDES = ("src", "ref", "hyp")
 
@@ -30,20 +31,6 @@ class Segment:
     doc_id: str
     orig_lang: str
     text: str
-
-
-@dataclass(frozen=True)
-class SplitHalves:
-    """Index partition of a test set by the original language of each segment.
-
-    Indices whose origin is neither the source nor the target language land
-    in ``unknown`` and belong to no half; the three groups are disjoint and
-    together cover the whole set.
-    """
-
-    source_original: tuple[int, ...]
-    target_original: tuple[int, ...] = ()
-    unknown: tuple[int, ...] = ()
 
 
 @dataclass

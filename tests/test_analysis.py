@@ -218,6 +218,24 @@ class TestHumanevalAggregate:
         with pytest.raises(DataError, match="1..5"):
             humaneval_aggregate(text)
 
+    def test_crlf_line_ends_read_like_lf(self):
+        text = _completed_tasks([[5, 4, 3], [2, 3, 4]], [[0, 1, 0], [0, 0, 0]], ["a", "b"])
+        assert humaneval_aggregate(text.replace("\n", "\r\n")) == humaneval_aggregate(text)
+
+    @pytest.mark.parametrize(
+        ("fluency", "accuracy", "message"),
+        [
+            ([[5, 5, 5], [4, 4.5, 4]], [[0, 0, 0], [0, 0, 0]],
+             "fluency_rating of item-00002 is not an integer: '4.5'"),
+            ([[5, 5, 5]], [[0, "no", 0]], "accuracy_rating of item-00001 is not an integer: 'no'"),
+        ],
+    )
+    def test_non_integer_rating_names_item_and_column(self, fluency, accuracy, message):
+        text = _completed_tasks(fluency, accuracy, ["a"] * len(fluency))
+        with pytest.raises(DataError) as info:
+            humaneval_aggregate(text)
+        assert str(info.value) == message
+
     def test_format_cells(self):
         out = format_ratings({"base": {"fluency": 4.654, "accuracy": 95.64}})
         assert out == "base: 4.65 / 95.6%"

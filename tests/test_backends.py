@@ -4,6 +4,7 @@ and HTTP framing, caching, and order preservation."""
 import contextlib
 import http.server
 import json
+import random
 import sys
 import tempfile
 import threading
@@ -63,6 +64,16 @@ class TestChannelApply:
         cfg = ChannelConfig(lexicon={"a": "b"}, drop_prob=0.3, swap_prob=0.3, seed=9)
         line = "a b c d e f g h"
         assert channel_apply(cfg, line, 5) == channel_apply(cfg, line, 5)
+
+    def test_a_shared_generator_gives_the_outputs_of_fresh_ones(self):
+        cfg = ChannelConfig(lexicon={"a": "z"}, drop_prob=0.3, swap_prob=0.3, seed=7)
+        line = "a b c d e f g h"
+        frozen = ["b z e h", "b z d e f h c", "b d e c f g h", "c b f g h", "c d b f h g", "e g h"]
+        assert [channel_apply(cfg, line, salt) for salt in range(6)] == frozen
+        rng = random.Random(123)
+        assert [channel_apply(cfg, line, salt, rng) for salt in range(6)] == frozen
+        spec = BackendSpec.toy_channel(cfg)
+        assert translate_batch(spec, [line] * 4, start=2) == frozen[2:]
 
     def test_salt_varies_noise(self):
         cfg = ChannelConfig(drop_prob=0.4, seed=1)

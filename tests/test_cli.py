@@ -570,6 +570,24 @@ class TestAnalysisCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["base"] == {"fluency": 4.0, "accuracy": 100.0}
 
+    # Line breaks of str.splitlines() that humaneval-make keeps inside a cell.
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_humaneval_roundtrip_with_a_line_break_inside_a_cell(self, tmp_path, capsys, sep):
+        items = tmp_path / "items.tsv"
+        items.write_bytes(f"Quelle{sep}a\tAusgabe{sep}mit NEL.\tbase\n".encode("utf-8"))
+        tasks = tmp_path / "tasks.tsv"
+        assert run("humaneval-make", "--items", str(items), "--raters", "2",
+                   "--out", str(tasks)) == 0
+        rows = tasks.read_bytes().decode("utf-8").split("\n")
+        assert sum(f"Ausgabe{sep}mit NEL." in row for row in rows) == 2
+        rated = [row.replace("\t\t", "\t5\t", 1).replace("\t\t", "\t0\t", 1)
+                 if row.startswith("item-") else row for row in rows]
+        done = tmp_path / "done.tsv"
+        done.write_bytes("\n".join(rated).encode("utf-8"))
+        assert run("humaneval-agg", "--tasks", str(done)) == 0
+        assert json.loads(capsys.readouterr().out) == {"base": {"fluency": 5.0, "accuracy": 100.0}}
+
 
 class TestCliMisc:
     def test_version(self, capsys):

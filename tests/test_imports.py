@@ -72,8 +72,8 @@ class TestImportBoundary:
             "ape-apply", "--in", str(hyp), "--backend", str(spec), "--scope",
             "target_original_only", "--split", str(split), "--out", str(out)))
         assert out.read_text(encoding="utf-8") == "er erhält es\nsie empfängt es\n"
-        assert not {"rtt_ape.scoring", "rtt_ape.analysis", "concurrent.futures",
-                    "subprocess"} & modules
+        assert not {"rtt_ape.scoring", "rtt_ape.analysis", "rtt_ape.testset", "rtt_ape.corpus",
+                    "concurrent.futures", "subprocess"} & modules
         assert _ours(modules) & {f"rtt_ape.{m}" for m in SUBCOMMANDS.values()} == {
             "rtt_ape.cli_pipeline"}
 
@@ -122,6 +122,11 @@ class TestLazyPackageApi:
                 continue
             module = importlib.import_module(f"rtt_ape.{rtt_ape._MODULE_OF[name]}")
             assert getattr(rtt_ape, name) is getattr(module, name), name
+
+    def test_split_halves_is_one_class_under_every_name(self):
+        from rtt_ape.halves import SplitHalves
+
+        assert rtt_ape.SplitHalves is rtt_ape.testset.SplitHalves is SplitHalves
 
     def test_readme_library_block_runs(self):
         section = README.read_text(encoding="utf-8").split("## Library", 1)[1]

@@ -2,12 +2,14 @@
 structural invariants of corpus scoring."""
 
 import functools
+import itertools
 import math
 import random
 import re
 import sys
 import threading
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -121,6 +123,23 @@ class TestTokenizerAgainstRawClassOracle:
     def test_arbitrary_text(self, text):
         assert tuple(tokenize_intl(text)) == scoring_oracle.tokenize(text)
 
+    def test_every_short_string_from_a_cold_state(self, monkeypatch):
+        # A letter, a digit, a space, the digit-joining marks, the unpadded
+        # backslash, a symbol, and two marks of page 0x20: every punctuation
+        # run next to digits up to length 4.
+        _cold_tokenizer(monkeypatch)
+        alphabet = "a1 .,\\$\u201e\u2013"
+        lines = [
+            "".join(chars)
+            for n in range(5)
+            for chars in itertools.product(alphabet, repeat=n)
+        ]
+        mismatches = [
+            line for line in lines if tuple(tokenize_intl(line)) != scoring_oracle.tokenize(line)
+        ]
+        assert mismatches == []
+        assert scoring._state[0].keys() == {0x00, 0x20}
+
 
 def _brute_force_stats(hyp, ref):
     """Independent clipped-count oracle: explicit enumeration of all n-grams."""
@@ -168,6 +187,11 @@ class TestNgramStats:
     def test_matches_slicing_form(self, hyp, ref):
         assert ngram_stats(hyp, ref) == scoring_oracle.ngram_stats(hyp, ref)
         assert ngram_stats(tuple(hyp), tuple(ref)) == scoring_oracle.ngram_stats(hyp, ref)
+
+    @given(st.lists(st.sampled_from("a b c d e".split()), max_size=20))
+    def test_one_counter_is_the_sum_of_the_per_order_counters(self, tokens):
+        per_order = [scoring_oracle._ngram_counts(tokens, n) for n in range(1, 5)]
+        assert scoring._ngram_counts(tuple(tokens)) == sum(per_order, Counter())
 
     def test_merge_is_fieldwise_addition(self):
         a = ngram_stats(["a", "b"], ["a", "b"])
@@ -285,6 +309,20 @@ class TestLazyClasses:
             _cold_tokenizer(mp)
             assert tuple(tokenize_intl(text)) == scoring_oracle.tokenize(text)
             assert scoring._state[0].keys() == _pages(text.rstrip())
+            assert scoring._state[2].search(text.rstrip()) is None
+
+    @given(TEXT, st.data())
+    def test_unseen_matches_exactly_when_a_page_is_new(self, text, data):
+        pages = data.draw(st.sets(st.sampled_from(sorted(_pages(text) | {0}))))
+        pages |= data.draw(st.sets(st.integers(0, sys.maxunicode >> 8), max_size=4))
+        page_classes, _, unseen = scoring._build_state(dict.fromkeys(pages, ("", "")))
+        assert (unseen.search(text) is None) == (_pages(text) <= page_classes.keys())
+
+    def test_a_cold_state_sees_every_character_as_new(self):
+        _, substitutions, unseen = scoring._build_state({})
+        assert substitutions == ()
+        assert unseen.search("") is None
+        assert all(unseen.search(char) for char in ("a", "\n", "\u3000", chr(sys.maxunicode)))
 
     def test_cold_tokens_equal_tokens_after_exhaustive_warm_up(self, monkeypatch):
         rng = random.Random(5)
