@@ -163,7 +163,7 @@ def _load_split(path: str) -> SplitHalves:
             target_original=tuple(d["target_original"]),
             unknown=tuple(d.get("unknown", ())),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
         raise DataError(f"bad split file {path!r}: {exc}") from exc
 
 

@@ -8,15 +8,19 @@ generic word, a denoiser mapping the generic word back to one designated
 synonym, and a reference set whose two halves are natural text and
 channel text respectively.
 
-Every test must also stop the threads it starts: ``no_leaked_threads``
-fails it otherwise, as the ``error::ResourceWarning`` filter in
-``pyproject.toml`` fails a test that leaks a file or socket.
+Every test must also stop the threads and reap the processes it starts:
+``no_leaked_threads`` and ``no_leaked_processes`` fail it otherwise, as the
+``error::ResourceWarning`` filter in ``pyproject.toml`` fails a test that
+leaks a file or socket.
 """
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import random
 import threading
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -75,6 +79,35 @@ def no_leaked_threads():
         thread.join(THREAD_JOIN_S)
     leaked = [t.name for t in started if t.is_alive()]
     assert not leaked, f"threads still running after the test: {leaked}"
+
+
+def _child_pids() -> set[int] | None:
+    """Process ids of this process's children, running or not yet reaped,
+    from ``/proc`` (``None`` where it does not list them)."""
+    files = glob.glob("/proc/self/task/*/children")
+    if not files:
+        return None
+    pids = set()
+    for path in files:
+        with contextlib.suppress(OSError):  # a thread that has just ended
+            with open(path) as fh:
+                pids.update(map(int, fh.read().split()))
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes():
+    """Fail a test that leaves a child process of its own behind, running or
+    unreaped, after a grace period of ``THREAD_JOIN_S``.  Skipped where
+    ``/proc`` does not list children."""
+    before = _child_pids()
+    yield
+    if before is None:
+        return
+    deadline = time.monotonic() + THREAD_JOIN_S
+    while (leaked := _child_pids() - before) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not leaked, f"child processes still there after the test: {sorted(leaked)}"
 
 
 PUNCT = ["", "", "", "", ",", ".", "!", "?", ";", ":"]

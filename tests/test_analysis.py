@@ -1,10 +1,16 @@
 """Vocabulary counting, round-trip quality reports, split score tables, and
 human-evaluation task files."""
 
+import json
+import os
 import random
+import signal
+import time
 
 import pytest
+from conftest import perturb_sentence, random_sentence
 
+from rtt_ape import analysis, scoring
 from rtt_ape.analysis import (
     ACCURACY_QUESTION,
     FLUENCY_QUESTION,
@@ -18,7 +24,7 @@ from rtt_ape.analysis import (
     vocab_size,
 )
 from rtt_ape.errors import DataError
-from rtt_ape.scoring import NgramStats, corpus_stats
+from rtt_ape.scoring import BleuConfig, NgramStats, corpus_bleu, corpus_stats
 from rtt_ape.testset import Segment, TestSet
 
 
@@ -125,6 +131,135 @@ class TestSplitScoreTable:
         rendered = render_split_table(table, ts)
         assert "orig-de" in rendered and "orig-en" in rendered
         assert "100.0" in rendered
+
+
+def _documents_testset():
+    """Eleven segments in three documents (four, five and two segments),
+    with source-original, target-original and unknown-origin segments, so
+    that two or three ranges cut documents in the middle."""
+    docs = ["a"] * 4 + ["b"] * 5 + ["c"] * 2
+    origins = ["de", "en", "en", "cs", "de", "de", "en", "unknown", "de", "en", "de"]
+    rng = random.Random(11)
+    refs = [random_sentence(rng) for _ in docs]
+    source = [Segment(str(i + 1), doc, origin, f"source {i}")
+              for i, (doc, origin) in enumerate(zip(docs, origins))]
+    reference = [Segment(str(i + 1), doc, origin, ref)
+                 for i, (doc, origin, ref) in enumerate(zip(docs, origins, refs))]
+    return TestSet("docs", "en", "de", source, reference), refs
+
+
+def _single_half_testset():
+    """Every segment target-original, so the source-original half is empty."""
+    ts, refs = _documents_testset()
+    source, reference = ([Segment(s.seg_id, s.doc_id, "de", s.text) for s in side]
+                         for side in (ts.source, ts.reference))
+    return TestSet("one-half", "en", "de", source, reference), refs
+
+
+def _one_segment_testset():
+    ts, refs = _documents_testset()
+    return TestSet("one", "en", "de", ts.source[:1], ts.reference[:1]), refs[:1]
+
+
+def _systems(refs):
+    rng = random.Random(len(refs))
+    base = [perturb_sentence(rng, ref) for ref in refs]
+    return {"base": base, "same": list(base), "ape": [perturb_sentence(rng, r) for r in refs],
+            "perfect": list(refs)}
+
+
+def _rendered(ts, hyps, workers):
+    table = split_score_table(ts, hyps, workers=workers)
+    payload = json.dumps({label: r.as_dict() for label, r in table.items()}, indent=2)
+    return payload, render_split_table(table, ts)
+
+
+class TestSplitScoreTableWorkers:
+    @pytest.mark.parametrize("make", [_documents_testset, _single_half_testset,
+                                      _one_segment_testset])
+    def test_every_worker_count_gives_the_same_bytes(self, make):
+        ts, refs = make()
+        hyps = _systems(refs)
+        one = _rendered(ts, hyps, 1)
+        for workers in (2, 3, len(ts) + 2):
+            assert _rendered(ts, hyps, workers) == one, workers
+
+    def test_scores_equal_corpus_bleu_of_each_group(self):
+        ts, refs = _documents_testset()
+        hyps = _systems(refs)
+        groups = {"full": range(11), "source_original": [1, 2, 6, 9],
+                  "target_original": [0, 4, 5, 8, 10]}
+        table = split_score_table(ts, hyps, workers=3)
+        for label, hyp in hyps.items():
+            assert table[label].metadata["counts"] == {k: len(v) for k, v in groups.items()}
+            for name, indices in groups.items():
+                want = corpus_bleu(((hyp[i], refs[i]) for i in indices),
+                                   BleuConfig("en-de", "docs"))
+                assert table[label].split_scores[name] == want, (label, name)
+
+    def test_an_empty_half_is_skipped(self):
+        ts, refs = _single_half_testset()
+        scores = split_score_table(ts, _systems(refs), workers=2)["base"].split_scores
+        assert sorted(scores) == ["full", "target_original"]
+
+    def test_workers_below_one_is_an_error(self):
+        ts, refs = _one_segment_testset()
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            split_score_table(ts, {"sys": refs}, workers=0)
+
+    def test_a_short_system_fails_before_any_scoring(self, monkeypatch):
+        ts, refs = _documents_testset()
+        hyps = {f"sys{i}": list(refs) for i in range(7)}
+        hyps["sys7"] = refs[:-1]
+        calls = []
+        real = scoring.ngram_stats
+        monkeypatch.setattr(scoring, "ngram_stats", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ValueError, match="system 'sys7' has 10 lines, test set has 11"):
+            split_score_table(ts, hyps, workers=2)
+        assert calls == []
+
+    def test_an_exception_in_a_child_is_raised_here(self, monkeypatch):
+        ts, refs = _documents_testset()
+        parent = os.getpid()
+
+        def stats(pairs):
+            if os.getpid() != parent:
+                raise DataError("bad pair in a child")
+            return corpus_stats(pairs)
+
+        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        with pytest.raises(DataError, match="bad pair in a child"):
+            split_score_table(ts, {"sys": refs}, workers=2)
+
+    def test_a_child_killed_by_a_signal_names_its_range(self, monkeypatch):
+        ts, refs = _documents_testset()
+        parent = os.getpid()
+
+        def stats(pairs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return corpus_stats(pairs)
+
+        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        with pytest.raises(ChildProcessError, match=(
+                r"scoring worker for segments 5\.\.10 ended without a result "
+                r"\(killed by SIGKILL\)")):
+            split_score_table(ts, {"sys": refs}, workers=2)
+
+    def test_a_failing_first_range_still_reaps_the_children(self, monkeypatch):
+        ts, refs = _documents_testset()
+        parent = os.getpid()
+
+        def stats(pairs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)  # the parent must not wait for this
+
+        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            split_score_table(ts, {"sys": refs}, workers=3)
+        assert time.monotonic() - start < 10
 
 
 class TestHumanevalMakeTasks:

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import os
+import signal
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtt_ape import analysis, cli_analysis
 from rtt_ape.analysis import humaneval_make_tasks
 from rtt_ape.backends import BackendSpec, spec_from_dict
 from rtt_ape.cli import SUBCOMMANDS, cli, main
 from rtt_ape.corpus import SentencePair, bitext_filter, mono_filter
+from rtt_ape.errors import DataError
 from rtt_ape.pipeline import generate_rtt
+from rtt_ape.scoring import corpus_stats
 from rtt_ape.testset import parse_sgm
 
 DATA = Path(__file__).parent / "data"
@@ -136,6 +141,34 @@ class TestSgmCommands:
         assert code == 0
         merged = merged_out.read_text().splitlines()
         assert merged[0] == "e0" and merged[4] == "b4" and merged[16] == "b16"
+
+    @pytest.mark.parametrize("target_original, message", [
+        ("[-1]", "target_original: index -1 is not a non-negative integer"),
+        ('["x"]', "target_original: index 'x' is not a non-negative integer"),
+        ("[true]", "target_original: index True is not a non-negative integer"),
+        ("[1.0]", "target_original: index 1.0 is not a non-negative integer"),
+        ("[1, 0]", "target_original: index 0 is also in an earlier group"),
+        ("[3]", "split index 3 out of range for 3 lines"),
+    ])
+    @pytest.mark.parametrize("command", ["ape-apply", "merge"])
+    def test_bad_split_index_is_data_error(self, tmp_path, capsys, command, target_original,
+                                           message):
+        lines = tmp_path / "lines.txt"
+        write(lines, ["a", "b", "c"])
+        split = tmp_path / "split.json"
+        split.write_text(f'{{"source_original": [0], "target_original": {target_original}}}')
+        out = tmp_path / "out.txt"
+        if command == "ape-apply":
+            argv = ["--in", str(lines), "--backend", "identity", "--scope",
+                    "target_original_only"]
+        else:
+            argv = ["--base", str(lines), "--edited", str(lines)]
+        assert run(command, *argv, "--split", str(split), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if "out of range" not in message:
+            assert f"bad split file {str(split)!r}" in err
+        assert not out.exists()
 
     def test_split_plain_text_with_origins(self, tmp_path):
         text = tmp_path / "plain.txt"
@@ -587,6 +620,95 @@ class TestAnalysisCommands:
         done.write_bytes("\n".join(rated).encode("utf-8"))
         assert run("humaneval-agg", "--tasks", str(done)) == 0
         assert json.loads(capsys.readouterr().out) == {"base": {"fluency": 5.0, "accuracy": 100.0}}
+
+
+def _report_split_argv(tmp_path: Path, out: Path) -> list[str]:
+    """report-split over the mini test set (20 segments, four of unknown
+    origin) for a perfect, a degraded and a duplicated system."""
+    with open(DATA / "mini_ende_ref.sgm", "rb") as fh:
+        refs = [seg.text for seg in parse_sgm(fh, side="ref")]
+    perfect, worse = tmp_path / "perfect.txt", tmp_path / "worse.txt"
+    write(perfect, refs)
+    write(worse, [" ".join(ref.split()[::2]) for ref in refs])
+    return ["report-split", "--src-sgm", str(DATA / "mini_ende_src.sgm"), "--ref-sgm",
+            str(DATA / "mini_ende_ref.sgm"), "--src", "en", "--tgt", "de", "--name", "mini",
+            "--hyp", f"perfect={perfect}", "--hyp", f"worse={worse}", "--hyp",
+            f"again={worse}", "--table", "--out", str(out)]
+
+
+class TestReportSplitWorkers:
+    @pytest.fixture()
+    def one_thread(self, monkeypatch):
+        """Pretend no other thread runs (a test run may hold server threads)."""
+        monkeypatch.setattr(cli_analysis.threading, "active_count", lambda: 1)
+
+    def test_small_inputs_stay_in_one_process(self, one_thread):
+        assert cli_analysis._scoring_workers(1) == 1
+        assert cli_analysis._scoring_workers(2 * cli_analysis.MIN_PAIRS_PER_WORKER - 1) == 1
+
+    def test_one_worker_per_usable_core_with_enough_pairs_each(self, monkeypatch, one_thread):
+        monkeypatch.setattr(cli_analysis.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        least = cli_analysis.MIN_PAIRS_PER_WORKER
+        assert cli_analysis._scoring_workers(3 * least) == 3
+        assert cli_analysis._scoring_workers(100 * least) == 4
+        monkeypatch.setattr(cli_analysis.os, "sched_getaffinity", lambda pid: {5})
+        assert cli_analysis._scoring_workers(100 * least) == 1
+
+    def test_no_fork_without_fork_or_affinity_or_beside_another_thread(self, monkeypatch):
+        monkeypatch.setattr(cli_analysis.os, "sched_getaffinity", lambda pid: {0, 1})
+        many = 100 * cli_analysis.MIN_PAIRS_PER_WORKER
+        monkeypatch.setattr(cli_analysis.threading, "active_count", lambda: 2)
+        assert cli_analysis._scoring_workers(many) == 1
+        monkeypatch.setattr(cli_analysis.threading, "active_count", lambda: 1)
+        assert cli_analysis._scoring_workers(many) == 2
+        monkeypatch.delattr(cli_analysis.os, "fork")
+        assert cli_analysis._scoring_workers(many) == 1
+
+    def test_report_and_table_are_byte_identical_at_every_worker_count(
+            self, tmp_path, capsys, monkeypatch):
+        seen = set()
+        for workers in (1, 2, 3, 25):
+            monkeypatch.setattr(cli_analysis, "_scoring_workers", lambda pairs: workers)
+            out = tmp_path / f"report{workers}.json"
+            assert run(*_report_split_argv(tmp_path, out)) == 0
+            seen.add((out.read_bytes(), capsys.readouterr().err))
+        assert len(seen) == 1
+        report, table = seen.pop()
+        assert json.loads(report)["perfect"]["split_scores"]["full"]["score"] == 100.0
+        assert table.splitlines()[0].split() == ["system", "full", "orig-de", "orig-en"]
+
+    def test_a_data_error_in_a_worker_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def stats(pairs):
+            if os.getpid() != parent:
+                raise DataError("worker saw a bad line")
+            return corpus_stats(pairs)
+
+        monkeypatch.setattr(cli_analysis, "_scoring_workers", lambda pairs: 2)
+        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        out = tmp_path / "report.json"
+        assert run(*_report_split_argv(tmp_path, out)) == 2
+        assert capsys.readouterr().err == "data error: worker saw a bad line\n"
+        assert not out.exists()
+
+    def test_a_killed_worker_names_its_range_without_a_traceback(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        parent = os.getpid()
+
+        def stats(pairs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return corpus_stats(pairs)
+
+        monkeypatch.setattr(cli_analysis, "_scoring_workers", lambda pairs: 2)
+        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        out = tmp_path / "report.json"
+        assert run(*_report_split_argv(tmp_path, out)) == 2
+        assert capsys.readouterr().err == (
+            "data error: scoring worker for segments 10..19 ended without a result "
+            "(killed by SIGKILL)\n")
+        assert not out.exists()
 
 
 class TestCliMisc:

@@ -86,18 +86,23 @@ class TestImportBoundary:
         assert not {"rtt_ape.backends", "rtt_ape.scoring", "gzip", "queue"} & modules
 
     def test_report_split_loads_no_backends_and_no_gzip(self, tmp_path):
+        """A small report-split also scores in one process: it starts no
+        process and loads no ``pickle``, which only forking needs."""
         from rtt_ape.testset import parse_sgm
 
         with open(DATA / "mini_ende_ref.sgm", "rb") as fh:
             refs = [segment.text for segment in parse_sgm(fh, side="ref")]
         hyp, out = tmp_path / "hyp.txt", tmp_path / "report.json"
         hyp.write_text("".join(f"{line}\n" for line in refs), encoding="utf-8")
-        modules = _modules_after(_run_cli(
+        no_fork = ("import os\n"
+                   "def _no_fork(): raise AssertionError('report-split forked')\n"
+                   "os.fork = _no_fork\n")
+        modules = _modules_after(no_fork + _run_cli(
             "report-split", "--src-sgm", str(DATA / "mini_ende_src.sgm"), "--ref-sgm",
             str(DATA / "mini_ende_ref.sgm"), "--src", "en", "--tgt", "de",
-            "--hyp", f"ref={hyp}", "--out", str(out)))
+            "--hyp", f"ref={hyp}", "--hyp", f"again={hyp}", "--out", str(out)))
         assert json.loads(out.read_text())["ref"]["split_scores"]["full"]["score"] == 100.0
-        assert not {"rtt_ape.backends", "gzip", "queue"} & modules
+        assert not {"rtt_ape.backends", "gzip", "queue", "pickle", "subprocess"} & modules
 
     def test_rtt_gen_with_a_cat_backend_loads_subprocess_and_matches_identity(self, tmp_path):
         mono = tmp_path / "mono.txt"

@@ -161,6 +161,22 @@ class TestSplitByOrigin:
         assert not set(halves.source_original) & set(halves.target_original)
 
 
+class TestSplitHalvesValidation:
+    @pytest.mark.parametrize("bad", [-1, "x", True, 1.0, None])
+    def test_an_index_must_be_a_non_negative_int(self, bad):
+        with pytest.raises(ValueError, match=rf"^target_original: index {bad!r} is not"):
+            SplitHalves(source_original=(0,), target_original=(1, bad))
+
+    @pytest.mark.parametrize("group", ["target_original", "unknown"])
+    def test_groups_must_be_disjoint(self, group):
+        with pytest.raises(ValueError, match=rf"^{group}: index 2 is also in an earlier group"):
+            SplitHalves(**{"source_original": (0, 2), group: (2, 3)})
+
+    def test_valid_halves_and_empty_groups(self):
+        assert SplitHalves(()).target_original == ()
+        assert SplitHalves((0, 5), (1,), (2, 1000)).unknown == (2, 1000)
+
+
 class TestMergeSelective:
     HALVES = SplitHalves(source_original=(0, 2), target_original=(1, 3))
 
