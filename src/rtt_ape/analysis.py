@@ -356,7 +356,7 @@ def humaneval_aggregate(task_text: str, *, allow_partial: bool = False) -> dict[
         fluency = _ratings(item_id, "fluency_rating", item["fluency"])
         accuracy = _ratings(item_id, "accuracy_rating", item["accuracy"])
         if any(not 1 <= x <= 5 for x in fluency):
-            raise DataError(f"fluency ratings out of range 1..5 for {item_id}")
+            raise DataError(f"fluency ratings must be in 1..5 for {item_id}")
         if any(x not in (0, 1) for x in accuracy):
             raise DataError(f"accuracy ratings must be 0 or 1 for {item_id}")
         bucket = per_system.setdefault(item["system"], {"item_means": [], "accuracy": []})

@@ -47,7 +47,6 @@ from .lineio import atomic_open, file_fingerprint, iter_lines, read_lines
 if TYPE_CHECKING:
     from .corpus import FilterConfig, FilterReport, SentencePair
     from .pipeline import ChangeReport
-    from .halves import SplitHalves
     from .testset import TestSet
 
 EXIT_USAGE = 1
@@ -151,20 +150,6 @@ def _pair_writer(stack: contextlib.ExitStack, params: dict) -> Callable[[Sentenc
         return write
     emit = stack.enter_context(_output(params["out"]))
     return lambda pair: emit(f"{pair.source}\t{pair.target}\n")
-
-
-def _load_split(path: str) -> SplitHalves:
-    from .halves import SplitHalves
-
-    try:
-        d = json.loads(Path(path).read_text(encoding="utf-8"))
-        return SplitHalves(
-            source_original=tuple(d["source_original"]),
-            target_original=tuple(d["target_original"]),
-            unknown=tuple(d.get("unknown", ())),
-        )
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
-        raise DataError(f"bad split file {path!r}: {exc}") from exc
 
 
 def _filter_config(params: dict) -> FilterConfig:

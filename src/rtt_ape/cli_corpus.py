@@ -33,18 +33,8 @@ def filter_mono_cmd(params: dict) -> None:
 
     cfg = _filter_config(params)
     report = FilterReport()
-
-    def kept():
-        for line in iter_lines(params["in_path"]):
-            report.read += 1
-            reason = mono_reject_reason(line, cfg)
-            if reason is None:
-                report.kept += 1
-                yield line
-            else:
-                report.reject(reason)
-
-    _emit_lines(params["out"], kept())
+    kept = report.filter(iter_lines(params["in_path"]), lambda line: mono_reject_reason(line, cfg))
+    _emit_lines(params["out"], kept)
     _report_out(report, params["report_path"])
 
 
@@ -87,14 +77,8 @@ def filter_bitext_cmd(params: dict) -> None:
     report = FilterReport()
     with contextlib.ExitStack() as stack:
         write = _pair_writer(stack, params)
-        for pair in pairs:
-            report.read += 1
-            reason = bitext_reject_reason(pair, cfg)
-            if reason is None:
-                report.kept += 1
-                write(pair)
-            else:
-                report.reject(reason)
+        for pair in report.filter(pairs, lambda pair: bitext_reject_reason(pair, cfg)):
+            write(pair)
     _report_out(report, params["report_path"])
 
 

@@ -12,10 +12,11 @@ from typing import TYPE_CHECKING
 import click
 
 from .cli import (
-    _command, _emit_lines, _filter_config, _load_split, _output, _pair_writer, _report_out,
-    _require, _tsv_rows,
+    _command, _emit_lines, _filter_config, _output, _pair_writer, _report_out, _require,
+    _tsv_rows,
 )
 from .errors import DataError
+from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .lineio import atomic_open, iter_lines, read_lines
 
 if TYPE_CHECKING:
@@ -122,8 +123,7 @@ def make_pairs_cmd(params: dict) -> None:
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True,
               help="Translation output to post-edit, one line per sentence.")
 @click.option("--backend", required=True, help="Backend spec (JSON file) or 'identity'.")
-@click.option("--scope", type=click.Choice(["all", "target_original_only"]), default="all",
-              show_default=True)
+@click.option("--scope", type=click.Choice(SCOPES), default=ALL, show_default=True)
 @click.option("--iterations", type=int, default=1, show_default=True)
 @click.option("--split", "split_path", type=click.Path(exists=True),
               help="JSON from the split subcommand (needed for selective scope).")
@@ -135,10 +135,10 @@ def ape_apply_cmd(params: dict) -> list[str]:
     """Post-edit translation output through a backend, fully or selectively."""
     from .pipeline import ApeMode, apply_ape
 
-    if params["scope"] == "target_original_only":
+    if params["scope"] == TARGET_ORIGINAL_ONLY:
         _require(params, "split_path")
     hyp = read_lines(params["in_path"])
-    halves = _load_split(params["split_path"]) if params["split_path"] else None
+    halves = SplitHalves.read(params["split_path"], len(hyp)) if params["split_path"] else None
     output, change_report = apply_ape(
         hyp,
         _load_backend(params["backend"]),

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import click
 
-from .cli import _command, _dump_json, _emit, _emit_lines, _load_split, _load_testset
+from .cli import _command, _dump_json, _emit, _emit_lines, _load_testset
+from .halves import SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .lineio import read_lines, write_lines
 
 
@@ -55,15 +56,7 @@ def split_cmd(params: dict) -> None:
     from .testset import split_by_origin
 
     ts = _load_testset(params)
-    halves = split_by_origin(ts)
-    payload = {
-        "n": len(ts),
-        "src_lang": ts.src_lang,
-        "tgt_lang": ts.tgt_lang,
-        "source_original": list(halves.source_original),
-        "target_original": list(halves.target_original),
-        "unknown": list(halves.unknown),
-    }
+    payload = split_by_origin(ts).payload(len(ts), ts.src_lang, ts.tgt_lang)
     _emit(params["out"], _dump_json(payload))
 
 
@@ -72,8 +65,7 @@ def split_cmd(params: dict) -> None:
 @click.option("--edited", type=click.Path(exists=True), required=True)
 @click.option("--split", "split_path", type=click.Path(exists=True), required=True,
               help="JSON produced by the split subcommand.")
-@click.option("--mode", type=click.Choice(["all", "target_original_only"]),
-              default="target_original_only")
+@click.option("--mode", type=click.Choice(SCOPES), default=TARGET_ORIGINAL_ONLY)
 @click.option("--out", type=click.Path())
 def merge_cmd(params: dict) -> None:
     """Merge post-edited lines into a base hypothesis, selectively or fully."""
@@ -81,5 +73,5 @@ def merge_cmd(params: dict) -> None:
 
     base = read_lines(params["base"])
     edited = read_lines(params["edited"])
-    halves = _load_split(params["split_path"])
+    halves = SplitHalves.read(params["split_path"], len(base))
     _emit_lines(params["out"], merge_selective(base, edited, halves, params["mode"]))

@@ -14,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,18 @@ class FilterReport:
 
     def reject(self, rule: str) -> None:
         self.rejected_by_rule[rule] = self.rejected_by_rule.get(rule, 0) + 1
+
+    def filter(self, items: Iterable[T], reject_reason: Callable[[T], str | None]) -> Iterator[T]:
+        """Yield the items whose ``reject_reason`` is None, counting each
+        item read, and kept or rejected by its reason, as it is consumed."""
+        for item in items:
+            self.read += 1
+            reason = reject_reason(item)
+            if reason is None:
+                self.kept += 1
+                yield item
+            else:
+                self.reject(reason)
 
     def as_dict(self) -> dict:
         return {"read": self.read, "kept": self.kept, "rejected_by_rule": dict(self.rejected_by_rule)}

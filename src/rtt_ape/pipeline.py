@@ -14,19 +14,18 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 from .backends import BackendSpec, BatchPool, check_jobs, translate_batch
+from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 
 if TYPE_CHECKING:
     from .corpus import FilterConfig, SentencePair
-    from .halves import SplitHalves
 
 TRAINING_DIRECTIONS = ("normal", "reverse")
-APE_SCOPES = ("all", "target_original_only")
 FILTER_SIDES = ("both", "original", "round_trip")
 
 # Streaming chunk sizes, which bound memory in place of the corpus size:
@@ -50,12 +49,12 @@ class RttPair:
 
 @dataclass(frozen=True)
 class ApeMode:
-    scope: str = "all"
+    scope: str = ALL
     iterations: int = 1
 
     def __post_init__(self) -> None:
-        if self.scope not in APE_SCOPES:
-            raise ValueError(f"scope must be one of {APE_SCOPES}, got {self.scope!r}")
+        if self.scope not in SCOPES:
+            raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -69,11 +68,7 @@ class ChangeReport:
     changed_per_iteration: list[int]
 
     def as_dict(self) -> dict:
-        return {
-            "lines": self.lines,
-            "scope_size": self.scope_size,
-            "changed_per_iteration": list(self.changed_per_iteration),
-        }
+        return asdict(self)
 
 
 def chunked(items: Iterable[T], size: int) -> Iterator[list[T]]:
@@ -246,19 +241,18 @@ def apply_ape(
 ) -> tuple[list[str], ChangeReport]:
     """Post-edit translation output.
 
-    Scope "all" edits every line; "target_original_only" edits only the
+    Scope ``ALL`` edits every line; ``TARGET_ORIGINAL_ONLY`` edits only the
     target-original indices of ``halves`` and leaves the rest byte-identical.
-    The backend is iterated ``mode.iterations`` times over the in-scope
-    lines.  Line count and order never change.
+    Given ``halves`` must index ``hyp`` (``SplitHalves.check_range``) under
+    either scope.  The backend is iterated ``mode.iterations`` times over the
+    in-scope lines.  Line count and order never change.
     """
-    if mode.scope == "target_original_only":
-        if halves is None:
-            raise ValueError("target_original_only scope needs split halves")
-        scope = list(halves.target_original)
-        if scope and max(scope) >= len(hyp):
-            raise ValueError(f"split index {max(scope)} out of range for {len(hyp)} lines")
-    else:
-        scope = list(range(len(hyp)))
+    selective = mode.scope == TARGET_ORIGINAL_ONLY
+    if halves is not None:
+        halves.check_range(len(hyp))
+    elif selective:
+        raise ValueError(f"{TARGET_ORIGINAL_ONLY} scope needs split halves")
+    scope = list(halves.target_original if selective else range(len(hyp)))
 
     current = list(hyp)
     changed_per_iteration = []

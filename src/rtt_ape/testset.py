@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .errors import AlignmentError, SgmParseError
-from .halves import SplitHalves
+from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 
 SIDES = ("src", "ref", "hyp")
 
 _WRAPPER_TAG = {"src": "srcset", "ref": "refset", "hyp": "tstset"}
+# Decoded in this order, so "&amp;lt;" becomes "&lt;"; encoded in reverse.
+_ENTITIES = (("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'), ("&apos;", "'"), ("&amp;", "&"))
 
 _TAG_RE = re.compile(rb"<(/?)(doc|seg)\b([^>]*)>", re.IGNORECASE)
 _SEG_CLOSE_RE = re.compile(rb"</seg\s*>", re.IGNORECASE)
@@ -67,20 +69,13 @@ class TestSet:
 
 
 def _decode_entities(text: str) -> str:
-    for entity, char in (
-        ("&lt;", "<"),
-        ("&gt;", ">"),
-        ("&quot;", '"'),
-        ("&apos;", "'"),
-        ("&amp;", "&"),
-    ):
+    for entity, char in _ENTITIES:
         text = text.replace(entity, char)
     return text
 
 
 def _encode_entities(text: str) -> str:
-    text = text.replace("&", "&amp;")
-    for char, entity in (("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"), ("'", "&apos;")):
+    for entity, char in reversed(_ENTITIES):
         text = text.replace(char, entity)
     return text
 
@@ -166,13 +161,7 @@ def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
     return segments
 
 
-def serialize_sgm(
-    segments: Sequence[Segment],
-    side: str = "src",
-    set_name: str = "set",
-    src_lang: str = "",
-    tgt_lang: str = "",
-) -> str:
+def serialize_sgm(segments: Sequence[Segment], side: str = "src") -> str:
     """Render segments as canonical SGM with quoted attributes.
 
     Consecutive segments sharing (doc_id, orig_lang) are grouped into one
@@ -182,12 +171,7 @@ def serialize_sgm(
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     wrapper = _WRAPPER_TAG[side]
-    attrs = f' setid="{_encode_entities(set_name)}"'
-    if src_lang:
-        attrs += f' srclang="{src_lang}"'
-    if tgt_lang:
-        attrs += f' trglang="{tgt_lang}"'
-    out = [f"<{wrapper}{attrs}>"]
+    out = [f'<{wrapper} setid="set">']
     open_doc: tuple[str, str] | None = None
     for seg in segments:
         doc_key = (seg.doc_id, seg.orig_lang)
@@ -250,20 +234,20 @@ def merge_selective(
     base_hyp: Sequence[str],
     edited_hyp: Sequence[str],
     halves: SplitHalves,
-    mode: str = "target_original_only",
+    mode: str = TARGET_ORIGINAL_ONLY,
 ) -> list[str]:
-    """Take edited lines everywhere (mode "all") or only on the
-    target-original half (mode "target_original_only"), keeping base lines
-    byte-identical elsewhere.  Order is preserved."""
-    if mode not in ("all", "target_original_only"):
+    """Take edited lines everywhere (mode ``ALL``) or only on the
+    target-original half (mode ``TARGET_ORIGINAL_ONLY``), keeping base lines
+    byte-identical elsewhere.  Order is preserved, and ``halves`` must index
+    the lines (``SplitHalves.check_range``) under either mode."""
+    if mode not in SCOPES:
         raise ValueError(f"unknown merge mode {mode!r}")
     if len(base_hyp) != len(edited_hyp):
         raise ValueError(f"length mismatch: base {len(base_hyp)} vs edited {len(edited_hyp)}")
-    if mode == "all":
+    halves.check_range(len(base_hyp))
+    if mode == ALL:
         return list(edited_hyp)
     merged = list(base_hyp)
     for i in halves.target_original:
-        if i >= len(merged):
-            raise ValueError(f"split index {i} out of range for {len(merged)} lines")
         merged[i] = edited_hyp[i]
     return merged

@@ -142,32 +142,43 @@ class TestSgmCommands:
         merged = merged_out.read_text().splitlines()
         assert merged[0] == "e0" and merged[4] == "b4" and merged[16] == "b16"
 
-    @pytest.mark.parametrize("target_original, message", [
+    @pytest.mark.parametrize("split_text, message", [
         ("[-1]", "target_original: index -1 is not a non-negative integer"),
         ('["x"]', "target_original: index 'x' is not a non-negative integer"),
         ("[true]", "target_original: index True is not a non-negative integer"),
         ("[1.0]", "target_original: index 1.0 is not a non-negative integer"),
         ("[1, 0]", "target_original: index 0 is also in an earlier group"),
         ("[3]", "split index 3 out of range for 3 lines"),
+        ('{"source_original": [99], "target_original": [1]}',
+         "source_original: split index 99 out of range for 3 lines"),
+        ('{"source_original": [0], "target_original": [1], "unknown": [99]}',
+         "unknown: split index 99 out of range for 3 lines"),
+        ('{"n": 2, "source_original": [0], "target_original": [1]}',
+         "n: written for 2 lines, used with 3"),
     ])
-    @pytest.mark.parametrize("command", ["ape-apply", "merge"])
-    def test_bad_split_index_is_data_error(self, tmp_path, capsys, command, target_original,
+    @pytest.mark.parametrize("command", [
+        "ape-apply", "merge", "ape-apply --scope all", "merge --mode all"])
+    def test_bad_split_index_is_data_error(self, tmp_path, capsys, command, split_text,
                                            message):
+        """``split_text`` is the split file, or its ``target_original`` list
+        beside ``"source_original": [0]``; every scope checks every group."""
         lines = tmp_path / "lines.txt"
         write(lines, ["a", "b", "c"])
         split = tmp_path / "split.json"
-        split.write_text(f'{{"source_original": [0], "target_original": {target_original}}}')
+        if not split_text.startswith("{"):
+            split_text = f'{{"source_original": [0], "target_original": {split_text}}}'
+        split.write_text(split_text)
         out = tmp_path / "out.txt"
+        command, *mode = command.split()
         if command == "ape-apply":
-            argv = ["--in", str(lines), "--backend", "identity", "--scope",
-                    "target_original_only"]
+            argv = ["--in", str(lines), "--backend", "identity",
+                    *(mode or ["--scope", "target_original_only"])]
         else:
-            argv = ["--base", str(lines), "--edited", str(lines)]
+            argv = ["--base", str(lines), "--edited", str(lines), *mode]
         assert run(command, *argv, "--split", str(split), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert message in err
-        if "out of range" not in message:
-            assert f"bad split file {str(split)!r}" in err
+        assert f"bad split file {str(split)!r}" in err
         assert not out.exists()
 
     def test_split_plain_text_with_origins(self, tmp_path):

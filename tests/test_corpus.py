@@ -16,6 +16,7 @@ from rtt_ape.corpus import (
     bitext_reject_reason,
     dedup,
     mono_filter,
+    mono_reject_reason,
     sample_lines,
 )
 
@@ -33,6 +34,17 @@ class TestFilterConfig:
             FilterConfig(max_chars=0)
         with pytest.raises(ValueError):
             FilterConfig(max_len_ratio=0.5)
+
+
+class TestFilterReport:
+    def test_filter_yields_kept_items_and_counts_each_rule(self):
+        report = FilterReport()
+        kept = report.filter(["ok", "", "x" * 501, "fine too", ""],
+                             lambda line: mono_reject_reason(line, CFG))
+        assert report.read == 0  # counted as consumed
+        assert list(kept) == ["ok", "fine too"]
+        assert report.as_dict() == {
+            "read": 5, "kept": 2, "rejected_by_rule": {"empty": 2, "too_many_chars": 1}}
 
 
 class TestDedup:

@@ -1,0 +1,28 @@
+"""Golden outputs: each command of ``golden.CASES`` writes exactly the
+bytes stored under ``tests/data/golden/expected/`` (see ``golden.py`` for
+what they cover and when they may be regenerated)."""
+
+from __future__ import annotations
+
+import pytest
+
+import golden
+
+OUTPUTS = [name for _, outputs in golden.CASES for name in outputs]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    codes = golden.run_cases(workdir)
+    assert codes == dict.fromkeys(codes, 0)
+    return workdir
+
+
+def test_every_expected_file_is_a_case_output():
+    assert sorted(p.name for p in golden.EXPECTED.iterdir()) == sorted(OUTPUTS)
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_output_bytes(workdir, name):
+    assert (workdir / name).read_bytes() == (golden.EXPECTED / name).read_bytes()

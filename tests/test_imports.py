@@ -203,3 +203,59 @@ class TestDeferredImports:
             except ImportError:
                 failed.append(f"{file}:{line}: {module} {name or ''}".rstrip())
         assert failed == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names an import binds in ``source`` that its scope never uses:
+    the module for a module-level import, the enclosing function for one in
+    a function.  A use is a name in code or in a string annotation, or an
+    entry of a literal ``__all__``."""
+    tree = ast.parse(source)
+    imports = (ast.Import, ast.ImportFrom)
+    funcs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    in_func = {id(n) for f in funcs for n in ast.walk(f) if isinstance(n, imports)}
+    scopes = [(tree, [n for n in ast.walk(tree) if isinstance(n, imports) and id(n) not in in_func])]
+    scopes += [(f, [n for n in ast.walk(f) if isinstance(n, imports)]) for f in funcs]
+    unused = []
+    for scope, statements in scopes:
+        used = set()
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            annotations = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+            for annotation in annotations:
+                if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                    used.update(n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                                if isinstance(n, ast.Name))
+            if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+        for statement in statements:
+            if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                continue
+            for alias in statement.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{statement.lineno}: {name}")
+    return unused
+
+
+class TestDeadImports:
+    """Code moved between modules tends to leave its imports behind."""
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        unused = [f"{path.name}:{found}" for path in sorted(PACKAGE.glob("*.py"))
+                  for found in _unused_imports(path.read_text(encoding="utf-8"))]
+        assert unused == []
+
+    def test_the_scan_finds_a_dead_import_in_each_kind_of_scope(self):
+        source = ("from __future__ import annotations\n"
+                  "import os, json\n"
+                  "from typing import TYPE_CHECKING\n"
+                  "if TYPE_CHECKING:\n"
+                  "    from x import Spec, Other\n"
+                  "def f(a: Spec) -> 'Other':\n"
+                  "    import gzip\n"
+                  "    from .y import z\n"
+                  "    return os.sep, z\n")
+        assert _unused_imports(source) == ["2: json", "7: gzip"]

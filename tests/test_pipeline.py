@@ -349,8 +349,9 @@ class TestApplyApe:
             apply_ape(["x"], self.DENOISER, None, ApeMode(scope="target_original_only"))
 
     def test_halves_must_fit(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_ape(["x"], self.DENOISER, self.HALVES, ApeMode(scope="target_original_only"))
+        for scope in ("target_original_only", "all"):
+            with pytest.raises(ValueError, match="out of range"):
+                apply_ape(["x"], self.DENOISER, self.HALVES, ApeMode(scope=scope))
 
     def test_change_report_counts_byte_changes(self):
         hyp = ["bad one", "clean", "bad two"]

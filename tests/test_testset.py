@@ -1,12 +1,13 @@
 """SGM parsing, origin splitting, and selective merging."""
 
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rtt_ape.errors import AlignmentError, SgmParseError
+from rtt_ape.errors import AlignmentError, DataError, SgmParseError
 from rtt_ape.testset import (
     Segment,
     SplitHalves,
@@ -176,6 +177,44 @@ class TestSplitHalvesValidation:
         assert SplitHalves(()).target_original == ()
         assert SplitHalves((0, 5), (1,), (2, 1000)).unknown == (2, 1000)
 
+    @pytest.mark.parametrize("group", ["source_original", "target_original", "unknown"])
+    def test_every_group_is_range_checked(self, group):
+        halves = SplitHalves(**{"source_original": (1,), group: (0, 4)})
+        halves.check_range(5)
+        with pytest.raises(ValueError, match=rf"^{group}: split index 4 out of range for 4 lines"):
+            halves.check_range(4)
+
+
+class TestSplitFile:
+    HALVES = SplitHalves((1, 3), (0, 2), (4,))
+
+    def test_what_split_writes_reads_back(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(self.HALVES.payload(5, "en", "de")))
+        assert list(json.loads(path.read_text())) == [
+            "n", "src_lang", "tgt_lang", "source_original", "target_original", "unknown"]
+        assert SplitHalves.read(path, 5) == self.HALVES
+
+    def test_n_and_unknown_may_be_absent(self, tmp_path):
+        path = tmp_path / "split.json"
+        path.write_text('{"source_original": [1], "target_original": [0]}')
+        assert SplitHalves.read(path, 2) == SplitHalves((1,), (0,))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[0, 1]", "expected a JSON object"),
+        ('{"source_original": [0]}', "'target_original'"),
+        ('{"source_original": 0, "target_original": []}', "not iterable"),
+        ("{", "Expecting property name"),
+        ('{"n": 5, "source_original": [0], "target_original": [1]}',
+         "n: written for 5 lines, used with 2"),
+    ])
+    def test_a_bad_file_is_a_data_error_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "split.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=rf"^bad split file {str(path)!r}: ") as exc:
+            SplitHalves.read(path, 2)
+        assert message in str(exc.value)
+
 
 class TestMergeSelective:
     HALVES = SplitHalves(source_original=(0, 2), target_original=(1, 3))
@@ -206,6 +245,11 @@ class TestMergeSelective:
     def test_length_mismatch_is_error(self):
         with pytest.raises(ValueError, match="mismatch"):
             merge_selective(["a"], ["a", "b"], self.HALVES)
+
+    def test_halves_must_fit_in_every_mode(self):
+        for mode in ("target_original_only", "all"):
+            with pytest.raises(ValueError, match="source_original: split index 2 out of range"):
+                merge_selective(["a", "b"], ["c", "d"], self.HALVES, mode)
 
     def test_unknown_mode_is_error(self):
         with pytest.raises(ValueError):
