@@ -9,7 +9,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "backends": ("BackendSpec", "ChannelConfig", "channel_apply", "toy_denoiser", "translate_batch"),
+    "backends": ("BackendSpec", "ChannelConfig", "channel_apply", "translate_batch"),
     "corpus": ("FilterConfig", "SentencePair", "bitext_filter", "dedup", "mono_filter",
                "sample_lines"),
     "errors": ("AlignmentError", "BackendError", "DataError", "SgmParseError"),

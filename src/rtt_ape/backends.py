@@ -3,7 +3,7 @@
 Five backend kinds share one batch-translation entry point: an external
 command (line-on-stdin/line-on-stdout framing), an HTTP service (JSON list
 payload), a deterministic "translationese" channel for desk-scale
-experiments, its token-wise denoiser, and identity.
+experiments, its token-wise denoiser (a channel without noise), and identity.
 
 Per-line randomness in the toy channel derives from (config seed, line
 index), so corpus-level output is independent of batch sizes and worker
@@ -22,9 +22,10 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+import types
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, get_type_hints
 
 from .errors import BackendError, DataError
 
@@ -51,18 +52,11 @@ class ChannelConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_prob <= 1.0 or not 0.0 <= self.swap_prob <= 1.0:
-            raise ValueError("probabilities must be in [0, 1]")
+            raise ValueError(f"drop_prob and swap_prob must be in [0, 1], got "
+                             f"{self.drop_prob} and {self.swap_prob}")
         for k, v in self.lexicon.items():
-            if not k or not v or len(k.split()) != 1 or len(v.split()) != 1:
+            if not all(isinstance(t, str) and len(t.split()) == 1 for t in (k, v)):
                 raise ValueError(f"lexicon entries must be single tokens, got {k!r} -> {v!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "lexicon": dict(sorted(self.lexicon.items())),
-            "drop_prob": self.drop_prob,
-            "swap_prob": self.swap_prob,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -81,13 +75,16 @@ class BackendSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "command" and not self.command_template:
-            raise ValueError("command backend needs a command template")
+            raise ValueError("command backend needs a 'command' template")
         if self.kind == "http" and not self.url:
-            raise ValueError("http backend needs a URL")
+            raise ValueError("http backend needs a 'url'")
         if self.kind in ("toy_channel", "toy_denoiser") and self.channel is None:
-            raise ValueError(f"{self.kind} backend needs a channel config")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+            raise ValueError(f"{self.kind} backend needs a 'channel'")
+        if self.kind == "toy_denoiser" and (self.channel.drop_prob or self.channel.swap_prob):
+            raise ValueError("toy_denoiser adds no noise: drop_prob and swap_prob must be 0")
+        if self.batch_size <= 0 or self.retries < 0:
+            raise ValueError("batch_size must be positive and retries 0 or more, got "
+                             f"{self.batch_size} and {self.retries}")
 
     @classmethod
     def identity(cls, from_lang: str = "xx", to_lang: str = "xx") -> "BackendSpec":
@@ -112,7 +109,7 @@ class BackendSpec:
             d["batch_size"] = self.batch_size
             d["retries"] = self.retries
         if self.channel is not None:
-            d["channel"] = self.channel.as_dict()
+            d["channel"] = asdict(self.channel)
         return d
 
     def fingerprint(self) -> str:
@@ -120,28 +117,41 @@ class BackendSpec:
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
+# A field type's JSON value types, exact (true is no integer); others take an object.
+_JSON_TYPES = {str: (str,), int: (int,), float: (int, float), type(None): (type(None),)}
+
+
+def _from_json(cls: type, obj: object, where: str, renamed: Mapping = {}):
+    """Dataclass ``cls`` built from the JSON object ``obj``, keyed by field name or
+    ``renamed[name]``, with an object for a dataclass field read the same way.  A
+    key that is unknown, missing or of the wrong type is a ``ValueError`` naming it."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    by_key = {renamed.get(f.name, f.name): f for f in fields(cls)}
+    hints = get_type_hints(cls)
+    args = {}
+    for key, value in obj.items():
+        if key not in by_key:
+            raise ValueError(f"unknown {where} key {key!r}; expected one of {sorted(by_key)}")
+        hint = hints[by_key[key].name]
+        options = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
+        if not any(type(value) in _JSON_TYPES.get(t, (dict,)) for t in options):
+            raise ValueError(f"{where} key {key!r} has a value of the wrong type: {value!r}")
+        if type(value) is dict and is_dataclass(options[0]):
+            value = _from_json(options[0], value, key)
+        args[by_key[key].name] = float(value) if hint is float else value
+    for key, f in by_key.items():
+        if key not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{where} has no {key!r}")
+    return cls(**args)
+
+
 def spec_from_dict(d: Mapping) -> BackendSpec:
-    """Build a BackendSpec from its JSON form (the CLI's --backend-config)."""
-    channel = None
-    if "channel" in d:
-        c = d["channel"]
-        channel = ChannelConfig(
-            lexicon=dict(c.get("lexicon", {})),
-            drop_prob=float(c.get("drop_prob", 0.0)),
-            swap_prob=float(c.get("swap_prob", 0.0)),
-            seed=int(c.get("seed", 0)),
-        )
-    return BackendSpec(
-        kind=d["kind"],
-        from_lang=d.get("from_lang", "xx"),
-        to_lang=d.get("to_lang", "xx"),
-        command_template=d.get("command"),
-        url=d.get("url"),
-        timeout=float(d.get("timeout", 30.0)),
-        batch_size=int(d.get("batch_size", 64)),
-        retries=int(d.get("retries", 2)),
-        channel=channel,
-    )
+    """Build a BackendSpec from its JSON form, a spec file of ``rtt-gen`` or
+    ``ape-apply``: ``BackendSpec``'s fields, with ``command`` for
+    ``command_template``, and ``ChannelConfig``'s in ``channel``.  A
+    malformed spec is a ``ValueError`` that names the offending key."""
+    return _from_json(BackendSpec, d, "spec", {"command_template": "command"})
 
 
 def channel_apply(
@@ -170,18 +180,6 @@ def channel_apply(
                     out[i], out[i + 1] = out[i + 1], out[i]
                     changed = True
     return " ".join(out) if changed else line
-
-
-def toy_denoiser(cfg: ChannelConfig, line: str) -> str:
-    """Token-wise inverse substitution, no stochastic component.
-
-    For a many-to-one channel, cfg.lexicon here is the designated inverse
-    (channel word back to one chosen natural word).  Idempotent as long as
-    the lexicon's values are not themselves keys mapping elsewhere.
-    """
-    tokens = line.split()
-    out = [cfg.lexicon.get(t, t) for t in tokens]
-    return " ".join(out) if out != tokens else line
 
 
 def _run_command_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
@@ -253,6 +251,7 @@ def _run_external_batch(
     spec: BackendSpec, batch: list[str], start: int, cache_path: Path | None
 ) -> list[str]:
     runner = _run_command_batch if spec.kind == "command" else _run_http_batch
+    span = (start, start + len(batch) - 1)  # the batch's first and last input line
     last_error: Exception | None = None
     for attempt in range(spec.retries + 1):
         if attempt:
@@ -262,24 +261,15 @@ def _run_external_batch(
             break
         except UnicodeDecodeError as exc:
             raise BackendError(
-                f"{spec.kind} backend returned invalid UTF-8: {exc}",
-                first_line=start,
-                last_line=start + len(batch) - 1,
-            ) from exc
+                f"{spec.kind} backend returned invalid UTF-8: {exc}", *span) from exc
         except (OSError, json.JSONDecodeError) as exc:
             last_error = exc
     else:
         raise BackendError(
-            f"{spec.kind} backend failed after {spec.retries + 1} attempts: {last_error}",
-            first_line=start,
-            last_line=start + len(batch) - 1,
-        )
+            f"{spec.kind} backend failed after {spec.retries + 1} attempts: {last_error}", *span)
     if len(out) != len(batch):
         raise BackendError(
-            f"{spec.kind} backend returned {len(out)} lines for {len(batch)} inputs",
-            first_line=start,
-            last_line=start + len(batch) - 1,
-        )
+            f"{spec.kind} backend returned {len(out)} lines for {len(batch)} inputs", *span)
     if cache_path is not None:
         _cache_write(cache_path, out)
     return out
@@ -334,15 +324,10 @@ class BatchPool:
                 raise DataError(f"input line {index} contains a newline")
         if spec.kind == "identity":
             return lambda: lines
-        if spec.kind == "toy_channel":
+        if spec.kind in ("toy_channel", "toy_denoiser"):
             rng = random.Random()
-            out = [
-                channel_apply(spec.channel, line, salt, rng)
-                for salt, line in enumerate(lines, start)
-            ]
-            return lambda: out
-        if spec.kind == "toy_denoiser":
-            out = [toy_denoiser(spec.channel, line) for line in lines]
+            out = [channel_apply(spec.channel, line, salt, rng)
+                   for salt, line in enumerate(lines, start)]
             return lambda: out
 
         cache = Path(cache_dir) if cache_dir is not None else None

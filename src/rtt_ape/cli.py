@@ -153,14 +153,12 @@ def _pair_writer(stack: contextlib.ExitStack, params: dict) -> Callable[[Sentenc
 
 
 def _filter_config(params: dict) -> FilterConfig:
+    """The caps the command declares; ``FilterConfig`` sets the others."""
     from .corpus import FilterConfig
 
-    return FilterConfig(
-        max_chars=params.get("max_chars", 500),
-        max_tokens=params.get("max_tokens", 70),
-        bitext_max_tokens=params.get("bitext_max_tokens", 250),
-        max_len_ratio=params.get("max_ratio", 2.0),
-    )
+    fields = {"max_chars": "max_chars", "max_tokens": "max_tokens",
+              "bitext_max_tokens": "bitext_max_tokens", "max_ratio": "max_len_ratio"}
+    return FilterConfig(**{fields[name]: value for name, value in params.items() if name in fields})
 
 
 def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
@@ -221,12 +219,10 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
         return
     try:
         config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        if not isinstance(config, dict) or not all(isinstance(v, dict) for v in config.values()):
+            raise ValueError("expected an object of objects keyed by subcommand")
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError too
         raise DataError(f"bad config file {config_path!r}: {exc}") from exc
-    if not isinstance(config, dict) or not all(isinstance(v, dict) for v in config.values()):
-        raise DataError(
-            f"bad config file {config_path!r}: expected an object of objects keyed by subcommand"
-        )
     # A misspelled section or key would otherwise be ignored without a word.
     # Sections are checked against the map, without importing any module;
     # keys only in the invoked subcommand's section, whose command is built.

@@ -42,7 +42,7 @@ def _load_backend(value: str) -> BackendSpec:
         )
     try:
         return spec_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError too
         raise DataError(f"bad backend spec {value!r}: {exc}") from exc
 
 

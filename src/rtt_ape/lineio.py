@@ -9,6 +9,8 @@ import os
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
+from .errors import DataError
+
 # A .gz output is compressed on a writer thread of its own (see
 # ``_GzipWriter``), fed the blocks ``io.TextIOWrapper`` writes (8 KiB each,
 # give or take a line) through a queue of at most GZIP_QUEUE_BLOCKS of them.
@@ -125,17 +127,33 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """All lines of a text file, without terminators."""
+def _not_utf8(path: str | Path) -> DataError:
+    """The error for a text file that is not UTF-8, naming the first line that
+    changes when its bytes are decoded with replacement characters and encoded back."""
     with smart_open(path) as fh:
-        return [line.rstrip("\n") for line in fh]
+        bad = (n for n, line in enumerate(fh.buffer, 1)
+               if line.decode("utf-8", "replace").encode("utf-8") != line)
+        return DataError(f"{path}:{next(bad, '?')}: not valid UTF-8")
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """All lines of a text file, without terminators (see ``iter_lines``)."""
+    try:
+        with smart_open(path) as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:
-    """Stream lines of a text file, without terminators."""
-    with smart_open(path) as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+    """Stream lines of a text file, without terminators.  A line that is not
+    valid UTF-8 is a ``DataError`` naming the file and the line."""
+    try:
+        with smart_open(path) as fh:
+            for line in fh:
+                yield line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:

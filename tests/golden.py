@@ -1,12 +1,15 @@
 """Golden outputs: the exact bytes some subcommands write for one small,
 fixed input set, kept under ``tests/data/golden/``.
 
-``inputs/`` holds line files and a backend spec derived from
+``inputs/`` holds line files and three backend specs derived from
 ``tests/data/mini_ende_*.sgm``, plus one line containing U+2028 in each
 line file and in one SGM file.  ``expected/`` holds what the commands in
 ``CASES`` wrote, run in order in one directory (later commands read
-earlier outputs).  ``tests/test_golden.py`` runs them again and compares
-bytes.
+earlier outputs), and the ``--help`` text of the ``HELP`` subcommands.
+``tests/test_golden.py`` runs them again and compares bytes: of each
+file, of each file under an output directory (a backend cache, whose file
+names hold the backend's fingerprint), and of each manifest with its
+timestamps masked.
 
 Regenerate both directories with
 
@@ -20,12 +23,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
-from rtt_ape.cli import main
+import click
+
+from rtt_ape.cli import cli, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -38,6 +44,14 @@ SGM = ("mini_ende_src.sgm", "mini_ende_ref.sgm")
 LS_EN = "First line\u2028second line of the paragraph."
 LS_DE = "Erste Zeile\u2028zweite Zeile des Absatzes."
 
+# Subcommands whose ``--help`` is kept, as ``<name>.help.txt``, wrapped at
+# the width click uses in an 80-column terminal.
+HELP = ["rtt-gen", "ape-apply", "filter-mono", "filter-bitext", "make-pairs"]
+HELP_WIDTH = 78
+
+# The values a manifest may change between runs of the same command.
+_TIMESTAMPS = re.compile(rb'("(?:started|finished)": )"[^"]*"')
+
 # (argv, files it writes that are compared), run in this order.
 CASES: list[tuple[list[str], list[str]]] = [
     (["split", "--sgm", "mini_ende_src.sgm", "--src", "en", "--tgt", "de", "--name", "mini",
@@ -46,10 +60,10 @@ CASES: list[tuple[list[str], list[str]]] = [
       "--out", "split_text.json"], ["split_text.json"]),
     (["ape-apply", "--in", "hyp.txt", "--backend", "denoiser.json", "--scope", "all",
       "--report", "ape_all.report.json", "--out", "ape_all.txt"],
-     ["ape_all.txt", "ape_all.report.json"]),
+     ["ape_all.txt", "ape_all.report.json", "ape_all.txt.manifest.json"]),
     (["ape-apply", "--in", "hyp.txt", "--backend", "denoiser.json", "--scope",
       "target_original_only", "--split", "split_text.json", "--report", "ape_to.report.json",
-      "--out", "ape_to.txt"], ["ape_to.txt", "ape_to.report.json"]),
+      "--out", "ape_to.txt"], ["ape_to.txt", "ape_to.report.json", "ape_to.txt.manifest.json"]),
     (["merge", "--base", "hyp.txt", "--edited", "ape_all.txt", "--split", "split_text.json",
       "--out", "merge_to.txt"], ["merge_to.txt"]),
     (["merge", "--base", "hyp.txt", "--edited", "ape_all.txt", "--split", "split_text.json",
@@ -68,23 +82,53 @@ CASES: list[tuple[list[str], list[str]]] = [
      ["src.sgm"]),
     (["parse-sgm", "--sgm", "ref_u2028.sgm", "--side", "ref", "--format", "sgm",
       "--out", "ref_u2028.out.sgm"], ["ref_u2028.out.sgm"]),
+    (["rtt-gen", "--in", "mono.txt", "--to-pivot", "channel.json", "--from-pivot", "cat.json",
+      "--intermediate", "rtt.pivot.txt", "--cache-dir", "rtt_cache", "--out", "rtt.tsv"],
+     ["rtt.tsv", "rtt.pivot.txt", "rtt_cache", "rtt.tsv.manifest.json"]),
 ]
 
 
+OUTPUTS = [*(name for _, outputs in CASES for name in outputs),
+           *(f"{name}.help.txt" for name in HELP)]
+
+
 def run_cases(workdir: Path) -> dict[str, int]:
-    """Copy the inputs into ``workdir`` and run ``CASES`` there, in order;
-    the exit code of each, keyed by subcommand and output file."""
+    """Copy the inputs into ``workdir``, run ``CASES`` there, in order, and
+    write the ``HELP`` texts; the exit code of each case, keyed by
+    subcommand and output file.  ``RTT_APE_CACHE`` is unset meanwhile, as
+    manifests record the cache directory it sets."""
     for path in [*INPUTS.iterdir(), *(DATA / name for name in SGM)]:
         shutil.copyfile(path, workdir / path.name)
     codes = {}
     cwd = os.getcwd()
+    cache_env = os.environ.pop("RTT_APE_CACHE", None)
     os.chdir(workdir)
     try:
         for argv, outputs in CASES:
             codes[f"{argv[0]} -> {outputs[0]}"] = main(list(argv))
     finally:
         os.chdir(cwd)
+        if cache_env is not None:
+            os.environ["RTT_APE_CACHE"] = cache_env
+    root = click.Context(cli, info_name="rtt-ape", terminal_width=HELP_WIDTH)
+    for name in HELP:
+        command = cli.get_command(root, name)
+        text = click.Context(command, info_name=name, parent=root).get_help()
+        (workdir / f"{name}.help.txt").write_text(text + "\n", encoding="utf-8")
     return codes
+
+
+def compared(path: Path) -> bytes | dict[str, bytes]:
+    """What is compared of an output: its bytes, with the timestamps masked
+    in a manifest, or for a directory the bytes of each file under it, keyed
+    by relative path."""
+    if path.is_dir():
+        return {p.relative_to(path).as_posix(): p.read_bytes()
+                for p in sorted(path.rglob("*")) if p.is_file()}
+    data = path.read_bytes()
+    if path.name.endswith(".manifest.json"):
+        data = _TIMESTAMPS.sub(rb'\1"<masked>"', data)
+    return data
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -108,10 +152,21 @@ def write_inputs() -> None:
     _write_lines(INPUTS / "src.txt", [*src, LS_EN, ""])
     _write_lines(INPUTS / "tgt.txt", [*ref, LS_DE, "Nur"])
     _write_lines(INPUTS / "bitext.tsv", [f"{s}\t{t}" for s, t in zip([*src, LS_EN], [*ref, LS_DE])])
-    (INPUTS / "denoiser.json").write_text(json.dumps({
-        "kind": "toy_denoiser", "from_lang": "de", "to_lang": "de",
-        "channel": {"lexicon": {"Der": "Die", "die": "der", "Jahrzehnts.": "Jahres."}},
-    }, indent=2) + "\n", encoding="utf-8")
+    specs = {
+        "denoiser.json": {
+            "kind": "toy_denoiser", "from_lang": "de", "to_lang": "de",
+            "channel": {"lexicon": {"Der": "Die", "die": "der", "Jahrzehnts.": "Jahres."}},
+        },
+        "channel.json": {
+            "kind": "toy_channel", "from_lang": "de", "to_lang": "en", "batch_size": 16,
+            "channel": {"lexicon": {"Der": "The", "die": "the", "der": "the", "und": "and"},
+                        "drop_prob": 0.1, "swap_prob": 0.1, "seed": 5},
+        },
+        "cat.json": {"kind": "command", "from_lang": "en", "to_lang": "de", "command": "cat",
+                     "batch_size": 16, "retries": 0},
+    }
+    for name, spec in specs.items():
+        (INPUTS / name).write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
     ref_sgm = (DATA / SGM[1]).read_text(encoding="utf-8")
     extra = f'<doc docid="ls.1" origlang="de">\n<seg id="1">{LS_DE}</seg>\n</doc>\n'
     (INPUTS / "ref_u2028.sgm").write_text(
@@ -126,9 +181,14 @@ def write_expected() -> None:
             sys.exit(f"golden cases failed: {failed}")
         shutil.rmtree(EXPECTED, ignore_errors=True)
         EXPECTED.mkdir(parents=True)
-        for _, outputs in CASES:
-            for name in outputs:
-                shutil.copyfile(Path(tmp) / name, EXPECTED / name)
+        for name in OUTPUTS:
+            written = compared(Path(tmp) / name)
+            if isinstance(written, bytes):
+                (EXPECTED / name).write_bytes(written)
+                continue
+            for relative, data in written.items():
+                (EXPECTED / name / relative).parent.mkdir(parents=True, exist_ok=True)
+                (EXPECTED / name / relative).write_bytes(data)
 
 
 if __name__ == "__main__":

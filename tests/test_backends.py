@@ -1,10 +1,11 @@
 """Backend behavior: toy channel determinism, denoiser idempotence, command
-and HTTP framing, caching, and order preservation."""
+and HTTP framing, caching, order preservation, and spec files read strictly."""
 
 import contextlib
 import http.server
 import json
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -22,10 +23,12 @@ from rtt_ape.backends import (
     _cache_write,
     channel_apply,
     spec_from_dict,
-    toy_denoiser,
     translate_batch,
 )
 from rtt_ape.errors import BackendError, DataError
+
+DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 UPPERCASE_CMD = 'python3 -c "import sys; sys.stdout.write(sys.stdin.read().upper())"'
 
@@ -103,18 +106,21 @@ class TestChannelApply:
 
 
 class TestToyDenoiser:
-    CFG = ChannelConfig(lexicon={"erhält": "empfängt"})
+    SPEC = BackendSpec.toy_denoiser(ChannelConfig(lexicon={"erhält": "empfängt"}))
+
+    def denoise(self, line: str) -> str:
+        return translate_batch(self.SPEC, [line])[0]
 
     def test_inverse_substitution(self):
-        assert toy_denoiser(self.CFG, "Obama erhält Netanjahu") == "Obama empfängt Netanjahu"
+        assert self.denoise("Obama erhält Netanjahu") == "Obama empfängt Netanjahu"
 
     def test_untouched_line_returned_verbatim(self):
         line = "no  lexicon words  here"
-        assert toy_denoiser(self.CFG, line) is line
+        assert self.denoise(line) is line
 
     def test_idempotent(self):
-        once = toy_denoiser(self.CFG, "Obama erhält Netanjahu erhält")
-        assert toy_denoiser(self.CFG, once) == once
+        once = self.denoise("Obama erhält Netanjahu erhält")
+        assert self.denoise(once) == once
 
 
 class TestTranslateBatch:
@@ -366,6 +372,33 @@ class TestSpecFromDict:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown backend kind"):
             spec_from_dict({"kind": "quantum"})
+
+    def test_every_readme_spec_reads(self):
+        section = README.read_text(encoding="utf-8").split("### Backend specs", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        specs = [json.loads(chunk) for chunk in block.split("\n\n")]
+        assert [spec_from_dict(spec).kind for spec in specs] == [
+            "command", "http", "toy_channel", "toy_denoiser"]
+
+    def test_keys_are_the_fields_and_missing_ones_keep_their_defaults(self):
+        assert spec_from_dict({"kind": "command", "command": "cat"}) == BackendSpec(
+            kind="command", command_template="cat")
+        spec = spec_from_dict({"kind": "toy_channel", "channel": {"drop_prob": 1}})
+        assert spec.channel == ChannelConfig(drop_prob=1.0)
+        assert type(spec.channel.drop_prob) is float
+
+    def test_a_denoiser_with_noise_is_rejected_however_it_is_built(self):
+        with pytest.raises(ValueError, match="drop_prob and swap_prob must be 0"):
+            BackendSpec.toy_denoiser(ChannelConfig(lexicon={"a": "b"}, swap_prob=0.1))
+
+    def test_pinned_fingerprints(self):
+        """A spec's fingerprint names its cache directory, so a changed one
+        orphans every cache written before.  The table holds the README's
+        specs, the golden and benchmark specs, and specs with integer-valued
+        numbers and unsorted lexicons."""
+        table = json.loads((DATA / "spec_fingerprints.json").read_text(encoding="utf-8"))
+        assert {name: spec_from_dict(row["spec"]).fingerprint() for name, row in table.items()} == {
+            name: row["fingerprint"] for name, row in table.items()}
 
     def test_fingerprint_differs_by_config(self):
         a = BackendSpec(kind="command", command_template="cat")

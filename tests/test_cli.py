@@ -1,6 +1,8 @@
 """CLI surface: flags, exit codes, JSON output, manifests, composition."""
 
 import gc
+import gzip
+import inspect
 import json
 import os
 import signal
@@ -14,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtt_ape import analysis, cli_analysis
-from rtt_ape.analysis import humaneval_make_tasks
+from rtt_ape.analysis import humaneval_make_tasks, vocab_size
 from rtt_ape.backends import BackendSpec, spec_from_dict
 from rtt_ape.cli import SUBCOMMANDS, cli, main
-from rtt_ape.corpus import SentencePair, bitext_filter, mono_filter
+from rtt_ape.corpus import FilterConfig, SentencePair, bitext_filter, mono_filter
 from rtt_ape.errors import DataError
-from rtt_ape.pipeline import generate_rtt
-from rtt_ape.scoring import corpus_stats
+from rtt_ape.pipeline import ApeMode, generate_rtt, iter_rtt, make_training_pairs
+from rtt_ape.scoring import BleuConfig, corpus_stats
 from rtt_ape.testset import parse_sgm
 
 DATA = Path(__file__).parent / "data"
@@ -435,6 +437,77 @@ def _spec_file(path: Path, spec: dict) -> Path:
     return path
 
 
+class TestMalformedBackendSpecs:
+    """A spec file is read strictly: a key the spec format does not have, or
+    a value it cannot hold, is a data error naming the key, never ignored."""
+
+    @pytest.mark.parametrize("spec, offender", [
+        ({"kind": "toy_channel", "channel": {"lexicon": {"a": "b"}, "drop": 0.5}}, "'drop'"),
+        ({"kind": "command", "command": "cat", "batchsize": 8}, "'batchsize'"),
+        ({"kind": "command", "command": "cat", "retry": 1}, "'retry'"),
+        ({"kind": "command", "command": "cat", "timeout_s": 5}, "'timeout_s'"),
+        ({"kind": "command", "command_template": "cat"}, "'command_template'"),
+        ({"kind": "command", "command": "cat", "retries": -1}, "retries 0 or more, got 64 and -1"),
+        ({"kind": "toy_denoiser", "channel": {"lexicon": {"a": "b"}, "drop_prob": 0.5}},
+         "drop_prob"),
+        ({"kind": "toy_denoiser", "channel": {"swap_prob": 0.1}}, "swap_prob"),
+        ({"kind": "toy_channel", "channel": ["a", "b"]}, "'channel'"),
+        ({"kind": "toy_channel", "channel": None}, "needs a 'channel'"),
+        ({"kind": "toy_channel", "channel": {"lexicon": {"a": 3}}}, "lexicon"),
+        ({"kind": "toy_channel", "channel": {"lexicon": ["a"]}}, "'lexicon'"),
+        ({"kind": "toy_channel", "channel": {"drop_prob": 1.5}}, "drop_prob"),
+        ({"kind": "toy_channel", "channel": {"seed": "1"}}, "'seed'"),
+        ({"kind": "identity", "from_lang": 3}, "'from_lang'"),
+        ({"kind": "identity", "to_lang": None}, "'to_lang'"),
+        ({"kind": "command", "command": "cat", "batch_size": True}, "'batch_size'"),
+        ({"kind": "command", "command": "cat", "batch_size": 8.0}, "'batch_size'"),
+        ({"kind": "http", "url": "http://localhost:1/", "timeout": "30"}, "'timeout'"),
+        ({"from_lang": "de"}, "spec has no 'kind'"),
+        (["identity"], "spec must be a JSON object"),
+    ])
+    def test_exit_2_naming_the_file_and_the_key(self, tmp_path, capsys, spec, offender):
+        mono = tmp_path / "mono.txt"
+        write(mono, ["a b c"])
+        path = _spec_file(tmp_path / "spec.json", spec)
+        out = tmp_path / "out.tsv"
+        assert run("rtt-gen", "--in", str(mono), "--to-pivot", str(path),
+                   "--from-pivot", "identity", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"bad backend spec '{path}': " in err
+        assert offender in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_field_its_kind_does_not_use_is_accepted(self, tmp_path):
+        """A toy spec's batch_size sets rtt-gen's chunk size."""
+        mono = tmp_path / "mono.txt"
+        write(mono, ["a b c"])
+        path = _spec_file(tmp_path / "spec.json", {
+            "kind": "toy_channel", "batch_size": 7, "url": "unused", "retries": 0,
+            "channel": {"lexicon": {"a": "x"}}})
+        out = tmp_path / "out.tsv"
+        assert run("rtt-gen", "--in", str(mono), "--to-pivot", str(path),
+                   "--from-pivot", "identity", "--out", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == "a b c\tx b c\n"
+
+
+class TestInputThatIsNotUtf8:
+    @pytest.mark.parametrize("name", ["in.txt", "in.txt.gz"])
+    def test_line_input_names_the_file_and_the_line(self, tmp_path, capsys, name):
+        data = b"".join(b"line %d of plain text\n" % i for i in range(2000)) + b"bad \xff\n"
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        assert run("vocab", "--in", str(path)) == 2
+        assert capsys.readouterr().err == f"data error: {path}:2001: not valid UTF-8\n"
+
+    def test_config_file_is_named(self, tmp_path, corpus_files, capsys):
+        hyp, ref = corpus_files
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"bleu": {"set_name": "\xff"}}')
+        assert run("--config", str(path), "bleu", "--hyp", str(hyp), "--ref", str(ref)) == 2
+        assert f"bad config file '{path}': " in capsys.readouterr().err
+
+
 NOISY_CHANNEL = {
     "kind": "toy_channel", "from_lang": "de", "to_lang": "en", "batch_size": 1,
     "channel": {"lexicon": {"straße": "street"}, "drop_prob": 0.2, "swap_prob": 0.2, "seed": 4},
@@ -748,6 +821,43 @@ class TestCliMisc:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert run("vocab", "--wat") == 1
+
+
+def _option_default(command: str, name: str):
+    params = cli.get_command(click.Context(cli), command).params
+    return next(p.default for p in params if p.name == name)
+
+
+def _parameter_default(function, name: str):
+    return inspect.signature(function).parameters[name].default
+
+
+# (subcommand, option, the library default it repeats in --help and manifests)
+MIRRORED_DEFAULTS = [
+    *((command, name, getattr(FilterConfig(), name))
+      for command in ("filter-mono", "rtt-gen") for name in ("max_chars", "max_tokens")),
+    *((command, "bitext_max_tokens", FilterConfig().bitext_max_tokens)
+      for command in ("filter-bitext", "make-pairs")),
+    *((command, "max_ratio", FilterConfig().max_len_ratio)
+      for command in ("filter-bitext", "make-pairs")),
+    ("ape-apply", "scope", ApeMode().scope),
+    ("ape-apply", "iterations", ApeMode().iterations),
+    ("make-pairs", "direction", _parameter_default(make_training_pairs, "direction")),
+    ("rtt-gen", "filter_sides", _parameter_default(iter_rtt, "filter_sides")),
+    ("rtt-gen", "jobs", _parameter_default(iter_rtt, "jobs")),
+    ("vocab", "tokenizer", _parameter_default(vocab_size, "tokenizer")),
+    ("humaneval-make", "raters", _parameter_default(humaneval_make_tasks, "raters_per_item")),
+    ("humaneval-make", "seed", _parameter_default(humaneval_make_tasks, "seed")),
+    *((command, "lang", BleuConfig().lang_pair) for command in ("bleu", "report-rtt")),
+    *((command, "set_name", BleuConfig().test_set) for command in ("bleu", "report-rtt")),
+]
+
+
+@pytest.mark.parametrize("command, name, library", MIRRORED_DEFAULTS)
+def test_cli_default_equals_the_library_default(command, name, library):
+    """The options spell their defaults out, for --help and manifests, so
+    each must stay what the library would use without it."""
+    assert _option_default(command, name) == library
 
 
 def make_command_inputs(d: Path) -> None:

@@ -1,5 +1,6 @@
 """Golden outputs: each command of ``golden.CASES`` writes exactly the
-bytes stored under ``tests/data/golden/expected/`` (see ``golden.py`` for
+bytes stored under ``tests/data/golden/expected/``, and each subcommand of
+``golden.HELP`` prints exactly its stored ``--help`` (see ``golden.py`` for
 what they cover and when they may be regenerated)."""
 
 from __future__ import annotations
@@ -7,8 +8,6 @@ from __future__ import annotations
 import pytest
 
 import golden
-
-OUTPUTS = [name for _, outputs in golden.CASES for name in outputs]
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +19,9 @@ def workdir(tmp_path_factory):
 
 
 def test_every_expected_file_is_a_case_output():
-    assert sorted(p.name for p in golden.EXPECTED.iterdir()) == sorted(OUTPUTS)
+    assert sorted(p.name for p in golden.EXPECTED.iterdir()) == sorted(golden.OUTPUTS)
 
 
-@pytest.mark.parametrize("name", OUTPUTS)
+@pytest.mark.parametrize("name", golden.OUTPUTS)
 def test_output_bytes(workdir, name):
-    assert (workdir / name).read_bytes() == (golden.EXPECTED / name).read_bytes()
+    assert golden.compared(workdir / name) == golden.compared(golden.EXPECTED / name)

@@ -259,3 +259,71 @@ class TestDeadImports:
                   "    from .y import z\n"
                   "    return os.sep, z\n")
         assert _unused_imports(source) == ["2: json", "7: gzip"]
+
+
+def _dead_definitions(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """The module-level functions, classes and assigned names of ``sources``
+    (file name: source) that no other line of any of them names, as a
+    variable, an attribute or an imported name.  A definition's own lines
+    do not count, so a function that only calls itself is dead too."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used = node.id
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            elif isinstance(node, ast.alias):
+                used = node.name
+            else:
+                continue
+            uses.setdefault(used, []).append((file, node.lineno))
+    dead = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            for name in names:
+                if name in exempt or name.endswith("_cmd"):
+                    continue
+                if not any(f != file or line not in own for f, line in uses.get(name, ())):
+                    dead.append(f"{file}:{node.lineno}: {name}")
+    return dead
+
+
+class TestDeadDefinitions:
+    """Code that lost its last caller tends to stay behind."""
+
+    def test_every_module_level_definition_is_named_elsewhere_in_the_package(self):
+        """Exempt: the subcommands (``cli.SUBCOMMANDS`` finds each
+        ``<name>_cmd`` by name), the package's ``__getattr__``/``__dir__``,
+        and its public names, some of which only tests and benchmarks call."""
+        sources = {path.name: path.read_text(encoding="utf-8")
+                   for path in sorted(PACKAGE.glob("*.py"))}
+        exempt = {"__getattr__", "__dir__", *rtt_ape._MODULE_OF}
+        assert _dead_definitions(sources, exempt) == []
+
+    def test_the_scan_finds_each_kind_of_dead_definition(self):
+        sources = {
+            "a.py": ("import b\n"
+                     "LIMIT = 3\n"
+                     "UNUSED: int = 4\n"
+                     "def helper():\n"
+                     "    return b.used()\n"
+                     "def recursive(n):\n"
+                     "    return recursive(n - 1)\n"
+                     "class Gone:\n"
+                     "    pass\n"
+                     "def run_cmd():\n"
+                     "    return helper() + LIMIT\n"),
+            "b.py": "def used():\n    return 1\n",
+        }
+        assert _dead_definitions(sources, set()) == [
+            "a.py:3: UNUSED", "a.py:6: recursive", "a.py:8: Gone"]

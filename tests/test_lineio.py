@@ -1,4 +1,5 @@
-"""Line I/O: atomic writes and byte-stable gzip output."""
+"""Line I/O: atomic writes, byte-stable gzip output, and input that is not
+UTF-8."""
 
 import errno
 import gzip
@@ -14,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtt_ape import lineio
-from rtt_ape.lineio import atomic_open, read_lines, write_lines
+from rtt_ape.errors import DataError
+from rtt_ape.lineio import atomic_open, iter_lines, read_lines, write_lines
 
 
 def test_gz_output_does_not_depend_on_clock_or_name(tmp_path, monkeypatch):
@@ -29,6 +31,20 @@ def test_gz_output_does_not_depend_on_clock_or_name(tmp_path, monkeypatch):
     assert data[3] == 0 and data[4:8] == bytes(4) and data[8] == 2
     assert gzip.decompress(data).decode("utf-8") == "".join(line + "\n" for line in lines)
     assert read_lines(tmp_path / "a.txt.gz") == lines
+
+
+@pytest.mark.parametrize("name", ["in.txt", "in.txt.gz"])
+@pytest.mark.parametrize("read", [read_lines, lambda path: list(iter_lines(path))])
+def test_a_line_that_is_not_utf8_names_the_file_and_line(tmp_path, name, read):
+    """The bad byte sits past the first 8 KiB, so a decode chunk's position
+    would not be the file's."""
+    data = b"".join(b"line %d of plain text\n" % i for i in range(2000)) + b"bad \xff\nok\n"
+    assert data.index(b"\xff") > 8192
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    with pytest.raises(DataError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}:2001: not valid UTF-8"
 
 
 @pytest.mark.parametrize("name", ["out.txt", "out.txt.gz"])
