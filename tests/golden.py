@@ -5,7 +5,8 @@ fixed input set, kept under ``tests/data/golden/``.
 ``tests/data/mini_ende_*.sgm``, plus one line containing U+2028 in each
 line file and in one SGM file.  ``expected/`` holds what the commands in
 ``CASES`` wrote, run in order in one directory (later commands read
-earlier outputs), and the ``--help`` text of the ``HELP`` subcommands.
+earlier outputs), what some of them printed to stderr, and the ``--help``
+text of the ``HELP`` subcommands.
 ``tests/test_golden.py`` runs them again and compares bytes: of each
 file, of each file under an output directory (a backend cache, whose file
 names hold the backend's fingerprint), and of each manifest with its
@@ -21,6 +22,8 @@ or a defect; the change that makes it says which file changed and why.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -52,7 +55,8 @@ HELP_WIDTH = 78
 # The values a manifest may change between runs of the same command.
 _TIMESTAMPS = re.compile(rb'("(?:started|finished)": )"[^"]*"')
 
-# (argv, files it writes that are compared), run in this order.
+# (argv, files it writes that are compared), run in this order.  An output
+# named ``<x>.stderr`` is what the command printed to stderr.
 CASES: list[tuple[list[str], list[str]]] = [
     (["split", "--sgm", "mini_ende_src.sgm", "--src", "en", "--tgt", "de", "--name", "mini",
       "--out", "split_sgm.json"], ["split_sgm.json"]),
@@ -85,6 +89,38 @@ CASES: list[tuple[list[str], list[str]]] = [
     (["rtt-gen", "--in", "mono.txt", "--to-pivot", "channel.json", "--from-pivot", "cat.json",
       "--intermediate", "rtt.pivot.txt", "--cache-dir", "rtt_cache", "--out", "rtt.tsv"],
      ["rtt.tsv", "rtt.pivot.txt", "rtt_cache", "rtt.tsv.manifest.json"]),
+    (["bleu", "--hyp", "ape_all.txt", "--ref", "hyp.txt", "--lang", "en-de", "--set", "mini",
+      "--out", "bleu.json"], ["bleu.json", "bleu.stderr", "bleu.json.manifest.json"]),
+    (["report-split", "--ref-text", "hyp.txt", "--origins", "origins.txt", "--src", "en",
+      "--tgt", "de", "--name", "mini", "--hyp", "ape_all=ape_all.txt", "--hyp",
+      "ape_to=ape_to.txt", "--hyp", "merge_all=merge_all.txt", "--table",
+      "--out", "report_split.json"],
+     ["report_split.json", "report_split.stderr", "report_split.json.manifest.json"]),
+    (["make-pairs", "--in", "rtt.tsv", "--max-tokens", "12", "--max-ratio", "1.5",
+      "--out-src", "pairs.src", "--out-tgt", "pairs.tgt"],
+     ["pairs.src", "pairs.tgt", "pairs.src.manifest.json"]),
+    (["make-pairs", "--in", "rtt.tsv", "--direction", "reverse", "--out", "pairs.tsv"],
+     ["pairs.tsv"]),
+    (["report-rtt", "--original", "pairs.tgt", "--roundtrip", "pairs.src", "--lang", "de-en",
+      "--out", "report_rtt.json"], ["report_rtt.json"]),
+    (["vocab", "--in", "mono.txt", "--tokenizer", "intl", "--out", "vocab.json"],
+     ["vocab.json"]),
+    (["dedup", "--in", "dup.txt", "--report", "dedup.report.json", "--out", "dedup.txt.gz"],
+     ["dedup.txt.gz", "dedup.report.json", "dedup.txt.gz.manifest.json"]),
+    (["sample", "--in", "mono.txt", "--n", "7", "--seed", "3", "--out", "sample.txt"],
+     ["sample.txt"]),
+    (["parse-sgm", "--sgm", "ref_u2028.sgm", "--side", "ref", "--format", "text",
+      "--labels-out", "ref_u2028.labels.txt", "--out", "ref_u2028.txt"],
+     ["ref_u2028.txt", "ref_u2028.labels.txt"]),
+    (["parse-sgm", "--sgm", "mini_ende_src.sgm", "--format", "tsv", "--out", "src.tsv"],
+     ["src.tsv"]),
+    (["parse-sgm", "--sgm", "ref_u2028.sgm", "--side", "ref", "--format", "json",
+      "--labels-out", "ref_u2028.json.labels.txt", "--out", "ref_u2028.json"],
+     ["ref_u2028.json", "ref_u2028.json.labels.txt"]),
+    (["humaneval-make", "--items", "items.tsv", "--raters", "2", "--seed", "4",
+      "--out", "tasks.tsv"], ["tasks.tsv"]),
+    (["humaneval-agg", "--tasks", "rated.tsv", "--out", "ratings.json"],
+     ["ratings.json", "ratings.stderr"]),
 ]
 
 
@@ -105,7 +141,12 @@ def run_cases(workdir: Path) -> dict[str, int]:
     os.chdir(workdir)
     try:
         for argv, outputs in CASES:
-            codes[f"{argv[0]} -> {outputs[0]}"] = main(list(argv))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes[f"{argv[0]} -> {outputs[0]}"] = main(list(argv))
+            for name in outputs:
+                if name.endswith(".stderr"):
+                    Path(name).write_text(err.getvalue(), encoding="utf-8")
     finally:
         os.chdir(cwd)
         if cache_env is not None:
@@ -135,7 +176,19 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _rated(tasks: str) -> list[str]:
+    """The rows of a task file with every rating cell filled in, fluency
+    cycling through 1..5 and every third accuracy rating a 1."""
+    rows = tasks.split("\n")[:-1]
+    for i in range(2, len(rows)):
+        cells = rows[i].split("\t")
+        cells[5], cells[7] = str(1 + i % 5), str(int(i % 3 == 0))
+        rows[i] = "\t".join(cells)
+    return rows
+
+
 def write_inputs() -> None:
+    from rtt_ape.analysis import humaneval_make_tasks
     from rtt_ape.testset import parse_sgm
 
     with open(DATA / SGM[0], "rb") as fh:
@@ -147,7 +200,8 @@ def write_inputs() -> None:
     INPUTS.mkdir(parents=True, exist_ok=True)
     _write_lines(INPUTS / "text.txt", [*src, LS_EN])
     _write_lines(INPUTS / "origins.txt", [*(segment.orig_lang for segment in source), "de"])
-    _write_lines(INPUTS / "hyp.txt", [*ref, LS_DE])
+    hyp = [*ref, LS_DE]
+    _write_lines(INPUTS / "hyp.txt", hyp)
     _write_lines(INPUTS / "mono.txt", [*src, *ref, LS_DE, "", "x" * 80])
     _write_lines(INPUTS / "src.txt", [*src, LS_EN, ""])
     _write_lines(INPUTS / "tgt.txt", [*ref, LS_DE, "Nur"])
@@ -165,6 +219,10 @@ def write_inputs() -> None:
         "cat.json": {"kind": "command", "from_lang": "en", "to_lang": "de", "command": "cat",
                      "batch_size": 16, "retries": 0},
     }
+    _write_lines(INPUTS / "dup.txt", [*src[:6], *ref[:3], *src[2:8], LS_EN, "", LS_EN, ""])
+    items = [(s, h, ("base", "ape")[i % 2]) for i, (s, h) in enumerate(zip([*src, LS_EN], hyp))]
+    _write_lines(INPUTS / "items.tsv", ["\t".join(item) for item in items])
+    _write_lines(INPUTS / "rated.tsv", _rated(humaneval_make_tasks(items[:8], 3, seed=2)))
     for name, spec in specs.items():
         (INPUTS / name).write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
     ref_sgm = (DATA / SGM[1]).read_text(encoding="utf-8")
