@@ -274,22 +274,12 @@ def humaneval_make_tasks(
 
     Items are (source, output, system_label) triples.
     """
-    rows = []
-    for item_index, (source, output, system_label) in enumerate(items):
-        for rater_slot in range(1, raters_per_item + 1):
-            rows.append(
-                (
-                    f"item-{item_index + 1:05d}",
-                    str(rater_slot),
-                    _sanitize(source),
-                    _sanitize(output),
-                    FLUENCY_QUESTION,
-                    "",
-                    ACCURACY_QUESTION,
-                    "",
-                    _sanitize(system_label),
-                )
-            )
+    rows = [
+        (f"item-{index:05d}", str(slot), _sanitize(source), _sanitize(output),
+         FLUENCY_QUESTION, "", ACCURACY_QUESTION, "", _sanitize(system_label))
+        for index, (source, output, system_label) in enumerate(items, 1)
+        for slot in range(1, raters_per_item + 1)
+    ]
     random.Random(seed).shuffle(rows)
     lines = [f"# {HUMANEVAL_SCHEMA}", "\t".join(_HUMANEVAL_COLUMNS)]
     lines.extend("\t".join(row) for row in rows)
@@ -306,8 +296,10 @@ def _ratings(item_id: str, column: str, cells: list[str]) -> list[int]:
     return ratings
 
 
-def humaneval_aggregate(task_text: str, *, allow_partial: bool = False) -> dict[str, dict[str, float]]:
-    """Aggregate a completed task file per system.
+def humaneval_aggregate(
+    rows: Iterable[str], *, allow_partial: bool = False
+) -> dict[str, dict[str, float]]:
+    """Aggregate the rows of a completed task file per system.
 
     Fluency is the mean over items of the per-item mean rating (1..5);
     accuracy is the percentage of ratings answering that the output does
@@ -315,12 +307,13 @@ def humaneval_aggregate(task_text: str, *, allow_partial: bool = False) -> dict[
     Items with any empty rating cell are an error unless ``allow_partial``,
     which skips them.
 
-    Rows end at "\n", or at "\r\n" as spreadsheet exports write them; not
-    at the other breaks ``str.splitlines`` knows (U+0085, U+2028, "\f" and
-    the like), which ``humaneval_make_tasks`` leaves inside cells of crawled
-    text.
+    ``rows`` are the file's lines without their "\n" (``lineio.read_lines``),
+    so U+0085, U+2028, "\f" and the other breaks ``str.splitlines`` knows,
+    which ``humaneval_make_tasks`` leaves inside cells of crawled text, stay
+    inside their row.  A row's trailing "\r", from a spreadsheet export's
+    "\r\n", is dropped.
     """
-    rows = (line.removesuffix("\r") for line in task_text.split("\n"))
+    rows = (row.removesuffix("\r") for row in rows)
     lines = [line for line in rows if line and not line.startswith("#")]
     if not lines:
         raise DataError("empty task file")

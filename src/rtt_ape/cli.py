@@ -41,13 +41,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 import click
 
 from . import __version__
-from .errors import BackendError, DataError
-from .lineio import atomic_open, file_fingerprint, iter_lines, read_lines
+from .errors import BackendError, DataError, SgmParseError
+from .lineio import atomic_open, file_fingerprint, iter_lines, read_json, read_lines
 
 if TYPE_CHECKING:
     from .corpus import FilterConfig, FilterReport, SentencePair
     from .pipeline import ChangeReport
-    from .testset import TestSet
+    from .testset import Segment, TestSet
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -161,35 +161,37 @@ def _filter_config(params: dict) -> FilterConfig:
     return FilterConfig(**{fields[name]: value for name, value in params.items() if name in fields})
 
 
+def _read_sgm(path: str, side: str) -> list[Segment]:
+    """The segments of the SGM file at ``path``; a parse error names the file."""
+    from .testset import parse_sgm
+
+    try:
+        return parse_sgm(Path(path).read_bytes(), side=side)
+    except SgmParseError as exc:
+        raise SgmParseError(f"{path}: {exc}") from exc
+
+
 def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
     """Build a TestSet from either SGM files or plain text + origin labels."""
-    from .testset import TestSet, parse_sgm, segments_from_lines
+    from .testset import TestSet, segments_from_lines
 
-    if params.get("sgm") or params.get("src_sgm"):
-        src_path = params.get("sgm") or params.get("src_sgm")
-        with open(src_path, "rb") as fh:
-            source = parse_sgm(fh, side="src")
+    if sgm := params.get("sgm") or params.get("src_sgm"):
+        source = reference = _read_sgm(sgm, "src")
         if with_refs:
             _require(params, "ref_sgm")
-            with open(params["ref_sgm"], "rb") as fh:
-                reference = parse_sgm(fh, side="ref")
-        else:
-            reference = source
-    elif params.get("text") or params.get("ref_text"):
-        lines_path = params.get("text") or params.get("ref_text")
-        lines = read_lines(lines_path)
+            reference = _read_sgm(params["ref_sgm"], "ref")
+    elif text := params.get("text") or params.get("ref_text"):
         origins = read_lines(params["origins"]) if params.get("origins") else None
-        source = segments_from_lines(lines, origins)
-        reference = source
+        source = reference = segments_from_lines(read_lines(text), origins)
     else:
         raise click.UsageError("provide --sgm (or --src-sgm/--ref-sgm) or --text with --origins")
-    return TestSet(
-        name=params.get("name") or "unknown",
-        src_lang=params["src"],
-        tgt_lang=params["tgt"],
-        source=source,
-        reference=reference,
-    )
+    return TestSet(params.get("name") or "unknown", params["src"], params["tgt"], source, reference)
+
+
+def _config_sections(config: object) -> dict[str, dict]:
+    if not isinstance(config, dict) or not all(isinstance(v, dict) for v in config.values()):
+        raise ValueError("expected an object of objects keyed by subcommand")
+    return config
 
 
 class _LazyGroup(click.Group):
@@ -217,12 +219,7 @@ def cli(ctx: click.Context, config_path: str | None) -> None:
     origin-split BLEU evaluation."""
     if config_path is None:
         return
-    try:
-        config = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        if not isinstance(config, dict) or not all(isinstance(v, dict) for v in config.values()):
-            raise ValueError("expected an object of objects keyed by subcommand")
-    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError too
-        raise DataError(f"bad config file {config_path!r}: {exc}") from exc
+    config = read_json(config_path, "config file", _config_sections)
     # A misspelled section or key would otherwise be ignored without a word.
     # Sections are checked against the map, without importing any module;
     # keys only in the invoked subcommand's section, whose command is built.

@@ -12,7 +12,7 @@ import click
 
 from .cli import _command, _dump_json, _emit, _load_testset, _tsv_rows
 from .errors import DataError
-from .lineio import iter_lines, read_lines, smart_open
+from .lineio import iter_lines, read_lines
 
 
 @_command("bleu")
@@ -28,7 +28,8 @@ def bleu_cmd(params: dict) -> None:
     hyp = read_lines(params["hyp"])
     ref = read_lines(params["ref"])
     if len(hyp) != len(ref):
-        raise DataError(f"line count mismatch: {len(hyp)} hypotheses vs {len(ref)} references")
+        raise DataError(f"line count mismatch: {len(hyp)} in {params['hyp']} "
+                        f"vs {len(ref)} in {params['ref']}")
     score = corpus_bleu(zip(hyp, ref), BleuConfig(params["lang"], params["set_name"]))
     payload = score.as_dict()
     payload["unicode_version"] = UNICODE_VERSION
@@ -161,7 +162,7 @@ def humaneval_agg_cmd(params: dict) -> None:
     """Aggregate completed ratings per system: mean fluency and accuracy %."""
     from .analysis import format_ratings, humaneval_aggregate
 
-    with smart_open(params["tasks"]) as fh:
-        results = humaneval_aggregate(fh.read(), allow_partial=params["allow_partial"])
+    results = humaneval_aggregate(read_lines(params["tasks"]),
+                                  allow_partial=params["allow_partial"])
     _emit(params["out"], _dump_json(results))
     click.echo(format_ratings(results), err=True)

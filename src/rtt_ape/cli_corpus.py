@@ -48,7 +48,8 @@ def _parallel_pairs(src_path: str, tgt_path: str) -> Iterator[SentencePair]:
         if source is None or target is None:
             longer = n + 1 + sum(1 for _ in rows)
             counts = (n, longer) if source is None else (longer, n)
-            raise DataError(f"line count mismatch: {counts[0]} vs {counts[1]}")
+            raise DataError(
+                f"line count mismatch: {counts[0]} in {src_path} vs {counts[1]} in {tgt_path}")
         yield SentencePair(source, target)
 
 

@@ -5,7 +5,6 @@ Loaded by ``cli`` the first time one of its subcommands is looked up."""
 from __future__ import annotations
 
 import contextlib
-import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -17,7 +16,7 @@ from .cli import (
 )
 from .errors import DataError
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
-from .lineio import atomic_open, iter_lines, read_lines
+from .lineio import atomic_open, iter_lines, read_json, read_lines
 
 if TYPE_CHECKING:
     from .backends import BackendSpec
@@ -35,15 +34,9 @@ def _load_backend(value: str) -> BackendSpec:
 
     if value == "identity":
         return BackendSpec.identity()
-    path = Path(value)
-    if not path.exists():
-        raise click.UsageError(
-            f"backend {value!r} is neither 'identity' nor an existing spec file"
-        )
-    try:
-        return spec_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError too
-        raise DataError(f"bad backend spec {value!r}: {exc}") from exc
+    if not Path(value).exists():
+        raise click.UsageError(f"backend {value!r} is neither 'identity' nor an existing spec file")
+    return read_json(value, "backend spec", spec_from_dict)
 
 
 @_command("rtt-gen")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import click
 
-from .cli import _command, _dump_json, _emit, _emit_lines, _load_testset
+from .cli import _command, _dump_json, _emit, _emit_lines, _load_testset, _read_sgm
 from .halves import SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .lineio import read_lines, write_lines
 
@@ -22,10 +22,9 @@ from .lineio import read_lines, write_lines
 @click.option("--out", type=click.Path())
 def parse_sgm_cmd(params: dict) -> None:
     """Parse a WMT-style SGM file into segments."""
-    from .testset import parse_sgm, serialize_sgm
+    from .testset import serialize_sgm
 
-    with open(params["sgm"], "rb") as fh:
-        segments = parse_sgm(fh, side=params["side"])
+    segments = _read_sgm(params["sgm"], params["side"])
     fmt = params["out_format"]
     if fmt == "text":
         text = "\n".join(seg.text for seg in segments) + "\n"

@@ -88,22 +88,20 @@ def dedup(
     """Yield the first occurrence of each line, preserving order.
 
     Memory is O(distinct lines): a set of 16-byte fingerprints by default
-    (80-100 bytes per line in all), full lines with ``exact=True``.  Duplicate counts land in ``report`` as the
-    stream is consumed.
+    (80-100 bytes per line in all), full lines with ``exact=True``.  Lines
+    read, kept and rejected as "duplicate" are counted into ``report``
+    (see ``FilterReport.filter``) as the stream is consumed.
     """
     seen: set = set()
-    for line in lines:
-        if report is not None:
-            report.read += 1
+
+    def duplicate(line: str) -> str | None:
         key = line if exact else _fingerprint(line)
         if key in seen:
-            if report is not None:
-                report.reject("duplicate")
-            continue
+            return "duplicate"
         seen.add(key)
-        if report is not None:
-            report.kept += 1
-        yield line
+        return None
+
+    return (FilterReport() if report is None else report).filter(lines, duplicate)
 
 
 def mono_reject_reason(line: str, cfg: FilterConfig) -> str | None:

@@ -7,11 +7,10 @@ the partition (``split_by_origin``) and re-exports it."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .lineio import read_json
 
 # Where post-editing applies: every line, or the target-original half only.
 # The scopes of ``apply_ape`` (``ape-apply --scope``) and the modes of
@@ -70,8 +69,8 @@ class SplitHalves:
         ``unknown`` and ``n`` may be absent.  A malformed file, an invalid
         or out-of-range index, or a recorded ``n`` other than ``n`` is a
         ``DataError`` that names the file (and the group of a bad index)."""
-        try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
+
+        def build(d: object) -> SplitHalves:
             if not isinstance(d, dict):
                 raise ValueError("expected a JSON object")
             if d.get("n", n) != n:
@@ -79,6 +78,6 @@ class SplitHalves:
             halves = cls(tuple(d["source_original"]), tuple(d["target_original"]),
                          tuple(d.get("unknown", ())))
             halves.check_range(n)
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
-            raise DataError(f"bad split file {str(path)!r}: {exc}") from exc
-        return halves
+            return halves
+
+        return read_json(path, "split file", build)

@@ -1,15 +1,22 @@
-"""Line-oriented text I/O: UTF-8, newline-terminated, optionally gzipped."""
+"""Line-oriented text I/O: UTF-8, newline-terminated, optionally gzipped.
+
+The one module that opens, decodes and atomically writes the program's
+files: line files, JSON inputs, backend cache files and every output."""
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
 import io
+import json
 import os
+import threading
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import DataError
+
+T = TypeVar("T")
 
 # A .gz output is compressed on a writer thread of its own (see
 # ``_GzipWriter``), fed the blocks ``io.TextIOWrapper`` writes (8 KiB each,
@@ -108,11 +115,13 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     which replaces ``path`` when the block exits normally and is removed
     when it raises, so a failed run never leaves a truncated output.
 
-    Gzip headers carry no file name and a zero mtime, so equal text always
-    compresses to equal bytes.  A .gz file is compressed on a writer thread
-    (see ``_GzipWriter``), which has ended by the time the block exits."""
+    The temp file's name is unique per process and thread, so threads that
+    write the same path at once (two jobs caching one batch) each replace it
+    whole.  Gzip headers carry no file name and a zero mtime, so equal text
+    always compresses to equal bytes.  A .gz file is compressed on a writer
+    thread (see ``_GzipWriter``), which has ended by the time the block exits."""
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
     try:
         with open(tmp, "wb") as raw, contextlib.ExitStack() as stack:
             binary: IO[bytes] = raw
@@ -138,11 +147,7 @@ def _not_utf8(path: str | Path) -> DataError:
 
 def read_lines(path: str | Path) -> list[str]:
     """All lines of a text file, without terminators (see ``iter_lines``)."""
-    try:
-        with smart_open(path) as fh:
-            return [line.rstrip("\n") for line in fh]
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
+    return list(iter_lines(path))
 
 
 def iter_lines(path: str | Path) -> Iterator[str]:
@@ -154,6 +159,17 @@ def iter_lines(path: str | Path) -> Iterator[str]:
                 yield line.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
+
+
+def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:
+    """``build`` applied to the JSON value in the file at ``path``.  Text
+    that is not UTF-8 or not JSON, or a ``ValueError``, ``KeyError`` or
+    ``TypeError`` from ``build``, is a ``DataError`` "bad <what> '<path>': ..."."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise DataError(f"bad {what} {str(path)!r}: {exc}") from exc
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:

@@ -80,13 +80,19 @@ def _encode_entities(text: str) -> str:
     return text
 
 
-def _parse_attrs(blob: bytes) -> dict[str, str]:
-    attrs = {}
-    for m in _ATTR_RE.finditer(blob):
-        name = m.group(1).decode("ascii", "replace").lower()
-        value = next(g for g in m.groups()[1:] if g is not None)
-        attrs[name] = value.decode("utf-8", "replace")
-    return attrs
+def _decode(data: bytes, start: int, end: int) -> str:
+    """``data[start:end]`` as UTF-8; an ``SgmParseError`` names the first byte that is not."""
+    try:
+        return data[start:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SgmParseError(f"not valid UTF-8 at byte {start + exc.start}") from None
+
+
+def _parse_attrs(data: bytes, start: int, end: int) -> dict[str, str]:
+    """The attributes in ``data[start:end]``.  ``_ATTR_RE`` matches ASCII
+    names only, and a value is the last group it matched (quoted or not)."""
+    return {m.group(1).decode("ascii").lower(): _decode(data, *m.span(m.lastindex))
+            for m in _ATTR_RE.finditer(data, start, end)}
 
 
 def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
@@ -96,7 +102,8 @@ def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
     attribute, normalized to lowercase, with "unknown" when absent.  The
     five standard character entities are decoded and surrounding whitespace
     is trimmed.  Input with no ``<seg>`` elements, mismatched ``<doc>``
-    nesting, or duplicate (doc_id, seg_id) keys raises SgmParseError.
+    nesting, duplicate (doc_id, seg_id) keys, or a segment or attribute
+    that is not UTF-8 raises SgmParseError, naming the byte where it can.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
@@ -124,7 +131,7 @@ def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
                     raise SgmParseError(
                         f"<doc> at byte {m.start()} nested inside <doc> opened at byte {doc_open_at}"
                     )
-                doc_attrs = _parse_attrs(m.group(3))
+                doc_attrs = _parse_attrs(data, *m.span(3))
                 doc_open_at = m.start()
             pos = m.end()
             continue
@@ -134,7 +141,7 @@ def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
         close = _SEG_CLOSE_RE.search(data, m.end())
         if close is None:
             raise SgmParseError(f"<seg> at byte {m.start()} is never closed")
-        attrs = _parse_attrs(m.group(3))
+        attrs = _parse_attrs(data, *m.span(3))
         seg_id = attrs.get("id", "").strip()
         if not seg_id:
             raise SgmParseError(f"<seg> without id attribute at byte {m.start()}")
@@ -143,7 +150,7 @@ def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
         else:
             doc_id = doc_attrs.get("docid", "")
             orig_lang = doc_attrs.get("origlang", "").strip().lower() or "unknown"
-        text = _decode_entities(data[m.end() : close.start()].decode("utf-8", "replace")).strip()
+        text = _decode_entities(_decode(data, m.end(), close.start())).strip()
         segments.append(Segment(seg_id=seg_id, doc_id=doc_id, orig_lang=orig_lang, text=text))
         pos = close.end()
 

@@ -315,22 +315,27 @@ def _completed_tasks(fluency_by_item, accuracy_by_item, labels):
     return "\n".join(out) + "\n"
 
 
+def _rows(text):
+    """A task file's rows, as ``lineio.read_lines`` reads them."""
+    return text.split("\n")
+
+
 class TestHumanevalAggregate:
     def test_fluency_mean_of_item_means(self):
         text = _completed_tasks([[5, 4, 5]], [[0, 0, 0]], ["sys"])
-        result = humaneval_aggregate(text)
+        result = humaneval_aggregate(_rows(text))
         assert result["sys"]["fluency"] == pytest.approx(14 / 3)
         assert f"{result['sys']['fluency']:.2f}" == "4.67"
 
     def test_accuracy_percentage(self):
         text = _completed_tasks([[5, 5, 5]], [[0, 0, 1]], ["sys"])
-        result = humaneval_aggregate(text)
+        result = humaneval_aggregate(_rows(text))
         assert result["sys"]["accuracy"] == pytest.approx(100 * 2 / 3)
         assert f"{result['sys']['accuracy']:.1f}" == "66.7"
 
     def test_multiple_systems_separated(self):
         text = _completed_tasks([[5, 5, 5], [1, 1, 1]], [[0, 0, 0], [1, 1, 1]], ["a", "b"])
-        result = humaneval_aggregate(text)
+        result = humaneval_aggregate(_rows(text))
         assert result["a"] == {"fluency": 5.0, "accuracy": 100.0}
         assert result["b"] == {"fluency": 1.0, "accuracy": 0.0}
 
@@ -338,24 +343,25 @@ class TestHumanevalAggregate:
         text = _completed_tasks([[5, 5, 5], [4, 4, 4]], [[0, 0, 0], [0, 0, 0]], ["a", "a"])
         text = text.replace("\t4\t", "\t\t", 1)
         with pytest.raises(DataError, match="item-00002"):
-            humaneval_aggregate(text)
-        partial = humaneval_aggregate(text, allow_partial=True)
+            humaneval_aggregate(_rows(text))
+        partial = humaneval_aggregate(_rows(text), allow_partial=True)
         assert partial["a"]["fluency"] == 5.0
 
     def test_row_permutation_invariant(self):
         text = _completed_tasks([[5, 4, 3], [2, 3, 4]], [[0, 1, 0], [0, 0, 0]], ["a", "b"])
         lines = text.splitlines()
         shuffled = lines[:2] + list(reversed(lines[2:]))
-        assert humaneval_aggregate("\n".join(shuffled) + "\n") == humaneval_aggregate(text)
+        assert humaneval_aggregate(shuffled) == humaneval_aggregate(_rows(text))
 
     def test_bad_rating_values(self):
         text = _completed_tasks([[9, 5, 5]], [[0, 0, 0]], ["a"])
         with pytest.raises(DataError, match="1..5"):
-            humaneval_aggregate(text)
+            humaneval_aggregate(_rows(text))
 
     def test_crlf_line_ends_read_like_lf(self):
         text = _completed_tasks([[5, 4, 3], [2, 3, 4]], [[0, 1, 0], [0, 0, 0]], ["a", "b"])
-        assert humaneval_aggregate(text.replace("\n", "\r\n")) == humaneval_aggregate(text)
+        crlf = _rows(text.replace("\n", "\r\n"))
+        assert humaneval_aggregate(crlf) == humaneval_aggregate(_rows(text))
 
     @pytest.mark.parametrize(
         ("fluency", "accuracy", "message"),
@@ -368,7 +374,7 @@ class TestHumanevalAggregate:
     def test_non_integer_rating_names_item_and_column(self, fluency, accuracy, message):
         text = _completed_tasks(fluency, accuracy, ["a"] * len(fluency))
         with pytest.raises(DataError) as info:
-            humaneval_aggregate(text)
+            humaneval_aggregate(_rows(text))
         assert str(info.value) == message
 
     def test_format_cells(self):

@@ -72,6 +72,8 @@ class TestBleuCommand:
         write(hyp, ["one line"])
         write(ref, ["two", "lines"])
         assert run("bleu", "--hyp", str(hyp), "--ref", str(ref)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: line count mismatch: 1 in {hyp} vs 2 in {ref}\n")
 
     def test_missing_flag_is_usage_error(self, capsys):
         assert run("bleu") == 1
@@ -121,6 +123,21 @@ class TestSgmCommands:
         bad = tmp_path / "bad.sgm"
         bad.write_text("<srcset>nothing here</srcset>")
         assert run("parse-sgm", "--sgm", str(bad)) == 2
+
+    @pytest.mark.parametrize("command", ["parse-sgm", "split", "report-split"])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.sgm"
+        bad.write_text('<refset><doc docid="d"><seg id="1">x</doc></refset>')
+        src = str(DATA / "mini_ende_src.sgm")
+        argv = {
+            "parse-sgm": ["--sgm", str(bad)],
+            "split": ["--sgm", str(bad), "--src", "en", "--tgt", "de"],
+            "report-split": ["--src-sgm", src, "--ref-sgm", str(bad), "--src", "en",
+                             "--tgt", "de", "--hyp", f"a={src}"],
+        }[command]
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: <seg> at byte 23 is never closed\n")
 
     def test_split_and_merge(self, tmp_path):
         split_out = tmp_path / "split.json"
@@ -499,6 +516,39 @@ class TestInputThatIsNotUtf8:
         path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
         assert run("vocab", "--in", str(path)) == 2
         assert capsys.readouterr().err == f"data error: {path}:2001: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("sgm", [
+        pytest.param(b'<srcset>\n<doc docid="d" origlang="de">\n<seg id="1">caf\xe9 ok</seg>\n'
+                     b'</doc>\n</srcset>\n', id="segment"),
+        pytest.param(b'<srcset>\n<doc docid="d\xe9" origlang="de">\n<seg id="1">ok</seg>\n'
+                     b'</doc>\n</srcset>\n', id="docid"),
+    ])
+    def test_sgm_names_the_file_and_the_byte(self, tmp_path, capsys, sgm):
+        path, out = tmp_path / "latin1.sgm", tmp_path / "out.txt"
+        path.write_bytes(sgm)
+        assert run("parse-sgm", "--sgm", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: not valid UTF-8 at byte {sgm.index(0xE9)}\n")
+        assert not out.exists()
+
+    def test_humaneval_task_file_names_the_file_and_the_line(self, tmp_path, capsys):
+        path = tmp_path / "tasks.tsv"
+        path.write_bytes(b"# rtt-ape-humaneval-v1\n\xff\n")
+        assert run("humaneval-agg", "--tasks", str(path)) == 2
+        assert capsys.readouterr().err == f"data error: {path}:2: not valid UTF-8\n"
+
+    def test_cache_file_names_the_file_and_the_line(self, tmp_path, capsys):
+        mono, cache = tmp_path / "mono.txt", tmp_path / "cache"
+        write(mono, ["guten tag", "wie geht es"])
+        spec = _spec_file(tmp_path / "cat.json", {"kind": "command", "command": "cat"})
+        argv = ["rtt-gen", "--in", str(mono), "--to-pivot", str(spec), "--from-pivot",
+                "identity", "--cache-dir", str(cache)]
+        assert run(*argv, "--out", str(tmp_path / "first.tsv")) == 0
+        [cached] = cache.glob("*/*.txt")
+        cached.write_bytes(b"guten tag\nwie geht \xff\n")
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / "second.tsv")) == 2
+        assert capsys.readouterr().err == f"data error: {cached}:2: not valid UTF-8\n"
 
     def test_config_file_is_named(self, tmp_path, corpus_files, capsys):
         hyp, ref = corpus_files
@@ -1082,7 +1132,8 @@ class TestFilterBitextStreaming:
         assert run("filter-bitext", "--src", str(src), "--tgt", str(tgt),
                    "--out-src", str(tmp_path / "o.src"), "--out-tgt", str(tmp_path / "o.tgt"),
                    "--report", str(tmp_path / "report.json")) == 2
-        assert f"line count mismatch: {n_src} vs {n_tgt}" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"data error: line count mismatch: {n_src} in {src} vs {n_tgt} in {tgt}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt", "t.txt"]
 
     def test_memory_does_not_grow_with_the_corpus(self, tmp_path):

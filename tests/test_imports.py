@@ -3,7 +3,8 @@ first use, the CLI imports a subcommand's module on first use, and each
 subcommand loads only the library modules and the stdlib modules it runs.
 
 The boundary checks run in a fresh interpreter, since this process has
-already imported everything."""
+already imported everything.  The source scans at the end find dead
+imports and definitions, and file I/O outside ``lineio``."""
 
 from __future__ import annotations
 
@@ -327,3 +328,81 @@ class TestDeadDefinitions:
         }
         assert _dead_definitions(sources, set()) == [
             "a.py:3: UNUSED", "a.py:6: recursive", "a.py:8: Gone"]
+
+
+# Path methods that read or write a whole file.
+_FILE_METHODS = {"read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def _file_io(source: str) -> list[str]:
+    """Each call in ``source`` that does file I/O of its own, as
+    "<function>: <what>": ``open()``, a whole-file ``Path`` method,
+    ``os.replace`` or ``Path.replace`` (a ``replace`` with one argument;
+    ``str.replace`` takes two), and decoding with ``errors="replace"``."""
+    tree = ast.parse(source)
+    owner = {}  # call -> the innermost function around it (ast.walk goes outside in)
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        errors = [k.value for k in call.keywords if k.arg == "errors"]
+        if name == "decode":
+            errors += call.args[1:2]
+        if name == "open" and isinstance(func, ast.Name):
+            what = "open()"
+        elif name in _FILE_METHODS:
+            what = f".{name}()"
+        elif name == "replace" and (len(call.args) == 1 and not call.keywords or (
+                isinstance(func.value, ast.Name) and func.value.id == "os")):
+            what = "os.replace() or Path.replace()"
+        elif any(isinstance(e, ast.Constant) and e.value == "replace" for e in errors):
+            what = 'errors="replace"'
+        else:
+            continue
+        found.append(f"{owner.get(id(call), '<module>')}: {what}")
+    return found
+
+
+class TestFileIoOwner:
+    """``lineio`` opens, decodes and atomically writes the program's files,
+    so that each format has one reader and one writer, and every decoding
+    error names its file and line."""
+
+    # The pipe ends of report-split's scoring processes; the SGM parser's
+    # input, which it decodes strictly, span by span; and a failed command
+    # backend's stderr, quoted in the error message.
+    ALLOWED = {
+        "analysis.py:_fork_map: open()",
+        "cli.py:_read_sgm: .read_bytes()",
+        'backends.py:_run_command_batch: errors="replace"',
+    }
+
+    def test_only_lineio_does_file_io(self):
+        found = {f"{path.name}:{call}" for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "lineio.py"
+                 for call in _file_io(path.read_text(encoding="utf-8"))}
+        assert found - self.ALLOWED == set()
+        assert self.ALLOWED <= found  # a stale exception is removed from the list
+
+    def test_the_scan_finds_each_kind_of_file_io(self):
+        source = ("import os\n"
+                  "from pathlib import Path\n"
+                  "def f(p, data):\n"
+                  "    with open(p) as fh:\n"
+                  "        fh.read()\n"
+                  "    def inner():\n"
+                  "        return Path(p).read_bytes(), data.decode('utf-8', 'replace')\n"
+                  "    Path(p).write_text('x')\n"
+                  "    Path(p).replace(p + '.old')\n"
+                  "    os.replace(p, p + '.old')\n"
+                  "    str(data, 'utf-8', errors='replace')\n"
+                  "    return p.replace('a', 'b'), data.decode('utf-8'), inner\n")
+        assert sorted(_file_io(source)) == sorted([
+            "f: open()", "inner: .read_bytes()", 'inner: errors="replace"',
+            "f: .write_text()", "f: os.replace() or Path.replace()",
+            "f: os.replace() or Path.replace()", 'f: errors="replace"'])

@@ -47,6 +47,26 @@ def test_a_line_that_is_not_utf8_names_the_file_and_line(tmp_path, name, read):
     assert str(raised.value) == f"{path}:2001: not valid UTF-8"
 
 
+@pytest.mark.parametrize(("data", "message"), [
+    (b'{"a": 1}', "expected a list"),
+    (b'{"a": 1', "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+])
+def test_a_bad_json_input_names_the_file(tmp_path, data, message):
+    def build(value):
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return value
+
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as raised:
+        lineio.read_json(path, "list file", build)
+    assert str(raised.value) == f"bad list file {str(path)!r}: {message}"
+    path.write_bytes(b"[1]\r\n")
+    assert lineio.read_json(path, "list file", build) == [1]
+
+
 @pytest.mark.parametrize("name", ["out.txt", "out.txt.gz"])
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_failed_write_leaves_previous_file_and_no_temp_file(tmp_path, name, error):

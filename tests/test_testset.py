@@ -76,6 +76,16 @@ class TestParseSgm:
         with pytest.raises(SgmParseError, match="duplicate"):
             parse_sgm(raw)
 
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b'<doc docid="d"><seg id="1">caf\xe9 ok</seg></doc>', id="segment"),
+        pytest.param(b'<doc docid="d\xe9"><seg id="1">ok</seg></doc>', id="docid"),
+        pytest.param(b'<doc docid="d"><seg id="\xe9">ok</seg></doc>', id="seg-id"),
+    ])
+    def test_bytes_that_are_not_utf8_are_an_error_naming_the_byte(self, raw):
+        with pytest.raises(SgmParseError) as raised:
+            parse_sgm(raw)
+        assert str(raised.value) == f"not valid UTF-8 at byte {raw.index(0xE9)}"
+
     def test_mini_fixture(self):
         with open(DATA / "mini_ende_src.sgm", "rb") as fh:
             segs = parse_sgm(fh)
