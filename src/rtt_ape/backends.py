@@ -219,7 +219,11 @@ def _run_http_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
     lines = body.get("lines")
     if not isinstance(lines, list):
         raise OSError("http backend response has no 'lines' list")
-    return [str(x) for x in lines]
+    for i, line in enumerate(lines):
+        if not isinstance(line, str) or "\n" in line:
+            raise OSError(f"http backend response item {i} of 'lines' is not a line of text: "
+                          f"{line!r:.80}")
+    return lines
 
 
 def _cache_file(cache_dir: Path, spec: BackendSpec, batch: list[str]) -> Path:

@@ -10,11 +10,15 @@ command it runs (``--version`` none, ``--help`` all).
 
 Conventions shared by all subcommands:
 
-* machine output goes to stdout or ``--out``; diagnostics go to stderr;
+* machine output goes to stdout or ``--out``, the same bytes either way;
+  diagnostics go to stderr;
 * every file a run writes (``--out``, ``--report``, the line files and the
   manifest) goes through a temp file that replaces it only on success (see
   ``lineio.atomic_open``); output on stdout streams, so lines printed before
   a failure stay printed;
+* ``lineio`` frames every line: a line holds no "\\n" and a TSV cell no
+  "\\t" or "\\n", and an output line that would is a data error naming the
+  output and the line (``lineio.open_lines``);
 * a run manifest (resolved config, input fingerprints, seed, version,
   timestamps) is written next to ``--out`` as ``<out>.manifest.json``;
 * config precedence is flags > ``--config`` file > built-in defaults, and
@@ -29,20 +33,19 @@ Conventions shared by all subcommands:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import importlib
 import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import click
 
 from . import __version__
 from .errors import BackendError, DataError, SgmParseError
-from .lineio import atomic_open, file_fingerprint, iter_lines, read_json, read_lines
+from .lineio import atomic_open, file_fingerprint, open_lines, read_json, read_lines
 
 if TYPE_CHECKING:
     from .corpus import FilterConfig, FilterReport, SentencePair
@@ -88,33 +91,13 @@ def _require(params: dict, *names: str) -> None:
             raise click.UsageError(f"missing required option {flag}")
 
 
-@contextlib.contextmanager
-def _output(out: str | None) -> Iterator[Callable[[str], object]]:
-    """A ``write(text)`` for a command that streams its output: into ``out``
-    all or nothing (see ``atomic_open``), or to stdout when ``out`` is None,
-    where text already printed stays printed if the command then fails."""
-    if out is None:
-        yield lambda text: click.echo(text, nl=False)
-    else:
-        with atomic_open(out) as fh:
-            yield fh.write
-
-
 def _emit(out: str | None, text: str) -> None:
-    if text and not text.endswith("\n"):
-        text += "\n"
-    with _output(out) as write:
-        write(text)
-
-
-def _emit_lines(out: str | None, lines: Iterable[str]) -> None:
-    with _output(out) as write:
-        for line in lines:
-            write(line + "\n")
+    with atomic_open(out) as fh:
+        fh.write(text)
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False)
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
 def _report_out(report: FilterReport | ChangeReport, report_path: str | None) -> None:
@@ -123,33 +106,22 @@ def _report_out(report: FilterReport | ChangeReport, report_path: str | None) ->
     if report_path:
         _emit(report_path, text)
     else:
-        click.echo(text, err=True)
+        click.echo(text, err=True, nl=False)
 
 
-def _tsv_rows(path: str, n: int) -> Iterator[list[str]]:
-    """The cells of each line of a TSV file that must have ``n`` fields."""
-    for i, line in enumerate(iter_lines(path), 1):
-        cells = line.split("\t")
-        if len(cells) != n:
-            raise DataError(f"{path}:{i}: expected {n} tab-separated fields")
-        yield cells
-
-
-def _pair_writer(stack: contextlib.ExitStack, params: dict) -> Callable[[SentencePair], None]:
+def _write_pairs(params: dict, pairs: Iterable[SentencePair]) -> None:
     """Write bitext to ``--out-src``/``--out-tgt`` when either is given, else
-    as ``source<TAB>target`` lines to ``--out`` or stdout."""
-    if params["out_src"] or params["out_tgt"]:
-        _require(params, "out_src", "out_tgt")
-        src = stack.enter_context(atomic_open(params["out_src"]))
-        tgt = stack.enter_context(atomic_open(params["out_tgt"]))
-
-        def write(pair: SentencePair) -> None:
-            src.write(pair.source + "\n")
-            tgt.write(pair.target + "\n")
-
-        return write
-    emit = stack.enter_context(_output(params["out"]))
-    return lambda pair: emit(f"{pair.source}\t{pair.target}\n")
+    as source and target rows to ``--out`` or stdout."""
+    if not (params["out_src"] or params["out_tgt"]):
+        with open_lines(params["out"], ("source", "target")) as write:
+            for pair in pairs:
+                write((pair.source, pair.target))
+        return
+    _require(params, "out_src", "out_tgt")
+    with open_lines(params["out_src"]) as src, open_lines(params["out_tgt"]) as tgt:
+        for pair in pairs:
+            src(pair.source)
+            tgt(pair.target)
 
 
 def _filter_config(params: dict) -> FilterConfig:
@@ -161,12 +133,14 @@ def _filter_config(params: dict) -> FilterConfig:
     return FilterConfig(**{fields[name]: value for name, value in params.items() if name in fields})
 
 
-def _read_sgm(path: str, side: str) -> list[Segment]:
-    """The segments of the SGM file at ``path``; a parse error names the file."""
-    from .testset import parse_sgm
+def _read_sgm(path: str, side: str) -> tuple[list[Segment], dict[str, str] | None]:
+    """The segments and the wrapper attributes (see ``testset.wrapper_attrs``)
+    of the SGM file at ``path``; a parse error names the file."""
+    from .testset import parse_sgm, wrapper_attrs
 
+    data = Path(path).read_bytes()
     try:
-        return parse_sgm(Path(path).read_bytes(), side=side)
+        return parse_sgm(data, side=side), wrapper_attrs(data)
     except SgmParseError as exc:
         raise SgmParseError(f"{path}: {exc}") from exc
 
@@ -176,10 +150,10 @@ def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
     from .testset import TestSet, segments_from_lines
 
     if sgm := params.get("sgm") or params.get("src_sgm"):
-        source = reference = _read_sgm(sgm, "src")
+        source = reference = _read_sgm(sgm, "src")[0]
         if with_refs:
             _require(params, "ref_sgm")
-            reference = _read_sgm(params["ref_sgm"], "ref")
+            reference = _read_sgm(params["ref_sgm"], "ref")[0]
     elif text := params.get("text") or params.get("ref_text"):
         origins = read_lines(params["origins"]) if params.get("origins") else None
         source = reference = segments_from_lines(read_lines(text), origins)
@@ -273,7 +247,7 @@ def _command(name: str) -> Callable[[Callable[[dict], Iterable[str] | None]], cl
                 "started": started,
                 "finished": _now(),
             }
-            _emit(out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+            _emit(out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
         return click.command(name)(run)
 
@@ -295,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         click.echo(f"backend error: {exc}", err=True)
         return EXIT_BACKEND
-    except (DataError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
     return 0

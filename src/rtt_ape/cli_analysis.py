@@ -10,9 +10,9 @@ import threading
 
 import click
 
-from .cli import _command, _dump_json, _emit, _load_testset, _tsv_rows
+from .cli import _command, _dump_json, _emit, _load_testset
 from .errors import DataError
-from .lineio import iter_lines, read_lines
+from .lineio import iter_aligned, iter_lines, iter_rows, read_aligned, read_lines
 
 
 @_command("bleu")
@@ -25,15 +25,9 @@ def bleu_cmd(params: dict) -> None:
     """Corpus BLEU of line-aligned hypothesis and reference files."""
     from .scoring import UNICODE_VERSION, BleuConfig, corpus_bleu
 
-    hyp = read_lines(params["hyp"])
-    ref = read_lines(params["ref"])
-    if len(hyp) != len(ref):
-        raise DataError(f"line count mismatch: {len(hyp)} in {params['hyp']} "
-                        f"vs {len(ref)} in {params['ref']}")
-    score = corpus_bleu(zip(hyp, ref), BleuConfig(params["lang"], params["set_name"]))
-    payload = score.as_dict()
-    payload["unicode_version"] = UNICODE_VERSION
-    _emit(params["out"], _dump_json(payload))
+    score = corpus_bleu(iter_aligned(params["hyp"], params["ref"]),
+                        BleuConfig(params["lang"], params["set_name"]))
+    _emit(params["out"], _dump_json({**score.as_dict(), "unicode_version": UNICODE_VERSION}))
     click.echo(score.format(), err=True)
 
 
@@ -49,11 +43,9 @@ def report_rtt_cmd(params: dict) -> None:
     from .analysis import rtt_quality_report
     from .scoring import BleuConfig
 
-    originals = read_lines(params["original"])
-    round_trips = read_lines(params["roundtrip"])
-    report = rtt_quality_report(
-        originals, round_trips, BleuConfig(params["lang"], params["set_name"])
-    )
+    originals, round_trips = read_aligned(params["original"], params["roundtrip"])
+    report = rtt_quality_report(originals, round_trips,
+                                BleuConfig(params["lang"], params["set_name"]))
     _emit(params["out"], _dump_json(report.as_dict()))
 
 
@@ -112,13 +104,16 @@ def report_split_cmd(params: dict) -> list[str]:
     from .analysis import render_split_table, split_score_table
 
     ts = _load_testset(params, with_refs=bool(params.get("src_sgm")))
+    refs = params["ref_sgm"] if params["src_sgm"] else params["ref_text"]
     hyps = {}
     for spec in params["hyp_specs"]:
         label, _, path = spec.partition("=")
-        hyps[label] = read_lines(path)
+        hyps[label] = hyp = read_lines(path)
+        if len(hyp) != len(ts):
+            raise DataError(
+                f"line count mismatch: {len(hyp)} in {path} vs {len(ts)} segments in {refs}")
     table = split_score_table(ts, hyps, workers=_scoring_workers(len(hyps) * len(ts)))
-    payload = {label: report.as_dict() for label, report in table.items()}
-    _emit(params["out"], _dump_json(payload))
+    _emit(params["out"], _dump_json({label: report.as_dict() for label, report in table.items()}))
     if params["table"]:
         click.echo(render_split_table(table, ts), err=True)
     return [spec.partition("=")[2] for spec in params["hyp_specs"]]
@@ -147,9 +142,8 @@ def humaneval_make_cmd(params: dict) -> None:
     """Build blind rating tasks: one row per (item, rater slot)."""
     from .analysis import humaneval_make_tasks
 
-    items = [tuple(cells) for cells in _tsv_rows(params["items"], 3)]
-    text = humaneval_make_tasks(items, raters_per_item=params["raters"], seed=params["seed"])
-    _emit(params["out"], text)
+    items = [tuple(cells) for cells in iter_rows(params["items"], 3)]
+    _emit(params["out"], humaneval_make_tasks(items, params["raters"], params["seed"]))
 
 
 @_command("humaneval-agg")

@@ -4,20 +4,10 @@ Loaded by ``cli`` the first time one of its subcommands is looked up."""
 
 from __future__ import annotations
 
-import contextlib
-import itertools
-from typing import TYPE_CHECKING, Iterator
-
 import click
 
-from .cli import (
-    _command, _emit_lines, _filter_config, _pair_writer, _report_out, _require, _tsv_rows,
-)
-from .errors import DataError
-from .lineio import iter_lines
-
-if TYPE_CHECKING:
-    from .corpus import SentencePair
+from .cli import _command, _filter_config, _report_out, _require, _write_pairs
+from .lineio import iter_aligned, iter_lines, iter_rows, write_lines
 
 
 @_command("filter-mono")
@@ -34,23 +24,8 @@ def filter_mono_cmd(params: dict) -> None:
     cfg = _filter_config(params)
     report = FilterReport()
     kept = report.filter(iter_lines(params["in_path"]), lambda line: mono_reject_reason(line, cfg))
-    _emit_lines(params["out"], kept)
+    write_lines(params["out"], kept)
     _report_out(report, params["report_path"])
-
-
-def _parallel_pairs(src_path: str, tgt_path: str) -> Iterator[SentencePair]:
-    """Stream line-aligned source and target files as pairs; a data error if
-    their line counts differ, raised once the shorter file ends."""
-    from .corpus import SentencePair
-
-    rows = itertools.zip_longest(iter_lines(src_path), iter_lines(tgt_path))
-    for n, (source, target) in enumerate(rows):
-        if source is None or target is None:
-            longer = n + 1 + sum(1 for _ in rows)
-            counts = (n, longer) if source is None else (longer, n)
-            raise DataError(
-                f"line count mismatch: {counts[0]} in {src_path} vs {counts[1]} in {tgt_path}")
-        yield SentencePair(source, target)
 
 
 @_command("filter-bitext")
@@ -70,16 +45,14 @@ def filter_bitext_cmd(params: dict) -> None:
     from .corpus import FilterReport, SentencePair, bitext_reject_reason
 
     if params["tsv_path"]:
-        pairs = (SentencePair(*cells) for cells in _tsv_rows(params["tsv_path"], 2))
+        rows = iter_rows(params["tsv_path"], 2)
     else:
         _require(params, "src_path", "tgt_path", "out_src", "out_tgt")
-        pairs = _parallel_pairs(params["src_path"], params["tgt_path"])
+        rows = iter_aligned(params["src_path"], params["tgt_path"])
+    pairs = (SentencePair(*row) for row in rows)
     cfg = _filter_config(params)
     report = FilterReport()
-    with contextlib.ExitStack() as stack:
-        write = _pair_writer(stack, params)
-        for pair in report.filter(pairs, lambda pair: bitext_reject_reason(pair, cfg)):
-            write(pair)
+    _write_pairs(params, report.filter(pairs, lambda pair: bitext_reject_reason(pair, cfg)))
     _report_out(report, params["report_path"])
 
 
@@ -95,7 +68,7 @@ def dedup_cmd(params: dict) -> None:
 
     report = FilterReport()
     unique = dedup(iter_lines(params["in_path"]), exact=params["exact"], report=report)
-    _emit_lines(params["out"], unique)
+    write_lines(params["out"], unique)
     _report_out(report, params["report_path"])
 
 
@@ -109,4 +82,4 @@ def sample_cmd(params: dict) -> None:
     from .corpus import sample_lines
 
     subset = sample_lines(iter_lines(params["in_path"]), params["n"], params["seed"])
-    _emit_lines(params["out"], subset)
+    write_lines(params["out"], subset)

@@ -4,19 +4,15 @@ Loaded by ``cli`` the first time one of its subcommands is looked up."""
 
 from __future__ import annotations
 
-import contextlib
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
 
-from .cli import (
-    _command, _emit_lines, _filter_config, _output, _pair_writer, _report_out, _require,
-    _tsv_rows,
-)
-from .errors import DataError
+from .cli import _command, _filter_config, _report_out, _require, _write_pairs
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
-from .lineio import atomic_open, iter_lines, read_json, read_lines
+from .lineio import iter_lines, iter_rows, open_lines, read_json, read_lines, write_lines
 
 if TYPE_CHECKING:
     from .backends import BackendSpec
@@ -60,32 +56,17 @@ def rtt_gen_cmd(params: dict) -> list[str]:
 
     y_to_x = _load_backend(params["to_pivot"])
     x_to_y = _load_backend(params["from_pivot"])
-    with contextlib.ExitStack() as stack:
-        write = stack.enter_context(_output(params["out"]))
-        pivot_out = (
-            stack.enter_context(atomic_open(params["intermediate"]))
-            if params["intermediate"] else None
-        )
-        for line_no, pivot, pair in iter_rtt(
-            iter_lines(params["in_path"]),
-            y_to_x,
-            x_to_y,
-            _filter_config(params),
-            filter_sides=params["filter_sides"],
-            jobs=params["jobs"],
-            cache_dir=params["cache_dir"],
-        ):
+    rtt = iter_rtt(iter_lines(params["in_path"]), y_to_x, x_to_y, _filter_config(params),
+                   filter_sides=params["filter_sides"], jobs=params["jobs"],
+                   cache_dir=params["cache_dir"])
+    pivots = open_lines(params["intermediate"]) if params["intermediate"] else nullcontext()
+    with (open_lines(params["out"], ("original", "round trip"), params["in_path"]) as write,
+          pivots as pivot_out):
+        for line_no, pivot, pair in rtt:
             if pivot_out is not None:
-                pivot_out.write(pivot + "\n")
-            if pair is None:
-                continue
-            if "\t" in pair.original or "\t" in pair.round_trip:
-                side = "original" if "\t" in pair.original else "round trip"
-                raise DataError(
-                    f"{params['in_path']}:{line_no}: {side} contains a tab, "
-                    "which the original<TAB>round_trip output cannot hold"
-                )
-            write(f"{pair.original}\t{pair.round_trip}\n")
+                pivot_out(pivot)
+            if pair is not None:
+                write((pair.original, pair.round_trip), line_no)
     return _spec_files(params["to_pivot"], params["from_pivot"])
 
 
@@ -104,12 +85,10 @@ def make_pairs_cmd(params: dict) -> None:
     from .pipeline import PAIRS_PER_CHUNK, RttPair, chunked, make_training_pairs
 
     cfg = _filter_config(params)
-    rtt_pairs = (RttPair(*cells) for cells in _tsv_rows(params["in_path"], 2))
-    with contextlib.ExitStack() as stack:
-        write = _pair_writer(stack, params)
-        for chunk in chunked(rtt_pairs, PAIRS_PER_CHUNK):
-            for pair in make_training_pairs(chunk, params["direction"], cfg):
-                write(pair)
+    rtt_pairs = (RttPair(*cells) for cells in iter_rows(params["in_path"], 2))
+    chunks = chunked(rtt_pairs, PAIRS_PER_CHUNK)
+    _write_pairs(params, (pair for chunk in chunks
+                          for pair in make_training_pairs(chunk, params["direction"], cfg)))
 
 
 @_command("ape-apply")
@@ -132,14 +111,9 @@ def ape_apply_cmd(params: dict) -> list[str]:
         _require(params, "split_path")
     hyp = read_lines(params["in_path"])
     halves = SplitHalves.read(params["split_path"], len(hyp)) if params["split_path"] else None
-    output, change_report = apply_ape(
-        hyp,
-        _load_backend(params["backend"]),
-        halves,
-        ApeMode(scope=params["scope"], iterations=params["iterations"]),
-        jobs=params["jobs"],
-        cache_dir=params["cache_dir"],
-    )
-    _emit_lines(params["out"], output)
+    mode = ApeMode(scope=params["scope"], iterations=params["iterations"])
+    output, change_report = apply_ape(hyp, _load_backend(params["backend"]), halves, mode,
+                                      jobs=params["jobs"], cache_dir=params["cache_dir"])
+    write_lines(params["out"], output)
     _report_out(change_report, params["report_path"])
     return _spec_files(params["backend"])

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import click
 
-from .cli import _command, _dump_json, _emit, _emit_lines, _load_testset, _read_sgm
+from .cli import _command, _dump_json, _emit, _load_testset, _read_sgm
 from .halves import SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
-from .lineio import read_lines, write_lines
+from .lineio import open_lines, read_aligned, write_lines
 
 
 @_command("parse-sgm")
@@ -24,19 +24,18 @@ def parse_sgm_cmd(params: dict) -> None:
     """Parse a WMT-style SGM file into segments."""
     from .testset import serialize_sgm
 
-    segments = _read_sgm(params["sgm"], params["side"])
+    segments, attrs = _read_sgm(params["sgm"], params["side"])
     fmt = params["out_format"]
     if fmt == "text":
-        text = "\n".join(seg.text for seg in segments) + "\n"
+        write_lines(params["out"], (seg.text for seg in segments))
     elif fmt == "tsv":
-        text = "".join(
-            f"{s.doc_id}\t{s.seg_id}\t{s.orig_lang}\t{s.text}\n" for s in segments
-        )
+        with open_lines(params["out"], ("doc_id", "seg_id", "orig_lang", "text")) as write:
+            for seg in segments:
+                write((seg.doc_id, seg.seg_id, seg.orig_lang, seg.text))
     elif fmt == "json":
-        text = _dump_json([vars(s) for s in segments])
+        _emit(params["out"], _dump_json([vars(s) for s in segments]))
     else:
-        text = serialize_sgm(segments, side=params["side"])
-    _emit(params["out"], text)
+        _emit(params["out"], serialize_sgm(segments, params["side"], attrs))
     if params["labels_out"]:
         write_lines(params["labels_out"], (s.orig_lang for s in segments))
 
@@ -70,7 +69,6 @@ def merge_cmd(params: dict) -> None:
     """Merge post-edited lines into a base hypothesis, selectively or fully."""
     from .testset import merge_selective
 
-    base = read_lines(params["base"])
-    edited = read_lines(params["edited"])
+    base, edited = read_aligned(params["base"], params["edited"])
     halves = SplitHalves.read(params["split_path"], len(base))
-    _emit_lines(params["out"], merge_selective(base, edited, halves, params["mode"]))
+    write_lines(params["out"], merge_selective(base, edited, halves, params["mode"]))

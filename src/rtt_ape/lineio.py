@@ -1,18 +1,23 @@
 """Line-oriented text I/O: UTF-8, newline-terminated, optionally gzipped.
 
 The one module that opens, decodes and atomically writes the program's
-files: line files, JSON inputs, backend cache files and every output."""
+files: line files, JSON inputs, backend cache files and every output,
+stdout included; and the one that frames lines: a line holds no "\\n", a
+TSV cell no "\\t" or "\\n", and aligned files have equal line counts."""
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import sys
 import threading
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DataError
 
@@ -109,17 +114,26 @@ class _GzipWriter(io.BufferedIOBase):
 
 
 @contextlib.contextmanager
-def atomic_open(path: str | Path) -> Iterator[IO[str]]:
+def atomic_open(path: str | Path | None) -> Iterator[IO[str]]:
     """Write a text file (UTF-8, '\\n' newlines, gzipped if it ends in .gz)
     all or nothing: the text goes to a temp file in the same directory,
     which replaces ``path`` when the block exits normally and is removed
     when it raises, so a failed run never leaves a truncated output.
+    ``None`` writes the same bytes to stdout, where they stream instead:
+    text written before an error stays written.
 
     The temp file's name is unique per process and thread, so threads that
     write the same path at once (two jobs caching one batch) each replace it
     whole.  Gzip headers carry no file name and a zero mtime, so equal text
     always compresses to equal bytes.  A .gz file is compressed on a writer
     thread (see ``_GzipWriter``), which has ended by the time the block exits."""
+    if path is None:
+        sys.stdout.flush()
+        try:
+            yield codecs.getwriter("utf-8")(sys.stdout.buffer)
+        finally:
+            sys.stdout.buffer.flush()
+        return
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
     try:
@@ -172,16 +186,71 @@ def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:
         raise DataError(f"bad {what} {str(path)!r}: {exc}") from exc
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> int:
-    """Write one sentence per line with '\\n' terminators, atomically (see
-    ``atomic_open``); returns line count."""
+def iter_aligned(*paths: str | Path) -> Iterator[tuple[str, ...]]:
+    """Stream line-aligned files in step, one tuple per line; a ``DataError``
+    naming each file's line count if they differ, once the shortest ends."""
+    for row in itertools.zip_longest(*map(iter_lines, paths)):
+        if None in row:
+            raise DataError("line count mismatch: " + " vs ".join(
+                f"{sum(1 for _ in iter_lines(path))} in {path}" for path in paths))
+        yield row
+
+
+def read_aligned(*paths: str | Path) -> list[list[str]]:
+    """The lines of each line-aligned file (see ``iter_aligned``)."""
+    rows = list(iter_aligned(*paths))
+    return [[row[i] for row in rows] for i in range(len(paths))]
+
+
+def iter_rows(path: str | Path, n: int) -> Iterator[list[str]]:
+    """The cells of each line of a TSV file that must have ``n`` fields."""
+    for i, line in enumerate(iter_lines(path), 1):
+        cells = line.split("\t")
+        if len(cells) != n:
+            raise DataError(f"{path}:{i}: expected {n} tab-separated fields")
+        yield cells
+
+
+@contextlib.contextmanager
+def open_lines(
+    path: str | Path | None, columns: Sequence[str] = (), source: str | None = None
+) -> Iterator[Callable[..., None]]:
+    """A ``write`` of one line and its '\\n' into ``path`` (``None``: stdout;
+    see ``atomic_open``): ``write(line)``, or with ``columns``, a TSV row
+    ``write(cells, line=None)``.  A line that holds '\\n', or a cell that
+    holds '\\t' or '\\n', is a ``DataError`` naming the output's line, or
+    line ``line`` of ``source`` when the caller gives both, and the cell's
+    column."""
+    name = "<stdout>" if path is None else str(path)
     count = 0
     with atomic_open(path) as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        def write_line(text: str) -> None:
+            nonlocal count
             count += 1
-    return count
+            if "\n" in text:
+                raise DataError(f"{name}:{count}: line contains a newline, "
+                                "which a line file cannot hold")
+            fh.write(text + "\n")
+
+        def write_row(cells: Sequence[str], line: int | None = None) -> None:
+            nonlocal count
+            count += 1
+            for cell in cells:
+                if "\t" in cell or "\n" in cell:
+                    where = f"{source}:{line}" if line is not None else f"{name}:{count}"
+                    char = "newline" if "\n" in cell else "tab"
+                    raise DataError(f"{where}: {columns[cells.index(cell)]} contains a {char}, "
+                                    "which a tab-separated row cannot hold")
+            fh.write("\t".join(cells) + "\n")
+
+        yield write_row if columns else write_line
+
+
+def write_lines(path: str | Path | None, lines: Iterable[str]) -> None:
+    """Write one sentence per line with '\\n' terminators (see ``open_lines``)."""
+    with open_lines(path) as write:
+        for line in lines:
+            write(line)
 
 
 def file_fingerprint(path: str | Path) -> str:

@@ -23,6 +23,7 @@ _WRAPPER_TAG = {"src": "srcset", "ref": "refset", "hyp": "tstset"}
 _ENTITIES = (("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'), ("&apos;", "'"), ("&amp;", "&"))
 
 _TAG_RE = re.compile(rb"<(/?)(doc|seg)\b([^>]*)>", re.IGNORECASE)
+_WRAPPER_RE = re.compile(rb"<(?:srcset|refset|tstset)\b([^>]*)>", re.IGNORECASE)
 _SEG_CLOSE_RE = re.compile(rb"</seg\s*>", re.IGNORECASE)
 _ATTR_RE = re.compile(rb"([A-Za-z_][\w.-]*)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>]+))")
 
@@ -90,8 +91,10 @@ def _decode(data: bytes, start: int, end: int) -> str:
 
 def _parse_attrs(data: bytes, start: int, end: int) -> dict[str, str]:
     """The attributes in ``data[start:end]``.  ``_ATTR_RE`` matches ASCII
-    names only, and a value is the last group it matched (quoted or not)."""
-    return {m.group(1).decode("ascii").lower(): _decode(data, *m.span(m.lastindex))
+    names only, and a value is the last group it matched (quoted or not),
+    with its character entities decoded as in segment text."""
+    return {m.group(1).decode("ascii").lower():
+            _decode_entities(_decode(data, *m.span(m.lastindex)))
             for m in _ATTR_RE.finditer(data, start, end)}
 
 
@@ -168,17 +171,28 @@ def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
     return segments
 
 
-def serialize_sgm(segments: Sequence[Segment], side: str = "src") -> str:
+def wrapper_attrs(raw: bytes) -> dict[str, str] | None:
+    """The attributes of the first ``<srcset>``, ``<refset>`` or ``<tstset>``
+    element of an SGM byte string (setid, srclang, ...), or None if it has none."""
+    m = _WRAPPER_RE.search(raw)
+    return None if m is None else _parse_attrs(raw, *m.span(1))
+
+
+def serialize_sgm(segments: Sequence[Segment], side: str = "src",
+                  attrs: dict[str, str] | None = None) -> str:
     """Render segments as canonical SGM with quoted attributes.
 
     Consecutive segments sharing (doc_id, orig_lang) are grouped into one
     ``<doc>``; an "unknown" origin is expressed by omitting the origlang
-    attribute, so parse -> serialize -> parse round-trips exactly.
+    attribute, so parse -> serialize -> parse round-trips exactly.  The
+    wrapper element carries ``attrs`` (see ``wrapper_attrs``), in order,
+    or else ``setid="set"``.
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     wrapper = _WRAPPER_TAG[side]
-    out = [f'<{wrapper} setid="set">']
+    attrs = {"setid": "set"} if attrs is None else attrs
+    out = [f"<{wrapper}" + "".join(f' {k}="{_encode_entities(v)}"' for k, v in attrs.items()) + ">"]
     open_doc: tuple[str, str] | None = None
     for seg in segments:
         doc_key = (seg.doc_id, seg.orig_lang)

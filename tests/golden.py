@@ -3,10 +3,12 @@ fixed input set, kept under ``tests/data/golden/``.
 
 ``inputs/`` holds line files and three backend specs derived from
 ``tests/data/mini_ende_*.sgm``, plus one line containing U+2028 in each
-line file and in one SGM file.  ``expected/`` holds what the commands in
+line file and in one SGM file, and an SGM file with a tab inside a
+segment.  ``expected/`` holds what the commands in
 ``CASES`` wrote, run in order in one directory (later commands read
-earlier outputs), what some of them printed to stderr, and the ``--help``
-text of the ``HELP`` subcommands.
+earlier outputs), what some of them printed to stderr, the exit code and
+stderr of each failing run in ``ERRORS``, and the ``--help`` text of the
+``HELP`` subcommands.
 ``tests/test_golden.py`` runs them again and compares bytes: of each
 file, of each file under an output directory (a backend cache, whose file
 names hold the backend's fingerprint), and of each manifest with its
@@ -123,16 +125,28 @@ CASES: list[tuple[list[str], list[str]]] = [
      ["ratings.json", "ratings.stderr"]),
 ]
 
+# (argv, output): runs that fail, after ``CASES``.  The output holds the
+# exit code, as "exit <code>", then what the command printed to stderr.
+ERRORS: list[tuple[list[str], str]] = [
+    (["report-rtt", "--original", "pairs.tgt", "--roundtrip", "sample.txt"],
+     "report_rtt_mismatch.error"),
+    (["parse-sgm", "--sgm", "tab.sgm", "--format", "tsv", "--out", "tab.tsv"],
+     "parse_sgm_tab.error"),
+    (["report-split", "--ref-text", "hyp.txt", "--origins", "origins.txt", "--src", "en",
+      "--tgt", "de", "--hyp", "ape_all=ape_all.txt", "--hyp", "short=sample.txt"],
+     "report_split_hyp.error"),
+]
 
 OUTPUTS = [*(name for _, outputs in CASES for name in outputs),
+           *(name for _, name in ERRORS),
            *(f"{name}.help.txt" for name in HELP)]
 
 
 def run_cases(workdir: Path) -> dict[str, int]:
-    """Copy the inputs into ``workdir``, run ``CASES`` there, in order, and
-    write the ``HELP`` texts; the exit code of each case, keyed by
-    subcommand and output file.  ``RTT_APE_CACHE`` is unset meanwhile, as
-    manifests record the cache directory it sets."""
+    """Copy the inputs into ``workdir``, run ``CASES`` and then ``ERRORS``
+    there, in order, and write the ``HELP`` texts; the exit code of each
+    of ``CASES``, keyed by subcommand and output file.  ``RTT_APE_CACHE``
+    is unset meanwhile, as manifests record the cache directory it sets."""
     for path in [*INPUTS.iterdir(), *(DATA / name for name in SGM)]:
         shutil.copyfile(path, workdir / path.name)
     codes = {}
@@ -147,6 +161,11 @@ def run_cases(workdir: Path) -> dict[str, int]:
             for name in outputs:
                 if name.endswith(".stderr"):
                     Path(name).write_text(err.getvalue(), encoding="utf-8")
+        for argv, name in ERRORS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            Path(name).write_text(f"exit {code}\n{err.getvalue()}", encoding="utf-8")
     finally:
         os.chdir(cwd)
         if cache_env is not None:
@@ -229,6 +248,10 @@ def write_inputs() -> None:
     extra = f'<doc docid="ls.1" origlang="de">\n<seg id="1">{LS_DE}</seg>\n</doc>\n'
     (INPUTS / "ref_u2028.sgm").write_text(
         ref_sgm.replace("</refset>", extra + "</refset>"), encoding="utf-8")
+    # A tab inside the third segment, which no TSV cell can hold.
+    (INPUTS / "tab.sgm").write_text(
+        (DATA / SGM[0]).read_text(encoding="utf-8").replace("the vote", "the\tvote"),
+        encoding="utf-8")
 
 
 def write_expected() -> None:

@@ -329,6 +329,12 @@ def _serve(handler):
     thread.join(timeout=10)
 
 
+class _FramingBreakingHandler(_EchoUpperHandler):
+    """Sends "null" back as JSON null, and "|" as a newline."""
+
+    transform = staticmethod(lambda line: None if line == "null" else line.replace("|", "\n"))
+
+
 @pytest.fixture()
 def http_backend_url():
     with _serve(_EchoUpperHandler) as url:
@@ -353,6 +359,19 @@ class TestHttpBackend:
     def test_any_line_survives_http(self, http_echo_url, lines):
         spec = BackendSpec(kind="http", url=http_echo_url, batch_size=3, timeout=5, retries=0)
         assert translate_batch(spec, lines) == lines
+
+    @pytest.mark.parametrize("bad, shown", [("null", "None"), ("a|b", "'a\\nb'")])
+    def test_a_reply_that_is_not_one_line_of_text_fails_its_batch(self, tmp_path, bad, shown):
+        """The batch fails as a reply without a 'lines' list does, and is
+        not cached, so its cache file cannot hold a misframed line."""
+        with _serve(_FramingBreakingHandler) as url:
+            spec = BackendSpec(kind="http", url=url, batch_size=2, timeout=5, retries=0)
+            with pytest.raises(BackendError) as raised:
+                translate_batch(spec, ["ok", "fine", "also", bad], cache_dir=tmp_path)
+        assert str(raised.value) == (
+            "http backend failed after 1 attempts: http backend response item 1 of 'lines' "
+            f"is not a line of text: {shown} (input lines 2..3)")
+        assert len(list(tmp_path.rglob("*.txt"))) == 1  # the first batch only
 
     def test_unreachable_endpoint(self):
         spec = BackendSpec(kind="http", url="http://127.0.0.1:9/none", retries=0, timeout=0.2)

@@ -1160,3 +1160,146 @@ class TestFilterBitextStreaming:
         small, large = peak(1000), peak(8000)
         assert (d := tmp_path / "8000" / "o.src").read_text().count("\n") == 8000, d
         assert large <= 1.5 * small, (small, large)
+
+
+# Lines that a terminal-oriented writer would alter: an ANSI escape, which
+# click.echo strips when stdout is not a terminal, breaks that
+# str.splitlines() knows, a carriage return inside a line, and characters
+# outside the Basic Multilingual Plane.
+FRAGILE = [
+    "das \x1b[31mrote\x1b[0m haus steht dort",
+    "erste zeile\u2028zweite zeile",
+    "vor\x85nach dem umbruch",
+    "wagen\rruecklauf im satz",
+    "ein \U0001f600 und \U0001d11e hier",
+]
+
+
+def _fragile_inputs(d: Path) -> None:
+    write(d / "lines.txt", [*FRAGILE, FRAGILE[0]])
+    write(d / "hyp.txt", FRAGILE)
+    write(d / "ref.txt", FRAGILE[::-1])
+    write(d / "origins.txt", ["de", "en", "de", "en", "fr"])
+    write(d / "pairs.tsv", [f"{a}\t{b}" for a, b in zip(FRAGILE, FRAGILE[::-1])])
+    write(d / "items.tsv", [f"{a}\t{b}\tbase" for a, b in zip(FRAGILE, FRAGILE[::-1])])
+    (d / "split.json").write_text(json.dumps({"source_original": [1, 3],
+                                              "target_original": [0, 2]}))
+    segs = "".join(f'<seg id="{i}">{line}</seg>\n' for i, line in enumerate(FRAGILE, 1))
+    (d / "set.sgm").write_bytes(('<srcset setid="s" srclang="en" trglang="de">\n'
+                                 f'<doc docid="d" origlang="de">\n{segs}</doc>\n</srcset>\n'
+                                 ).encode("utf-8"))
+    tasks = humaneval_make_tasks([(line, line, "base") for line in FRAGILE], 2)
+    write(d / "done.tsv", [line.replace("\t\t", "\t4\t", 1).replace("\t\t", "\t0\t", 1)
+                           for line in tasks.split("\n")[:-1]])
+
+
+# Every subcommand that writes data to stdout when it has no --out.
+STDOUT_CASES = {
+    "parse-sgm text": "parse-sgm --sgm {d}/set.sgm --format text",
+    "parse-sgm tsv": "parse-sgm --sgm {d}/set.sgm --format tsv",
+    "parse-sgm json": "parse-sgm --sgm {d}/set.sgm --format json",
+    "parse-sgm sgm": "parse-sgm --sgm {d}/set.sgm --format sgm",
+    "split": "split --sgm {d}/set.sgm --src en --tgt de",
+    "merge": "merge --base {d}/hyp.txt --edited {d}/ref.txt --split {d}/split.json",
+    "filter-mono": "filter-mono --in {d}/lines.txt --report {d}/report.json",
+    "filter-bitext": "filter-bitext --tsv {d}/pairs.tsv --report {d}/report.json",
+    "dedup": "dedup --in {d}/lines.txt --report {d}/report.json",
+    "sample": "sample --in {d}/lines.txt --n 4 --seed 2",
+    "rtt-gen": "rtt-gen --in {d}/lines.txt --to-pivot identity --from-pivot identity",
+    "make-pairs": "make-pairs --in {d}/pairs.tsv",
+    "ape-apply": "ape-apply --in {d}/hyp.txt --backend identity --report {d}/report.json",
+    "bleu": "bleu --hyp {d}/hyp.txt --ref {d}/ref.txt",
+    "report-rtt": "report-rtt --original {d}/hyp.txt --roundtrip {d}/ref.txt",
+    "report-split": "report-split --ref-text {d}/ref.txt --origins {d}/origins.txt --src en "
+                    "--tgt de --hyp a={d}/hyp.txt",
+    "vocab": "vocab --in {d}/lines.txt",
+    "humaneval-make": "humaneval-make --items {d}/items.tsv",
+    "humaneval-agg": "humaneval-agg --tasks {d}/done.tsv",
+}
+
+
+class TestStdoutEqualsOut:
+    def test_every_subcommand_has_a_case(self):
+        assert {case.split()[0] for case in STDOUT_CASES} == set(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("case", sorted(STDOUT_CASES))
+    def test_stdout_holds_the_bytes_of_out(self, case, tmp_path, capsysbinary, monkeypatch):
+        monkeypatch.delenv("RTT_APE_CACHE", raising=False)
+        _fragile_inputs(tmp_path)
+        argv = STDOUT_CASES[case].format(d=tmp_path).split()
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 0
+        capsysbinary.readouterr()
+        assert run(*argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes() != b""
+
+    def test_lines_printed_before_a_failure_stay_printed(self, tmp_path, capsysbinary):
+        write(tmp_path / "lines.txt", [*FRAGILE, "kein\ttab erlaubt", "danach"])
+        assert run("rtt-gen", "--in", str(tmp_path / "lines.txt"), "--to-pivot", "identity",
+                   "--from-pivot", "identity") == 2
+        printed = capsysbinary.readouterr()
+        assert printed.out == "".join(f"{x}\t{x}\n" for x in FRAGILE).encode("utf-8")
+        assert printed.err.decode("utf-8") == (
+            f"data error: {tmp_path / 'lines.txt'}:6: original contains a tab, "
+            "which a tab-separated row cannot hold\n")
+
+
+class TestFraming:
+    """A segment that a line or a TSV row cannot hold is a data error naming
+    the output and its line, and the output is not written."""
+
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("text", "c\nd", "{out}:2: line contains a newline, which a line file cannot hold"),
+        ("tsv", "a\tb", "{out}:2: text contains a tab, which a tab-separated row cannot hold"),
+        ("tsv", "c\nd", "{out}:2: text contains a newline, "
+                        "which a tab-separated row cannot hold"),
+    ])
+    def test_parse_sgm_segment_the_format_cannot_hold(self, tmp_path, capsys, fmt, text,
+                                                     message):
+        sgm = tmp_path / "in.sgm"
+        sgm.write_text(f'<srcset><doc docid="d"><seg id="1">ok</seg><seg id="2">{text}</seg>'
+                       '</doc></srcset>', encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert run("parse-sgm", "--sgm", str(sgm), "--format", fmt, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"data error: {message.format(out=out)}\n"
+        assert not out.exists()
+        assert run("parse-sgm", "--sgm", str(sgm), "--format", fmt) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ("ok\n" if fmt == "text" else "d\t1\tunknown\tok\n")
+        assert printed.err == f"data error: {message.format(out='<stdout>')}\n"
+
+
+class TestLengthChecksNameTheFiles:
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "two.txt", ["eins zwei", "drei vier"])
+        write(tmp_path / "one.txt", ["eins zwei"])
+        write(tmp_path / "origins.txt", ["de", "en"])
+        (tmp_path / "split.json").write_text('{"source_original": [0], "target_original": [1]}')
+
+    @pytest.mark.parametrize("argv, message", [
+        ("report-rtt --original two.txt --roundtrip one.txt",
+         "line count mismatch: 2 in two.txt vs 1 in one.txt"),
+        ("merge --base two.txt --edited one.txt --split split.json",
+         "line count mismatch: 2 in two.txt vs 1 in one.txt"),
+        ("merge --base one.txt --edited two.txt --split split.json",
+         "line count mismatch: 1 in one.txt vs 2 in two.txt"),
+        ("report-split --ref-text two.txt --origins origins.txt --src en --tgt de "
+         "--hyp x=two.txt --hyp y=one.txt",
+         "line count mismatch: 1 in one.txt vs 2 segments in two.txt"),
+    ])
+    def test_mismatch_names_both_files(self, files, capsys, argv, message):
+        assert run(*argv.split(), "--out", "out.txt") == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not Path("out.txt").exists()
+
+    def test_report_split_names_the_reference_sgm(self, tmp_path, capsys):
+        write(tmp_path / "one.txt", ["eins"])
+        ref = DATA / "mini_ende_ref.sgm"
+        assert run("report-split", "--src-sgm", str(DATA / "mini_ende_src.sgm"), "--ref-sgm",
+                   str(ref), "--src", "en", "--tgt", "de", "--hyp",
+                   f"x={tmp_path / 'one.txt'}") == 2
+        assert capsys.readouterr().err == (
+            f"data error: line count mismatch: 1 in {tmp_path / 'one.txt'} "
+            f"vs 20 segments in {ref}\n")

@@ -1,7 +1,8 @@
 """Golden outputs: each command of ``golden.CASES`` writes exactly the
-bytes stored under ``tests/data/golden/expected/``, and each subcommand of
-``golden.HELP`` prints exactly its stored ``--help`` (see ``golden.py`` for
-what they cover and when they may be regenerated)."""
+bytes stored under ``tests/data/golden/expected/``, each run of
+``golden.ERRORS`` fails with its stored exit code and stderr, and each
+subcommand of ``golden.HELP`` prints exactly its stored ``--help`` (see
+``golden.py`` for what they cover and when they may be regenerated)."""
 
 from __future__ import annotations
 

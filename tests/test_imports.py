@@ -406,3 +406,45 @@ class TestFileIoOwner:
             "f: open()", "inner: .read_bytes()", 'inner: errors="replace"',
             "f: .write_text()", "f: os.replace() or Path.replace()",
             "f: os.replace() or Path.replace()", 'f: errors="replace"'])
+
+
+def _cli_framing(source: str) -> list[str]:
+    """Each place in ``source`` that frames data itself, as "<line>: <what>":
+    a string literal holding a tab, and a ``click.echo`` (or ``echo``) call
+    that does not write to stderr (``err=True``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\t" in node.value:
+            found.append(f"{node.lineno}: tab literal")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            to_stderr = any(k.arg == "err" and isinstance(k.value, ast.Constant)
+                            and k.value.value is True for k in node.keywords)
+            if name == "echo" and not to_stderr:
+                found.append(f"{node.lineno}: echo to stdout")
+    return found
+
+
+class TestCliFraming:
+    """``lineio`` writes every output, stdout included, and frames every
+    line and TSV row, so that stdout holds the bytes ``--out`` would; the
+    CLI itself writes only diagnostics, to stderr."""
+
+    def test_no_cli_module_frames_data(self):
+        found = [f"{path.name}:{call}" for path in sorted(PACKAGE.glob("cli*.py"))
+                 for call in _cli_framing(path.read_text(encoding="utf-8"))]
+        assert found == []
+
+    def test_the_scan_finds_each_kind_of_framing(self):
+        source = ("import click\n"
+                  "from click import echo\n"
+                  "def f(row):\n"
+                  "    click.echo('\\t'.join(row))\n"
+                  "    click.echo(f'{row[0]}\\t{row[1]}', nl=False)\n"
+                  "    echo(row[0], err=False)\n"
+                  "    click.echo('diagnostic', err=True)\n"
+                  "    return 'tab\\there'\n")
+        assert sorted(_cli_framing(source)) == [
+            "4: echo to stdout", "4: tab literal", "5: echo to stdout", "5: tab literal",
+            "6: echo to stdout", "8: tab literal"]

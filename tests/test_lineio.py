@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from rtt_ape import lineio
 from rtt_ape.errors import DataError
-from rtt_ape.lineio import atomic_open, iter_lines, read_lines, write_lines
+from rtt_ape.lineio import (
+    atomic_open, iter_aligned, iter_lines, open_lines, read_aligned, read_lines, write_lines,
+)
 
 
 def test_gz_output_does_not_depend_on_clock_or_name(tmp_path, monkeypatch):
@@ -198,3 +200,69 @@ class TestGzipWriterThread:
         for i, lines in texts.items():
             assert (tmp_path / f"{i}.txt.gz").read_bytes() == _single_threaded_gzip(lines)
         assert not _writer_threads()
+
+
+class TestFraming:
+    """The writers refuse a line or a cell that would change the framing,
+    naming the output and the line; stdout takes the bytes a file would."""
+
+    @pytest.mark.parametrize("name", ["out.txt", "out.txt.gz"])
+    def test_a_line_holding_a_newline_names_the_output_and_the_line(self, tmp_path, name):
+        out = tmp_path / name
+        write_lines(out, ["old"])
+        before = out.read_bytes()
+        with pytest.raises(DataError) as raised:
+            write_lines(out, ["a\rb", "c\nd", "e"])
+        assert str(raised.value) == (
+            f"{out}:2: line contains a newline, which a line file cannot hold")
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("cells, where, message", [
+        (("x", "a\tb"), None, "{out}:2: target contains a tab"),
+        (("a\nb", "x"), None, "{out}:2: source contains a newline"),
+        (("a\tb", "x"), 7, "in.txt:7: source contains a tab"),
+    ])
+    def test_a_cell_that_breaks_the_row_names_its_column(self, tmp_path, cells, where,
+                                                        message):
+        out = tmp_path / "out.tsv"
+        with pytest.raises(DataError) as raised:
+            with open_lines(out, ("source", "target"), source="in.txt") as write:
+                write(("a", "b\x85\u2028c"), 1)
+                write(cells, where)
+        assert str(raised.value) == (
+            message.format(out=out) + ", which a tab-separated row cannot hold")
+        assert not out.exists()
+
+    def test_stdout_takes_the_bytes_of_a_file(self, tmp_path, capsysbinary):
+        lines = ["\x1b[31mrot\x1b[0m", "a\rb", "c\x85d\u2028e", "\U0001f600", ""]
+        write_lines(tmp_path / "out.txt", lines)
+        write_lines(None, lines)
+        assert capsysbinary.readouterr().out == (tmp_path / "out.txt").read_bytes()
+
+    def test_stdout_keeps_what_was_written_before_an_error(self, capsysbinary):
+        with pytest.raises(DataError, match="^<stdout>:3: "):
+            write_lines(None, ["eins", "zwei", "drei\nvier"])
+        assert capsysbinary.readouterr().out == b"eins\nzwei\n"
+
+
+class TestAlignedFiles:
+    def test_columns_of_equal_files(self, tmp_path):
+        paths = [tmp_path / name for name in ("a.txt", "b.txt.gz", "c.txt")]
+        for i, path in enumerate(paths):
+            write_lines(path, [f"{i}:{j}" for j in range(3)])
+        assert read_aligned(*paths) == [[f"{i}:{j}" for j in range(3)] for i in range(3)]
+        assert list(iter_aligned(*paths))[1] == ("0:1", "1:1", "2:1")
+        write_lines(paths[0], [])
+        write_lines(paths[1], [])
+        assert read_aligned(*paths[:2]) == [[], []]
+
+    @pytest.mark.parametrize("counts", [(2, 3, 3), (3, 1, 2), (3, 3, 0)])
+    def test_mismatch_names_every_file_and_its_count(self, tmp_path, counts):
+        paths = [tmp_path / f"{i}.txt" for i in range(3)]
+        for path, n in zip(paths, counts):
+            write_lines(path, ["x"] * n)
+        with pytest.raises(DataError) as raised:
+            read_aligned(*paths)
+        assert str(raised.value) == "line count mismatch: " + " vs ".join(
+            f"{n} in {path}" for n, path in zip(counts, paths))

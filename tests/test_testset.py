@@ -17,6 +17,7 @@ from rtt_ape.testset import (
     segments_from_lines,
     serialize_sgm,
     split_by_origin,
+    wrapper_attrs,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -137,6 +138,41 @@ class TestRoundTrip:
         rendered = serialize_sgm(segments)
         assert "&amp;" in rendered
         assert parse_sgm(rendered.encode("utf-8")) == segments
+
+
+class TestWrapperAttributes:
+    def test_serialize_keeps_the_attributes_in_order(self):
+        raw = (DATA / "mini_ende_src.sgm").read_bytes()
+        attrs = wrapper_attrs(raw)
+        assert attrs == {"setid": "mini-ende", "srclang": "en", "trglang": "de"}
+        rendered = serialize_sgm(parse_sgm(raw), "src", attrs)
+        assert rendered.startswith('<srcset setid="mini-ende" srclang="en" trglang="de">\n')
+        assert wrapper_attrs(rendered.encode("utf-8")) == attrs
+
+    @pytest.mark.parametrize("raw, opening", [
+        (b'<doc docid="d"><seg id="1">x</seg></doc>', '<tstset setid="set">'),
+        (b'<TSTSET><doc docid="d"><seg id="1">x</seg></doc></TSTSET>', "<tstset>"),
+        (b"<refset setid='a\"b' SrcLang=en>", '<tstset setid="a&quot;b" srclang="en">'),
+    ])
+    def test_no_wrapper_gives_the_default_and_values_are_quoted(self, raw, opening):
+        segments = [Segment("1", "d", "unknown", "x")]
+        rendered = serialize_sgm(segments, "hyp", wrapper_attrs(raw))
+        assert rendered.split("\n")[0] == opening
+
+    def test_attributes_with_entities_survive_every_round_trip(self):
+        raw = (b'<srcset setid="R&amp;D &lt;1&gt;"><doc docid="a&amp;b" origlang="de">'
+               b'<seg id="1&amp;2">x</seg></doc></srcset>')
+        segments, attrs = parse_sgm(raw), wrapper_attrs(raw)
+        assert attrs == {"setid": "R&D <1>"}
+        assert segments == [Segment("1&2", "a&b", "de", "x")]
+        rendered = serialize_sgm(segments, "src", attrs).encode("utf-8")
+        assert (parse_sgm(rendered), wrapper_attrs(rendered)) == (segments, attrs)
+        assert serialize_sgm(parse_sgm(rendered), "src", wrapper_attrs(rendered)) == (
+            rendered.decode("utf-8"))
+
+    def test_an_attribute_that_is_not_utf8_names_its_byte(self):
+        with pytest.raises(SgmParseError, match="not valid UTF-8 at byte 15"):
+            wrapper_attrs(b'<srcset setid="\xff">')
 
 
 class TestSplitByOrigin:
