@@ -2,8 +2,9 @@
 origin-split score tables, and human-evaluation task files.
 
 ``split_score_table`` can score contiguous segment ranges in forked
-processes (``workers``), summing their integer n-gram statistics, so its
-scores are bit-identical at any worker count.  The default is one process.
+processes (``workers``, through ``parallel.fork_map``), summing their
+integer n-gram statistics, so its scores are bit-identical at any worker
+count.  The default is one process.
 
 Human-evaluation tasks are plain TSV with a fixed, versioned column order
 so any crowd platform or spreadsheet can consume them; the rater-facing
@@ -13,13 +14,13 @@ columns are source, output, and the two question/rating pairs, while
 
 from __future__ import annotations
 
-import os
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
+from .parallel import fork_map
 from .scoring import (
     BleuConfig,
     BleuScore,
@@ -30,8 +31,6 @@ from .scoring import (
     tokenize_intl,
 )
 from .testset import TestSet, split_by_origin
-
-T = TypeVar("T")
 
 HUMANEVAL_SCHEMA = "rtt-ape-humaneval-v1"
 
@@ -127,7 +126,7 @@ def split_score_table(
     Every system's length is checked before any scoring.  The segments are
     then cut into ``workers`` contiguous ranges, which are scored at once:
     the first in this process, each other one in a forked child (see
-    ``_fork_map``).  The n-gram statistics of the ranges are summed in
+    ``parallel.fork_map``).  The n-gram statistics of the ranges are summed in
     range order, and being integers, they sum to the same totals as one
     range would, so the scores are bit-identical at any ``workers``.
     """
@@ -157,8 +156,12 @@ def split_score_table(
                                       if chosen else NgramStats.zero())
         return stats
 
+    def name(segments: range) -> str:
+        return f"scoring worker for segments {segments.start}..{segments.stop - 1}"
+
     bounds = [len(ts) * k // workers for k in range(workers + 1)]
-    per_range = _fork_map(range_stats, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+    ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    per_range = [stats for _, stats in fork_map(range_stats, ranges, workers, name)]
     table = {}
     for label in hyps:
         report = AnalysisReport(
@@ -174,74 +177,6 @@ def split_score_table(
                 report.split_scores[name] = score_from_stats(stats, config)
         table[label] = report
     return table
-
-
-def _fork_map(fn: Callable[[range], T], ranges: Sequence[range]) -> list[T]:
-    """``[fn(r) for r in ranges]``, with ``fn(ranges[0])`` run in this process
-    and each later range in a child forked before it, at the same time.
-
-    A child sends back its pickled result, or the exception ``fn`` raised,
-    which is raised here.  It leaves through ``os._exit`` on every path, so
-    it never runs the caller's code or flushes the stdio buffers it
-    inherited.  A child that ends without a result raises
-    ``ChildProcessError``, naming its range and how it ended.  Whatever
-    ends this call, every child still running is killed and reaped.
-    """
-    if len(ranges) == 1:
-        return [fn(ranges[0])]
-    import pickle
-    import signal
-
-    children = []  # (pid, read end of its pipe, its range), pid None once reaped
-    try:
-        for segments in ranges[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:  # the child
-                code = 1
-                try:
-                    os.close(read_fd)
-                    try:
-                        payload = pickle.dumps((True, fn(segments)))
-                    except BaseException as exc:
-                        payload = pickle.dumps((False, exc))
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children.append([pid, open(read_fd, "rb"), segments])
-        results = [fn(ranges[0])]
-        for child in children:
-            pid, pipe, segments = child
-            payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            child[0] = None
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                how = (f"killed by {signal.Signals(-code).name}" if code < 0
-                       else f"exit code {code}")
-                raise ChildProcessError(
-                    f"scoring worker for segments {segments.start}..{segments.stop - 1} "
-                    f"ended without a result ({how})"
-                )
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, pipe, _ in children:
-            pipe.close()
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def render_split_table(table: Mapping[str, AnalysisReport], ts: TestSet) -> str:

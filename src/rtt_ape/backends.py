@@ -9,32 +9,31 @@ Per-line randomness in the toy channel derives from (config seed, line
 index), so corpus-level output is independent of batch sizes and worker
 counts.  Command and HTTP outputs are cached on disk per batch, keyed by
 (backend fingerprint, batch fingerprint), which makes expensive passes
-over large corpora resumable.  A ``BatchPool`` runs their batches on
-threads shared by every call of one run.
+over large corpora resumable.  With ``jobs`` above 1 their batches run in
+forked worker processes (``parallel.fork_map``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
+import os
 import random
 import time
 import types
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, get_type_hints
+from typing import Iterable, Mapping, get_type_hints
 
 from .errors import BackendError, DataError
 from .lineio import atomic_open, iter_lines
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future
+from .parallel import fork_map
 
 KINDS = ("command", "http", "toy_channel", "toy_denoiser", "identity")
 
-# Upper bound on ``jobs``: each concurrent batch is one thread (and, for a
-# command backend, one child process).
+# Upper bound on ``jobs``: each job is one worker process (and, for a
+# command backend, one command at a time).
 MAX_JOBS = 64
 
 
@@ -112,6 +111,11 @@ class BackendSpec:
         return d
 
     def fingerprint(self) -> str:
+        """The name of the spec's cache directory, computed once per spec."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         blob = json.dumps(self.as_dict(), sort_keys=True, ensure_ascii=False)
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -187,24 +191,55 @@ def _run_command_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
 
     # Bytes in, bytes out, framed on "\n" alone: text mode and
     # str.splitlines() would also break lines at "\r", "\f", U+0085, U+2028
-    # and the like, which occur inside lines of crawled text.
+    # and the like, which occur inside lines of crawled text.  Its stdio are
+    # files in memory, not pipes, so this process just waits for its exit.
     cmd = spec.command_template.replace("{from}", spec.from_lang).replace("{to}", spec.to_lang)
-    try:
-        proc = subprocess.run(
-            shlex.split(cmd),
-            input=("\n".join(batch) + "\n").encode("utf-8"),
-            capture_output=True,
-            timeout=spec.timeout if spec.timeout > 0 else None,
-        )
-    except subprocess.TimeoutExpired as exc:  # retried, like any failed run
-        raise TimeoutError(str(exc)) from exc
+    argv = shlex.split(cmd)
+    with _memory_file() as stdin, _memory_file() as stdout, _memory_file() as stderr:
+        stdin.write(("\n".join(batch) + "\n").encode("utf-8"))
+        stdin.seek(0)
+        with subprocess.Popen(argv, stdin=stdin, stdout=stdout, stderr=stderr) as proc:
+            if not _exits(proc, spec.timeout if spec.timeout > 0 else None):
+                proc.kill()  # retried, like any failed run
+                raise TimeoutError(str(subprocess.TimeoutExpired(argv, spec.timeout)))
+        stdout.seek(0)
+        stderr.seek(0)
+        out, err = stdout.read(), stderr.read()
     if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", "replace").strip()
+        stderr = err.decode("utf-8", "replace").strip()
         raise OSError(f"command backend exited {proc.returncode}: {stderr[:500]}")
-    lines = proc.stdout.decode("utf-8").split("\n")
+    lines = out.decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _memory_file():
+    """An unnamed read-write file, in memory where the system allows."""
+    import tempfile
+
+    return (os.fdopen(os.memfd_create("rtt-ape-batch"), "w+b") if hasattr(os, "memfd_create")
+            else tempfile.TemporaryFile())
+
+
+def _exits(proc, timeout: float | None) -> bool:
+    """Whether ``proc`` exits within ``timeout`` seconds (``None``: waits),
+    blocking on a pidfd; without one, ``Popen.wait`` polls with sleeps."""
+    import select
+    import subprocess
+
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):
+        try:
+            proc.wait(timeout)
+            return True
+        except subprocess.TimeoutExpired:
+            return False
+    try:
+        return bool(select.select([pidfd], [], [], timeout)[0])
+    finally:
+        os.close(pidfd)
 
 
 def _run_http_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
@@ -280,75 +315,6 @@ def check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be an integer from 1 to {MAX_JOBS}, got {jobs!r}")
 
 
-class BatchPool:
-    """Up to ``jobs`` threads that run command and HTTP batches for every
-    ``submit`` of a run, so a run that translates its corpus piece by piece
-    starts one pool, not one per piece.  ``jobs == 1`` starts no thread:
-    ``submit`` runs every batch before it returns.  Cache hits are read on
-    the calling thread either way, so only misses reach the threads.
-
-    Leaving the ``with`` block joins the threads; leaving it by an exception
-    first cancels the batches that have not started."""
-
-    def __init__(self, jobs: int = 1) -> None:
-        check_jobs(jobs)
-        self._executor = None
-        self.queued = 0  # batches handed to the threads so far
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor  # ~7 ms; only threads need it
-
-            self._executor = ThreadPoolExecutor(max_workers=jobs)
-
-    def __enter__(self) -> "BatchPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=exc_type is not None)
-
-    def submit(
-        self,
-        spec: BackendSpec,
-        lines: Iterable[str],
-        *,
-        cache_dir: str | Path | None = None,
-        start: int = 0,
-    ) -> Callable[[], list[str]]:
-        """Start translating ``lines`` (see ``translate_batch``) and return a
-        function that waits for the translation and returns it, raising the
-        error of the first batch that failed."""
-        lines = list(lines)
-        for index, line in enumerate(lines, start):
-            if "\n" in line:
-                raise DataError(f"input line {index} contains a newline")
-        if spec.kind == "identity":
-            return lambda: lines
-        if spec.kind in ("toy_channel", "toy_denoiser"):
-            rng = random.Random()
-            out = [channel_apply(spec.channel, line, salt, rng)
-                   for salt, line in enumerate(lines, start)]
-            return lambda: out
-
-        cache = Path(cache_dir) if cache_dir is not None else None
-        parts: list[list[str] | Future] = []
-        for offset in range(0, len(lines), spec.batch_size):
-            batch = lines[offset : offset + spec.batch_size]
-            cache_path = _cache_file(cache, spec, batch) if cache is not None else None
-            cached = _cache_read(cache_path, len(batch)) if cache_path is not None else None
-            if cached is not None:
-                parts.append(cached)
-            elif self._executor is None:
-                parts.append(_run_external_batch(spec, batch, start + offset, cache_path))
-            else:
-                parts.append(self._executor.submit(
-                    _run_external_batch, spec, batch, start + offset, cache_path))
-                self.queued += 1
-        return lambda: [
-            line for part in parts
-            for line in (part if isinstance(part, list) else part.result())
-        ]
-
-
 def translate_batch(
     spec: BackendSpec,
     lines: Iterable[str],
@@ -356,19 +322,41 @@ def translate_batch(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     start: int = 0,
-    pool: BatchPool | None = None,
 ) -> list[str]:
     """Translate lines through the backend, one output line per input line,
     order preserved.  Batching, retries, and caching are internal; command
-    and HTTP backends may process batches concurrently (``jobs``), with
-    results reassembled in input order.  A line containing "\n" is a
+    and HTTP batches, and their cache files, are shared out among ``jobs``
+    worker processes (``parallel.fork_map``).  A line containing "\n" is a
     ``DataError``, raised before any batch runs: no backend can frame it.
     ``jobs`` outside 1..``MAX_JOBS`` is a ``ValueError``, also raised first.
 
     ``start`` is the corpus index of ``lines[0]`` when a caller translates a
     corpus piece by piece: toy-channel salts and the line indices in errors
     count from it, so pieces cut on multiples of ``spec.batch_size``
-    translate, and cache, exactly like one call over the whole corpus.
-    Such a caller passes its own ``pool``, which then replaces ``jobs``."""
-    with BatchPool(jobs) if pool is None else contextlib.nullcontext(pool) as runner:
-        return runner.submit(spec, lines, cache_dir=cache_dir, start=start)()
+    translate, and cache, exactly like one call over the whole corpus."""
+    check_jobs(jobs)
+    lines = list(lines)
+    for index, line in enumerate(lines, start):
+        if "\n" in line:
+            raise DataError(f"input line {index} contains a newline")
+    if spec.kind == "identity":
+        return lines
+    if spec.kind in ("toy_channel", "toy_denoiser"):
+        rng = random.Random()
+        return [channel_apply(spec.channel, line, salt, rng)
+                for salt, line in enumerate(lines, start)]
+
+    def run(offset: int) -> list[str]:
+        batch = lines[offset : offset + spec.batch_size]
+        cache_path = _cache_file(Path(cache_dir), spec, batch) if cache_dir is not None else None
+        cached = _cache_read(cache_path, len(batch)) if cache_path is not None else None
+        return cached if cached is not None else _run_external_batch(
+            spec, batch, start + offset, cache_path)
+
+    def name(offset: int) -> str:
+        last = min(offset + spec.batch_size, len(lines)) - 1
+        return f"backend worker for input lines {start + offset}..{start + last}"
+
+    offsets = range(0, len(lines), spec.batch_size)
+    return [line for _, out in fork_map(run, offsets, min(jobs, len(offsets)), name)
+            for line in out]

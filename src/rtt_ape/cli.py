@@ -45,7 +45,7 @@ import click
 
 from . import __version__
 from .errors import BackendError, DataError, SgmParseError
-from .lineio import atomic_open, file_fingerprint, open_lines, read_json, read_lines
+from .lineio import atomic_open, file_fingerprint, open_lines, read_aligned, read_json, read_lines
 
 if TYPE_CHECKING:
     from .corpus import FilterConfig, FilterReport, SentencePair
@@ -155,8 +155,9 @@ def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
             _require(params, "ref_sgm")
             reference = _read_sgm(params["ref_sgm"], "ref")[0]
     elif text := params.get("text") or params.get("ref_text"):
-        origins = read_lines(params["origins"]) if params.get("origins") else None
-        source = reference = segments_from_lines(read_lines(text), origins)
+        lines, origins = (read_aligned(text, params["origins"]) if params.get("origins")
+                          else (read_lines(text), None))
+        source = reference = segments_from_lines(lines, origins)
     else:
         raise click.UsageError("provide --sgm (or --src-sgm/--ref-sgm) or --text with --origins")
     return TestSet(params.get("name") or "unknown", params["src"], params["tgt"], source, reference)
@@ -257,7 +258,7 @@ def _command(name: str) -> Callable[[Callable[[dict], Iterable[str] | None]], cl
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        cli.main(args=argv, prog_name="rtt-ape", standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.ClickException as exc:

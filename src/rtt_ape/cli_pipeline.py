@@ -4,7 +4,7 @@ Loaded by ``cli`` the first time one of its subcommands is looked up."""
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -56,12 +56,13 @@ def rtt_gen_cmd(params: dict) -> list[str]:
 
     y_to_x = _load_backend(params["to_pivot"])
     x_to_y = _load_backend(params["from_pivot"])
+    # Started, and its workers forked, before a .gz output starts its writer thread.
     rtt = iter_rtt(iter_lines(params["in_path"]), y_to_x, x_to_y, _filter_config(params),
                    filter_sides=params["filter_sides"], jobs=params["jobs"],
                    cache_dir=params["cache_dir"])
     pivots = open_lines(params["intermediate"]) if params["intermediate"] else nullcontext()
-    with (open_lines(params["out"], ("original", "round trip"), params["in_path"]) as write,
-          pivots as pivot_out):
+    with (closing(rtt), open_lines(params["out"], ("original", "round trip"),
+                                   params["in_path"]) as write, pivots as pivot_out):
         for line_no, pivot, pair in rtt:
             if pivot_out is not None:
                 pivot_out(pivot)

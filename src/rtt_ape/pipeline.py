@@ -1,7 +1,8 @@
 """Round-trip data generation and post-editing application.
 
 ``iter_rtt`` composes two backends (Y->X, then X->Y) over a monolingual
-corpus and streams (original, round_trip) pairs, chunk by chunk;
+corpus and streams (original, round_trip) pairs, chunk by chunk, with the
+chunks shared out among worker processes (``parallel.fork_map``);
 ``generate_rtt`` collects them into a list.  The length
 filter applies to both sides of a pair, which is dropped atomically if
 either side fails.  ``make_training_pairs`` turns those pairs into
@@ -13,14 +14,14 @@ target-original half of a test set and optionally iterated.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
-from .backends import BackendSpec, BatchPool, check_jobs, translate_batch
+from .backends import BackendSpec, check_jobs, translate_batch
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
+from .parallel import fork_map
 
 if TYPE_CHECKING:
     from .corpus import FilterConfig, SentencePair
@@ -29,14 +30,11 @@ TRAINING_DIRECTIONS = ("normal", "reverse")
 FILTER_SIDES = ("both", "original", "round_trip")
 
 # Streaming chunk sizes, which bound memory in place of the corpus size:
-# ``iter_rtt`` translates lcm(both batch sizes) * jobs * CHUNK_BATCHES lines
-# at a time (CHUNK_BATCHES batches per worker when the batch sizes are
-# equal), and make-pairs filters PAIRS_PER_CHUNK pairs at a time.  With
-# jobs > 1, ``iter_rtt`` keeps LOOKAHEAD_CHUNKS chunks in flight ahead of the
-# one it yields from, when that one has batches on the pool.
+# ``iter_rtt`` translates lcm(both batch sizes) * CHUNK_BATCHES lines at a
+# time in each worker (CHUNK_BATCHES batches when the batch sizes are
+# equal), and make-pairs filters PAIRS_PER_CHUNK pairs at a time.
 CHUNK_BATCHES = 8
 PAIRS_PER_CHUNK = 1024
-LOOKAHEAD_CHUNKS = 1
 
 T = TypeVar("T")
 
@@ -81,24 +79,6 @@ def chunked(items: Iterable[T], size: int) -> Iterator[list[T]]:
         yield chunk
 
 
-def _lookahead(items: Iterator[tuple[T, bool]], n: int) -> Iterator[T]:
-    """The items of ``items`` in order.  Each comes paired with whether work
-    on it runs in the background; such an item is yielded once the ``n``
-    after it have been produced, so producing those overlaps that work, and
-    any other item at once.  An error in producing an item is raised after
-    every item before it has been yielded."""
-    ahead: deque[tuple[T, bool]] = deque()
-    try:
-        for item in items:
-            ahead.append(item)
-            while ahead and (len(ahead) > n or not ahead[0][1]):
-                yield ahead.popleft()[0]
-    except Exception:
-        yield from (item for item, _ in ahead)
-        raise
-    yield from (item for item, _ in ahead)
-
-
 def iter_rtt(
     lines: Iterable[str],
     y_to_x: BackendSpec,
@@ -117,15 +97,11 @@ def iter_rtt(
     Lines are read lazily and translated in chunks cut on multiples of both
     backends' batch sizes (see ``CHUNK_BATCHES``), so memory does not grow
     with the corpus and every batch (and so every cache file) is the one a
-    single call over the whole corpus would make.  One ``BatchPool`` serves
-    the whole run.  With ``jobs`` > 1 the next chunk's pivot is translated on
-    the calling thread while this chunk's return batches run on the pool
-    (see ``LOOKAHEAD_CHUNKS``); a chunk whose batches were all cache hits is
-    yielded at once, so a resume pass holds one chunk.  With ``jobs`` == 1
-    each chunk is translated just before it is yielded, and no thread is
-    started.
-    ``cfg`` defaults to ``FilterConfig()``.  Arguments are checked when
-    iteration starts.
+    single call over the whole corpus would make.  Chunk k is translated,
+    both ways, by worker process k mod ``jobs``: this one or a child forked
+    by this call, which reads ``lines`` itself (see ``parallel.fork_map``).
+    A failure is raised after every pair before it.  Closing the returned
+    iterator stops the workers.  ``cfg`` defaults to ``FilterConfig()``.
     """
     # Not imported at module level: ``apply_ape`` filters nothing, so
     # ``ape-apply`` never loads ``corpus``.
@@ -143,32 +119,30 @@ def iter_rtt(
         )
     filter_original = filter_sides in ("both", "original")
     filter_round_trip = filter_sides in ("both", "round_trip")
-    numbered = (
-        (line_no, line)
-        for line_no, line in enumerate(lines, 1)
-        if not filter_original or mono_filter(line, cfg)
-    )
-    size = math.lcm(y_to_x.batch_size, x_to_y.batch_size) * jobs * CHUNK_BATCHES
+    size = math.lcm(y_to_x.batch_size, x_to_y.batch_size) * CHUNK_BATCHES
 
-    with BatchPool(jobs) as pool:
+    numbered = ((line_no, line) for line_no, line in enumerate(lines, 1)
+                if not filter_original or mono_filter(line, cfg))
+    chunks = enumerate(chunked(numbered, size))  # chunk k starts at translated line k * size
 
-        def submitted():
-            start = 0
-            for chunk in chunked(numbered, size):
-                originals = [line for _, line in chunk]
-                pivot = translate_batch(
-                    y_to_x, originals, cache_dir=cache_dir, start=start, pool=pool
-                )
-                queued = pool.queued
-                round_trips = pool.submit(x_to_y, pivot, cache_dir=cache_dir, start=start)
-                yield (chunk, pivot, round_trips), pool.queued > queued
-                start += len(chunk)
+    def round_trip(item: tuple[int, list[tuple[int, str]]]) -> tuple[list, list]:
+        """The chunk's pivots and round trips, None for those the filter drops."""
+        k, chunk = item
+        # A module global, looked up at each call: perfbench's traced run wraps it.
+        pivot = translate_batch(y_to_x, [line for _, line in chunk], cache_dir=cache_dir,
+                                start=k * size)
+        round_trips = translate_batch(x_to_y, pivot, cache_dir=cache_dir, start=k * size)
+        return pivot, [r if not filter_round_trip or mono_filter(r, cfg) else None
+                       for r in round_trips]
 
-        ahead = LOOKAHEAD_CHUNKS if jobs > 1 else 0
-        for chunk, pivot, round_trips in _lookahead(submitted(), ahead):
-            for (line_no, original), p, r in zip(chunk, pivot, round_trips()):
-                keep = not filter_round_trip or mono_filter(r, cfg)
-                yield line_no, p, RttPair(original, r) if keep else None
+    def name(item: tuple[int, list]) -> str:
+        first = item[0] * size
+        return f"rtt-gen worker for input lines {first}..{first + len(item[1]) - 1}"
+
+    # Closing this generator frees, and so stops, the workers' iterator.
+    return ((line_no, p, None if r is None else RttPair(original, r))
+            for (_, chunk), (pivot, round_trips) in fork_map(round_trip, chunks, jobs, name)
+            for (line_no, original), p, r in zip(chunk, pivot, round_trips))
 
 
 def generate_rtt(

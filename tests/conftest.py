@@ -81,7 +81,7 @@ def no_leaked_threads():
     assert not leaked, f"threads still running after the test: {leaked}"
 
 
-def _child_pids() -> set[int] | None:
+def child_pids() -> set[int] | None:
     """Process ids of this process's children, running or not yet reaped,
     from ``/proc`` (``None`` where it does not list them)."""
     files = glob.glob("/proc/self/task/*/children")
@@ -100,12 +100,12 @@ def no_leaked_processes():
     """Fail a test that leaves a child process of its own behind, running or
     unreaped, after a grace period of ``THREAD_JOIN_S``.  Skipped where
     ``/proc`` does not list children."""
-    before = _child_pids()
+    before = child_pids()
     yield
     if before is None:
         return
     deadline = time.monotonic() + THREAD_JOIN_S
-    while (leaked := _child_pids() - before) and time.monotonic() < deadline:
+    while (leaked := child_pids() - before) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not leaked, f"child processes still there after the test: {sorted(leaked)}"
 

@@ -135,6 +135,7 @@ ERRORS: list[tuple[list[str], str]] = [
     (["report-split", "--ref-text", "hyp.txt", "--origins", "origins.txt", "--src", "en",
       "--tgt", "de", "--hyp", "ape_all=ape_all.txt", "--hyp", "short=sample.txt"],
      "report_split_hyp.error"),
+    (["bleu", "--hyp", "hyp.txt"], "bleu_usage.error"),
 ]
 
 OUTPUTS = [*(name for _, outputs in CASES for name in outputs),

@@ -4,11 +4,13 @@ and HTTP framing, caching, order preservation, and spec files read strictly."""
 import contextlib
 import http.server
 import json
+import os
 import random
 import re
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,23 @@ class TestTranslateBatch:
         with pytest.raises(BackendError, match="after 2 attempts: .* timed out after 0.1 seconds"):
             translate_batch(spec, ["a"])
 
+    @pytest.mark.parametrize("pidfd", [True, False])
+    def test_a_command_that_closes_its_output_and_hangs_still_times_out(
+            self, monkeypatch, pidfd):
+        # Blocking on the command's exit (a pidfd), or where there is no
+        # pidfd, waiting with a timeout.
+        if not pidfd:
+            monkeypatch.delattr(os, "pidfd_open", raising=False)
+        spec = BackendSpec(kind="command", command_template="sh -c 'exec >&- 2>&-; sleep 5'",
+                           timeout=0.2, retries=0, batch_size=2)
+        started = time.monotonic()
+        with pytest.raises(BackendError, match=(
+                r"after 1 attempts: .* timed out after 0\.2 seconds \(input lines 4\.\.5\)$")
+                ) as err:
+            translate_batch(spec, ["a", "b"], start=4)
+        assert (err.value.first_line, err.value.last_line) == (4, 5)
+        assert time.monotonic() - started < 3
+
     def test_order_preserved_with_parallel_batches(self):
         spec = BackendSpec(kind="command", command_template=UPPERCASE_CMD, batch_size=1)
         lines = [f"line {i}" for i in range(12)]
@@ -260,6 +279,15 @@ class TestTranslateBatch:
         with pytest.raises(BackendError) as exc_info:
             translate_batch(failing, ["a", "b", "c"], start=100)
         assert (exc_info.value.first_line, exc_info.value.last_line) == (100, 101)
+
+    def test_a_failure_in_a_worker_process_keeps_its_lines(self):
+        # Batches of 2 lines, taken in turn by two processes: the second,
+        # which holds BOOM, runs in the forked child.
+        failing = BackendSpec(kind="command", command_template="awk '/BOOM/ { exit 1 } { print }'",
+                              retries=0, batch_size=2)
+        with pytest.raises(BackendError, match=r"failed after 1 attempts") as err:
+            translate_batch(failing, ["a", "b", "c", "BOOM", "e"], jobs=2, start=10)
+        assert (err.value.first_line, err.value.last_line) == (12, 13)
 
     def test_command_invalid_utf8_names_batch_lines(self):
         cmd = r'''python3 -c "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'ok\n\xff\n')"'''

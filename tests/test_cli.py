@@ -575,30 +575,54 @@ LINE = st.text(
 
 
 class TestStreamingRttGen:
-    """rtt-gen and make-pairs stream in chunks of CHUNK_BATCHES batches per
-    worker; these corpora span several chunks."""
+    """rtt-gen and make-pairs stream in chunks of CHUNK_BATCHES batches,
+    which the --jobs worker processes take in turn; these corpora span
+    several chunks."""
 
     def test_output_is_independent_of_jobs(self, tmp_path):
         channel = _spec_file(tmp_path / "de-en.json", NOISY_CHANNEL)
         cat = _spec_file(tmp_path / "en-de.json", {
             "kind": "command", "from_lang": "en", "to_lang": "de", "command": "cat",
             "batch_size": 2, "retries": 0})
-        # Chunks of lcm(1, 2) * jobs * 8 lines: 16 at --jobs 1, 128 at --jobs 8.
+        # Chunks of lcm(1, 2) * 8 = 16 lines, taken in turn by --jobs processes.
         lines = [f"satz {i} auf der straße" if i % 5 else f"wort{i}" for i in range(300)]
         lines[7] = "x" * 600
         mono = tmp_path / "mono.txt"
         write(mono, lines)
         outs = {}
-        for jobs in (1, 8):
-            outs[jobs] = tmp_path / f"jobs{jobs}.tsv"
+        for jobs in (1, 2, 8):
+            d = tmp_path / f"jobs{jobs}"
+            d.mkdir()
             assert run("rtt-gen", "--in", str(mono), "--to-pivot", str(channel),
-                       "--from-pivot", str(cat), "--jobs", str(jobs),
-                       "--out", str(outs[jobs])) == 0
-        assert outs[1].read_bytes() == outs[8].read_bytes()
+                       "--from-pivot", str(cat), "--jobs", str(jobs), "--intermediate",
+                       str(d / "pivot.txt"), "--cache-dir", str(d / "cache"),
+                       "--out", str(d / "pairs.tsv")) == 0
+            outs[jobs] = {p.relative_to(d): p.read_bytes() for p in d.rglob("*")
+                          if p.is_file() and not p.name.endswith(".manifest.json")}
+        assert outs[1] == outs[2] == outs[8]
+        kept = sum(map(mono_filter, lines))
+        assert len(outs[1]) == 2 + (kept + 1) // 2  # and a cache file per return batch
         pairs = generate_rtt(lines, spec_from_dict(NOISY_CHANNEL),
                              BackendSpec.identity("en", "de"))
-        assert outs[1].read_text() == "".join(f"{p.original}\t{p.round_trip}\n" for p in pairs)
+        assert outs[1][Path("pairs.tsv")] == "".join(
+            f"{p.original}\t{p.round_trip}\n" for p in pairs).encode("utf-8")
         assert 200 < len(pairs) < 299  # some lines dropped by each filter
+
+    def test_gz_output_at_jobs_2_still_forks(self, tmp_path, monkeypatch):
+        """The workers are forked before the .gz output starts its writer
+        thread, which would keep a process from forking."""
+        cat = _spec_file(tmp_path / "cat.json", {"kind": "command", "command": "cat",
+                                                 "batch_size": 2, "retries": 0})
+        mono = tmp_path / "mono.txt"
+        write(mono, [f"satz {i}" for i in range(100)])
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for jobs in (1, 2):
+            assert run("rtt-gen", "--in", str(mono), "--to-pivot", "identity", "--from-pivot",
+                       str(cat), "--jobs", str(jobs), "--out", str(tmp_path / f"{jobs}.tsv.gz")) == 0
+        assert forks == [1]
+        assert gzip.decompress((tmp_path / "2.tsv.gz").read_bytes()) == gzip.decompress(
+            (tmp_path / "1.tsv.gz").read_bytes())
 
     def test_backend_failure_in_third_chunk_leaves_no_output(self, tmp_path, capsys):
         channel = _spec_file(tmp_path / "de-en.json", {
@@ -1288,6 +1312,10 @@ class TestLengthChecksNameTheFiles:
         ("report-split --ref-text two.txt --origins origins.txt --src en --tgt de "
          "--hyp x=two.txt --hyp y=one.txt",
          "line count mismatch: 1 in one.txt vs 2 segments in two.txt"),
+        ("split --text two.txt --origins one.txt --src en --tgt de",
+         "line count mismatch: 2 in two.txt vs 1 in one.txt"),
+        ("report-split --ref-text one.txt --origins origins.txt --src en --tgt de "
+         "--hyp x=one.txt", "line count mismatch: 1 in one.txt vs 2 in origins.txt"),
     ])
     def test_mismatch_names_both_files(self, files, capsys, argv, message):
         assert run(*argv.split(), "--out", "out.txt") == 2

@@ -373,11 +373,11 @@ class TestFileIoOwner:
     so that each format has one reader and one writer, and every decoding
     error names its file and line."""
 
-    # The pipe ends of report-split's scoring processes; the SGM parser's
+    # The pipe ends of the forked workers; the SGM parser's
     # input, which it decodes strictly, span by span; and a failed command
     # backend's stderr, quoted in the error message.
     ALLOWED = {
-        "analysis.py:_fork_map: open()",
+        "parallel.py:_results: open()",
         "cli.py:_read_sgm: .read_bytes()",
         'backends.py:_run_command_batch: errors="replace"',
     }

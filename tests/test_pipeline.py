@@ -2,11 +2,13 @@
 
 import dataclasses
 import gc
+import os
+import signal
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from conftest import child_pids
 
 from rtt_ape import pipeline
 from rtt_ape.backends import BackendSpec, ChannelConfig, translate_batch
@@ -110,8 +112,8 @@ class TestIterRtt:
         assert list(chunked([], 3)) == [[]]
 
     def test_chunks_translate_like_one_whole_corpus_call(self, monkeypatch):
-        # Chunks of lcm(3, 4) * 2 jobs = 24 lines; the noisy channel's
-        # salts must still count from the start of the corpus.
+        # Chunks of lcm(3, 4) = 12 lines; the noisy channel's salts must
+        # still count from the start of the corpus.
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
         lines = [f"satz {i} auf der straße" if i % 4 else f"wort{i}" for i in range(100)]
         lines += ["x" * 600, "ende"]
@@ -184,11 +186,11 @@ def _cache_contents(cache) -> dict:
 
 
 class TestPipelinedIterRtt:
-    """With jobs > 1 one pool serves the whole run, and the next chunk's
-    pivot is translated while this chunk's return batches run."""
+    """With jobs > 1, chunk k is translated by worker process k mod jobs:
+    this one or a forked child, each running its chunk's batches in turn."""
 
     def test_command_backends_both_ways_match_whole_corpus_calls(self, tmp_path, monkeypatch):
-        # Chunks of lcm(3, 4) * 2 jobs = 24 lines.
+        # Chunks of lcm(3, 4) = 12 lines.
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
         to_en = _command("tr aeiou AEIOU", "de", "en", 3)
         to_de = _command("tr st TS", "en", "de", 4)
@@ -203,28 +205,76 @@ class TestPipelinedIterRtt:
         assert got[0][2] == RttPair("satz 0 auf der straße", "TASz 0 AUf dEr TSrAßE")
         assert _cache_contents(tmp_path / "chunked") == _cache_contents(tmp_path / "whole")
 
-    @pytest.mark.parametrize("failing_side", ["pivot", "return"])
-    def test_backend_error_comes_after_the_chunks_before_it(self, monkeypatch, failing_side):
-        # Chunks of 2 * 2 jobs = 4 lines: line 11 is in the third.
-        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+    @staticmethod
+    def _fail_at(boom: int, failing_side: str) -> tuple[list, BackendError]:
+        """The pairs yielded before the error, and the error, when line
+        ``boom`` of 16 fails on one side.  Chunks of 2 * 2 batches = 4 lines,
+        taken in turn by this process and the child."""
         failing = "awk '/BOOM/ { exit 1 } { print }'"
         to_en = _command(failing if failing_side == "pivot" else "cat", "de", "en", 2)
         to_de = _command(failing if failing_side == "return" else "cat", "en", "de", 2)
         lines = [f"satz {i}" for i in range(1, 17)]
-        lines[10] = "BOOM"
+        lines[boom - 1] = "BOOM"
         got = []
-        with pytest.raises(BackendError, match=r"input lines 10\.\.11"):
+        with pytest.raises(BackendError) as err:
             for item in iter_rtt(lines, to_en, to_de, jobs=2):
                 got.append(item)
+        return got, err.value
+
+    @pytest.mark.parametrize("failing_side", ["pivot", "return"])
+    def test_backend_error_comes_after_the_chunks_before_it(self, monkeypatch, failing_side):
+        # Line 11 is in the third chunk, which this process translates.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 2)
+        got, err = self._fail_at(11, failing_side)
+        assert str(err).endswith("(input lines 10..11)")
         assert got == [(n, f"satz {n}", RttPair(f"satz {n}", f"satz {n}")) for n in range(1, 9)]
 
-    def test_closing_the_generator_early_stops_every_thread(self):
-        before = set(threading.enumerate())
+    @pytest.mark.parametrize("failing_side", ["pivot", "return"])
+    def test_a_backend_error_in_a_child_keeps_its_lines(self, monkeypatch, failing_side):
+        # Line 15 is in the fourth chunk, which the child translates: the
+        # error crosses the pipe whole, after the twelve pairs before it.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 2)
+        got, err = self._fail_at(15, failing_side)
+        assert str(err) == ("command backend failed after 1 attempts: command backend exited 1:  "
+                            "(input lines 14..15)")
+        assert (err.first_line, err.last_line) == (14, 15)
+        assert got == [(n, f"satz {n}", RttPair(f"satz {n}", f"satz {n}")) for n in range(1, 13)]
+
+    def test_a_worker_killed_by_a_signal_names_its_lines(self, monkeypatch):
+        # Chunks of lcm(3, 4) = 12 lines: the child translates the second.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        parent, real = os.getpid(), pipeline.translate_batch
+
+        def translate(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "translate_batch", translate)
+        got = []
+        with pytest.raises(ChildProcessError, match=(
+                r"^rtt-gen worker for input lines 12\.\.23 ended without a result "
+                r"\(killed by SIGKILL\)$")):
+            for item in iter_rtt([f"satz {i}" for i in range(40)], NOISY_DE_EN, _cat_en_de(4),
+                                 jobs=2):
+                got.append(item)
+        assert [n for n, _, _ in got] == list(range(1, 13))
+
+    def test_closing_the_generator_early_stops_every_worker(self):
+        before = child_pids()
         rtt = iter_rtt((f"satz {i}" for i in range(1000)), NOISY_DE_EN, _cat_en_de(4), jobs=2)
+        assert len(child_pids() - before) == 1  # the worker, forked by the call
         next(rtt)
-        assert set(threading.enumerate()) > before  # the pool's threads
         rtt.close()
-        assert set(threading.enumerate()) == before
+        assert child_pids() == before
+
+    def test_an_error_in_the_consumer_stops_every_worker(self):
+        before = child_pids()
+        with pytest.raises(RuntimeError, match="consumer"):
+            for _ in iter_rtt((f"satz {i}" for i in range(1000)), NOISY_DE_EN, _cat_en_de(4),
+                              jobs=3):
+                raise RuntimeError("consumer")
+        assert child_pids() == before
 
     def test_resume_over_a_full_cache_submits_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
@@ -233,22 +283,16 @@ class TestPipelinedIterRtt:
         lines = [f"satz {i} auf der straße" for i in range(100)]
         cold = list(iter_rtt(lines, NOISY_DE_EN, cat, jobs=2, cache_dir=cache))
         assert counter.read_text().count("run") == 25
-        submitted = []
-        real_submit = ThreadPoolExecutor.submit
-
-        def submit(pool, *args, **kwargs):
-            submitted.append(args)
-            return real_submit(pool, *args, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        files = {p: p.stat().st_mtime_ns for p in cache.rglob("*")}
         assert list(iter_rtt(lines, NOISY_DE_EN, cat, jobs=2, cache_dir=cache)) == cold
         assert counter.read_text().count("run") == 25
-        assert submitted == []
+        assert {p: p.stat().st_mtime_ns for p in cache.rglob("*")} == files
 
-    def test_jobs_1_is_serial_and_starts_no_thread(self, monkeypatch):
+    def test_jobs_1_is_serial_and_starts_no_process(self, monkeypatch):
         # Chunks of lcm(3, 4) = 12 lines, each read and translated just
         # before its pairs are yielded.
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        monkeypatch.setattr(os, "fork", None)  # calling it fails the test
         read = []
 
         def lines():
@@ -262,8 +306,9 @@ class TestPipelinedIterRtt:
             assert set(threading.enumerate()) == before
 
     def test_resume_holds_one_chunk_like_jobs_1(self, tmp_path, monkeypatch):
-        # Equal chunks of 16 * 8 = 128 lines at either jobs value, so the
-        # two passes differ only in how many chunks they hold at once.
+        # Equal chunks of 16 * 8 = 128 lines at either jobs value.  At jobs
+        # 2 this process translates every second chunk and takes the others
+        # from the child, one at a time.
         channel = dataclasses.replace(NOISY_DE_EN, batch_size=16)
         cat, cache = _cat_en_de(16), tmp_path / "cache"
         lines = [f"satz {i} " + "über die straße der stadt " * 10 for i in range(1024)]
@@ -271,7 +316,6 @@ class TestPipelinedIterRtt:
         cold = list(iter_rtt(lines, channel, cat, cache_dir=cache))  # also warms up
 
         def peak(jobs):
-            monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 8 // jobs)
             gc.collect()
             tracemalloc.start()
             try:
