@@ -5,9 +5,6 @@ Loaded by ``cli`` the first time one of its subcommands is looked up."""
 
 from __future__ import annotations
 
-import os
-import threading
-
 import click
 
 from .cli import _command, _dump_json, _emit, _load_testset
@@ -76,14 +73,10 @@ MIN_PAIRS_PER_WORKER = 500
 
 def _scoring_workers(pairs: int) -> int:
     """How many processes score ``pairs`` (system, segment) pairs: one per
-    usable core, each with at least ``MIN_PAIRS_PER_WORKER`` pairs, and only
-    one where forking is unavailable or another thread runs (a forked child
-    would hold only the calling thread, and any lock another one held)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() != 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), pairs // MIN_PAIRS_PER_WORKER))
+    usable core, each with at least ``MIN_PAIRS_PER_WORKER`` pairs."""
+    from .parallel import usable_cores
+
+    return max(1, min(usable_cores(), pairs // MIN_PAIRS_PER_WORKER))
 
 
 @_command("report-split")

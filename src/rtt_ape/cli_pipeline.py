@@ -52,12 +52,16 @@ def _load_backend(value: str) -> BackendSpec:
 @click.option("--out", type=click.Path(), help="TSV: original<TAB>round_trip.")
 def rtt_gen_cmd(params: dict) -> list[str]:
     """Generate round-trip translations for every surviving line."""
+    from .parallel import Reiterable
     from .pipeline import iter_rtt
 
     y_to_x = _load_backend(params["to_pivot"])
     x_to_y = _load_backend(params["from_pivot"])
+    # A regular file is read by each worker itself; a pipe only by this process.
+    in_path = params["in_path"]
+    lines = Reiterable(iter_lines, in_path) if Path(in_path).is_file() else iter_lines(in_path)
     # Started, and its workers forked, before a .gz output starts its writer thread.
-    rtt = iter_rtt(iter_lines(params["in_path"]), y_to_x, x_to_y, _filter_config(params),
+    rtt = iter_rtt(lines, y_to_x, x_to_y, _filter_config(params),
                    filter_sides=params["filter_sides"], jobs=params["jobs"],
                    cache_dir=params["cache_dir"])
     pivots = open_lines(params["intermediate"]) if params["intermediate"] else nullcontext()

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 from .backends import BackendSpec, check_jobs, translate_batch
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
-from .parallel import fork_map
+from .parallel import Reiterable, fork_map, usable_cores
 
 if TYPE_CHECKING:
     from .corpus import FilterConfig, SentencePair
@@ -31,8 +31,8 @@ FILTER_SIDES = ("both", "original", "round_trip")
 
 # Streaming chunk sizes, which bound memory in place of the corpus size:
 # ``iter_rtt`` translates lcm(both batch sizes) * CHUNK_BATCHES lines at a
-# time in each worker (CHUNK_BATCHES batches when the batch sizes are
-# equal), and make-pairs filters PAIRS_PER_CHUNK pairs at a time.
+# time per process that runs its batches (CHUNK_BATCHES batches each when
+# the batch sizes are equal), and make-pairs filters PAIRS_PER_CHUNK pairs.
 CHUNK_BATCHES = 8
 PAIRS_PER_CHUNK = 1024
 
@@ -98,10 +98,14 @@ def iter_rtt(
     backends' batch sizes (see ``CHUNK_BATCHES``), so memory does not grow
     with the corpus and every batch (and so every cache file) is the one a
     single call over the whole corpus would make.  Chunk k is translated,
-    both ways, by worker process k mod ``jobs``: this one or a child forked
-    by this call, which reads ``lines`` itself (see ``parallel.fork_map``).
-    A failure is raised after every pair before it.  Closing the returned
-    iterator stops the workers.  ``cfg`` defaults to ``FilterConfig()``.
+    both ways, by worker process k mod P: this one or a child forked by this
+    call, which reads ``lines`` itself (see ``parallel.fork_map``).  P is
+    min(``jobs``, usable cores), or 1 if ``lines`` is an iterator, which
+    the workers could not each read.  The workers share ``jobs`` out, and
+    each runs its chunks' command and HTTP batches in that many processes;
+    chunks grow to match.  A failure is raised after every pair before it.
+    Closing the returned iterator stops the workers.  ``cfg`` defaults to
+    ``FilterConfig()``.
     """
     # Not imported at module level: ``apply_ape`` filters nothing, so
     # ``ape-apply`` never loads ``corpus``.
@@ -119,19 +123,23 @@ def iter_rtt(
         )
     filter_original = filter_sides in ("both", "original")
     filter_round_trip = filter_sides in ("both", "round_trip")
-    size = math.lcm(y_to_x.batch_size, x_to_y.batch_size) * CHUNK_BATCHES
+    workers = 1 if isinstance(lines, Iterator) else min(jobs, usable_cores())
+    size = math.lcm(y_to_x.batch_size, x_to_y.batch_size) * CHUNK_BATCHES * -(-jobs // workers)
 
-    numbered = ((line_no, line) for line_no, line in enumerate(lines, 1)
-                if not filter_original or mono_filter(line, cfg))
-    chunks = enumerate(chunked(numbered, size))  # chunk k starts at translated line k * size
+    def chunks() -> Iterator[tuple[int, list[tuple[int, str]]]]:  # k starts at line k * size
+        numbered = ((line_no, line) for line_no, line in enumerate(lines, 1)
+                    if not filter_original or mono_filter(line, cfg))
+        return enumerate(chunked(numbered, size))
 
     def round_trip(item: tuple[int, list[tuple[int, str]]]) -> tuple[list, list]:
         """The chunk's pivots and round trips, None for those the filter drops."""
         k, chunk = item
+        batch_jobs = jobs // workers + (k % workers < jobs % workers)  # its worker's share
         # A module global, looked up at each call: perfbench's traced run wraps it.
-        pivot = translate_batch(y_to_x, [line for _, line in chunk], cache_dir=cache_dir,
-                                start=k * size)
-        round_trips = translate_batch(x_to_y, pivot, cache_dir=cache_dir, start=k * size)
+        pivot = translate_batch(y_to_x, [line for _, line in chunk], jobs=batch_jobs,
+                                cache_dir=cache_dir, start=k * size)
+        round_trips = translate_batch(x_to_y, pivot, jobs=batch_jobs, cache_dir=cache_dir,
+                                      start=k * size)
         return pivot, [r if not filter_round_trip or mono_filter(r, cfg) else None
                        for r in round_trips]
 
@@ -141,7 +149,8 @@ def iter_rtt(
 
     # Closing this generator frees, and so stops, the workers' iterator.
     return ((line_no, p, None if r is None else RttPair(original, r))
-            for (_, chunk), (pivot, round_trips) in fork_map(round_trip, chunks, jobs, name)
+            for (_, chunk), (pivot, round_trips) in fork_map(round_trip, Reiterable(chunks),
+                                                             workers, name)
             for (line_no, original), p, r in zip(chunk, pivot, round_trips))
 
 

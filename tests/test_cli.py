@@ -6,7 +6,9 @@ import inspect
 import json
 import os
 import signal
+import subprocess
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtt_ape import analysis, cli_analysis
+from rtt_ape import analysis, cli_analysis, pipeline
 from rtt_ape.analysis import humaneval_make_tasks, vocab_size
 from rtt_ape.backends import BackendSpec, spec_from_dict
 from rtt_ape.cli import SUBCOMMANDS, cli, main
@@ -608,9 +610,31 @@ class TestStreamingRttGen:
             f"{p.original}\t{p.round_trip}\n" for p in pairs).encode("utf-8")
         assert 200 < len(pairs) < 299  # some lines dropped by each filter
 
+    def test_a_pipe_at_jobs_2_is_read_once_like_at_jobs_1(self, tmp_path, monkeypatch, capsys):
+        """Workers can not each read a pipe: this process reads it alone.
+        (To stdout: the manifest of an --out would read the pipe again.)"""
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)
+        cat = _spec_file(tmp_path / "cat.json", {"kind": "command", "command": "cat",
+                                                 "batch_size": 2, "retries": 0})
+        mono, fifo = tmp_path / "mono.txt", tmp_path / "mono.fifo"
+        write(mono, [f"satz {i}" for i in range(3000)])
+        argv = ["rtt-gen", "--to-pivot", "identity", "--from-pivot", str(cat)]
+        assert run(*argv, "--in", str(mono)) == 0
+        expected = capsys.readouterr().out
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(mono), str(fifo)])
+        try:
+            assert run(*argv, "--in", str(fifo), "--jobs", "2") == 0
+            assert writer.wait(10) == 0
+        finally:
+            writer.kill()
+            writer.wait()
+        assert capsys.readouterr().out == expected
+
     def test_gz_output_at_jobs_2_still_forks(self, tmp_path, monkeypatch):
         """The workers are forked before the .gz output starts its writer
         thread, which would keep a process from forking."""
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)
         cat = _spec_file(tmp_path / "cat.json", {"kind": "command", "command": "cat",
                                                  "batch_size": 2, "retries": 0})
         mono = tmp_path / "mono.txt"
@@ -795,32 +819,47 @@ def _report_split_argv(tmp_path: Path, out: Path) -> list[str]:
 
 
 class TestReportSplitWorkers:
-    @pytest.fixture()
-    def one_thread(self, monkeypatch):
-        """Pretend no other thread runs (a test run may hold server threads)."""
-        monkeypatch.setattr(cli_analysis.threading, "active_count", lambda: 1)
-
-    def test_small_inputs_stay_in_one_process(self, one_thread):
+    def test_small_inputs_stay_in_one_process(self):
         assert cli_analysis._scoring_workers(1) == 1
         assert cli_analysis._scoring_workers(2 * cli_analysis.MIN_PAIRS_PER_WORKER - 1) == 1
 
-    def test_one_worker_per_usable_core_with_enough_pairs_each(self, monkeypatch, one_thread):
-        monkeypatch.setattr(cli_analysis.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    def test_one_worker_per_usable_core_with_enough_pairs_each(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         least = cli_analysis.MIN_PAIRS_PER_WORKER
         assert cli_analysis._scoring_workers(3 * least) == 3
         assert cli_analysis._scoring_workers(100 * least) == 4
-        monkeypatch.setattr(cli_analysis.os, "sched_getaffinity", lambda pid: {5})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
         assert cli_analysis._scoring_workers(100 * least) == 1
 
-    def test_no_fork_without_fork_or_affinity_or_beside_another_thread(self, monkeypatch):
-        monkeypatch.setattr(cli_analysis.os, "sched_getaffinity", lambda pid: {0, 1})
-        many = 100 * cli_analysis.MIN_PAIRS_PER_WORKER
-        monkeypatch.setattr(cli_analysis.threading, "active_count", lambda: 2)
-        assert cli_analysis._scoring_workers(many) == 1
-        monkeypatch.setattr(cli_analysis.threading, "active_count", lambda: 1)
-        assert cli_analysis._scoring_workers(many) == 2
-        monkeypatch.delattr(cli_analysis.os, "fork")
-        assert cli_analysis._scoring_workers(many) == 1
+    def test_no_fork_without_fork_or_affinity_or_beside_another_thread(self, tmp_path,
+                                                                       monkeypatch):
+        # The mini test set's 60 pairs, sized for two processes.
+        monkeypatch.setattr(cli_analysis, "MIN_PAIRS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(threading, "active_count", lambda: 1)  # not the test run's servers
+        real_fork, forks, reports = os.fork, [], set()
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        def forks_of_a_report_split() -> int:
+            del forks[:]
+            out = tmp_path / "report.json"
+            assert run(*_report_split_argv(tmp_path, out)) == 0
+            reports.add(out.read_bytes())
+            return len(forks)
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert forks_of_a_report_split() == 1
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert forks_of_a_report_split() == 0
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert forks_of_a_report_split() == 0
+        monkeypatch.delattr(os, "fork")
+        assert forks_of_a_report_split() == 0
+        assert len(reports) == 1
 
     def test_report_and_table_are_byte_identical_at_every_worker_count(
             self, tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import gc
 import os
 import signal
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -185,9 +186,24 @@ def _cache_contents(cache) -> dict:
     return {p.relative_to(cache): p.read_bytes() for p in cache.rglob("*") if p.is_file()}
 
 
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` runs: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestPipelinedIterRtt:
-    """With jobs > 1, chunk k is translated by worker process k mod jobs:
-    this one or a forked child, each running its chunk's batches in turn."""
+    """With jobs > 1, chunk k of a re-iterable input is translated by worker
+    process k mod jobs (up to the usable cores): this one or a forked child,
+    each running its chunk's batches in turn."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        """Two usable cores, so that jobs 2 forks a worker on any machine."""
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)
 
     def test_command_backends_both_ways_match_whole_corpus_calls(self, tmp_path, monkeypatch):
         # Chunks of lcm(3, 4) = 12 lines.
@@ -262,19 +278,58 @@ class TestPipelinedIterRtt:
 
     def test_closing_the_generator_early_stops_every_worker(self):
         before = child_pids()
-        rtt = iter_rtt((f"satz {i}" for i in range(1000)), NOISY_DE_EN, _cat_en_de(4), jobs=2)
+        rtt = iter_rtt([f"satz {i}" for i in range(1000)], NOISY_DE_EN, _cat_en_de(4), jobs=2)
         assert len(child_pids() - before) == 1  # the worker, forked by the call
         next(rtt)
         rtt.close()
         assert child_pids() == before
 
+    def test_closing_early_kills_the_commands_of_a_worker(self, tmp_path, monkeypatch):
+        # Chunks of lcm(1, 4) = 4 lines.  The child's command, on the second
+        # chunk, would sleep for a minute, and nothing would time it out
+        # once its worker was killed.
+        if not os.path.exists("/proc/self/stat"):
+            pytest.skip("needs /proc to see the command")
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        pid_file, script = tmp_path / "sleep.pid", tmp_path / "slow.sh"
+        script.write_text('input=$(cat)\n'
+                          'case "$input" in *slow*) echo $$ > "$1.tmp"; mv "$1.tmp" "$1"; '
+                          'exec sleep 60;; esac\n'
+                          'printf "%s\\n" "$input"\n')
+        slow = _command(f"sh {script} {pid_file}", "en", "de", 4)
+        to_en = dataclasses.replace(IDENT_DE_EN, batch_size=1)
+        rtt = iter_rtt(["satz"] * 4 + ["slow"] * 4, to_en, slow, jobs=2)
+        assert next(rtt) == (1, "satz", RttPair("satz", "satz"))
+        deadline = time.monotonic() + 10
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        pid = int(pid_file.read_text())
+        rtt.close()
+        deadline = time.monotonic() + 2  # for its new parent to reap it
+        while _running(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(pid)
+
     def test_an_error_in_the_consumer_stops_every_worker(self):
         before = child_pids()
         with pytest.raises(RuntimeError, match="consumer"):
-            for _ in iter_rtt((f"satz {i}" for i in range(1000)), NOISY_DE_EN, _cat_en_de(4),
+            for _ in iter_rtt([f"satz {i}" for i in range(1000)], NOISY_DE_EN, _cat_en_de(4),
                               jobs=3):
                 raise RuntimeError("consumer")
         assert child_pids() == before
+
+    def test_an_iterator_is_read_by_this_process_alone(self, tmp_path, monkeypatch):
+        # Forked workers would share the file's offset.  Chunks of 12 lines.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        lines = [f"satz {i} auf der straße" for i in range(2000)]
+        path = tmp_path / "mono.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        cat, cache = _cat_en_de(4), tmp_path / "cache"
+        expected = generate_rtt(lines, NOISY_DE_EN, cat, jobs=1, cache_dir=cache / "1")
+        with open(path, encoding="utf-8") as fh:
+            assert generate_rtt((line.rstrip("\n") for line in fh), NOISY_DE_EN, cat, jobs=2,
+                                cache_dir=cache / "2") == expected
+        assert _cache_contents(cache / "2") == _cache_contents(cache / "1")
 
     def test_resume_over_a_full_cache_submits_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
@@ -306,20 +361,23 @@ class TestPipelinedIterRtt:
             assert set(threading.enumerate()) == before
 
     def test_resume_holds_one_chunk_like_jobs_1(self, tmp_path, monkeypatch):
-        # Equal chunks of 16 * 8 = 128 lines at either jobs value.  At jobs
-        # 2 this process translates every second chunk and takes the others
-        # from the child, one at a time.
+        # Chunks of 16 * 8 = 128 lines at jobs 1, and for each worker at jobs
+        # 2: this process translates every second chunk of a list and takes
+        # the others from the child, one at a time.  An iterator it reads
+        # alone, in chunks of 2 * 128 lines whose batches it shares with a
+        # child, holding one chunk like jobs 1 with chunks of that size.
         channel = dataclasses.replace(NOISY_DE_EN, batch_size=16)
         cat, cache = _cat_en_de(16), tmp_path / "cache"
         lines = [f"satz {i} " + "über die straße der stadt " * 10 for i in range(1024)]
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 8)
         cold = list(iter_rtt(lines, channel, cat, cache_dir=cache))  # also warms up
 
-        def peak(jobs):
+        def peak(source, jobs, chunk_batches=8):
+            monkeypatch.setattr(pipeline, "CHUNK_BATCHES", chunk_batches)
             gc.collect()
             tracemalloc.start()
             try:
-                for _ in iter_rtt(iter(lines), channel, cat, jobs=jobs, cache_dir=cache):
+                for _ in iter_rtt(source(), channel, cat, jobs=jobs, cache_dir=cache):
                     pass
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -327,10 +385,13 @@ class TestPipelinedIterRtt:
 
         # The best of two passes each: a one-off growth of an interpreter
         # table (the interned strings) can land in either.
-        serial, pooled = min(peak(1), peak(1)), min(peak(2), peak(2))
+        whole, once = (lambda: lines), (lambda: iter(lines))
+        serial, pooled = min(peak(whole, 1), peak(whole, 1)), min(peak(whole, 2), peak(whole, 2))
         assert list(iter_rtt(lines, channel, cat, jobs=2, cache_dir=cache)) == cold
         assert pooled <= 1.2 * serial, (serial, pooled)
-
+        serial = min(peak(whole, 1, 16), peak(whole, 1, 16))
+        pooled = min(peak(once, 2), peak(once, 2))
+        assert pooled <= 1.2 * serial, (serial, pooled)
 
 class TestMakeTrainingPairs:
     PAIRS = [RttPair(original="y", round_trip="r"), RttPair(original="b c", round_trip="b d")]
