@@ -14,8 +14,9 @@ columns are source, output, and the two question/rating pairs, while
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -25,8 +26,9 @@ from .scoring import (
     BleuConfig,
     BleuScore,
     NgramStats,
+    _tokenize_cached,
     corpus_bleu,
-    corpus_stats,
+    ngram_stats,
     score_from_stats,
     tokenize_intl,
 )
@@ -126,9 +128,10 @@ def split_score_table(
     Every system's length is checked before any scoring.  The segments are
     then cut into ``workers`` contiguous ranges, which are scored at once:
     the first in this process, each other one in a forked child (see
-    ``parallel.fork_map``).  The n-gram statistics of the ranges are summed in
-    range order, and being integers, they sum to the same totals as one
-    range would, so the scores are bit-identical at any ``workers``.
+    ``parallel.fork_map``).  A range adds each (system, segment) pair's
+    integer n-gram statistics, in place, to its sums for the groups holding
+    the segment, tokenizing each reference once.  The ranges' sums are added
+    in range order, so the scores are bit-identical at any ``workers``.
     """
     if config is None:
         config = BleuConfig(lang_pair=f"{ts.src_lang}-{ts.tgt_lang}", test_set=ts.name)
@@ -144,16 +147,18 @@ def split_score_table(
         "source_original": halves.source_original,
         "target_original": halves.target_original,
     }
+    groups_of = {i: names for names in (("full", "source_original"), ("full", "target_original"))
+                 for i in groups[names[1]]}  # an unknown-origin segment is in "full" alone
 
     def range_stats(segments: range) -> dict[tuple[str, str], NgramStats]:
-        stats = {}
-        for name, indices in groups.items():
-            # Each group's indices ascend, so those in the range are a slice.
-            chosen = indices[bisect_left(indices, segments.start):
-                             bisect_left(indices, segments.stop)]
+        stats = {(label, name): NgramStats.zero() for label in hyps for name in groups}
+        for i in segments:
+            ref = _tokenize_cached(refs[i])
             for label, hyp in hyps.items():
-                stats[label, name] = (corpus_stats((hyp[i], refs[i]) for i in chosen)
-                                      if chosen else NgramStats.zero())
+                hyp_tokens = _tokenize_cached(hyp[i])
+                for name in groups_of.get(i, ("full",)):
+                    # A module global, looked up at each call: perfbench's traced run counts it.
+                    stats[label, name].add(ngram_stats(hyp_tokens, ref))
         return stats
 
     def name(segments: range) -> str:
@@ -293,7 +298,8 @@ def humaneval_aggregate(
 
     return {
         system: {
-            "fluency": sum(b["item_means"]) / len(b["item_means"]),
+            # A left fold: from Python 3.12 on, sum() of floats compensates and changes bits.
+            "fluency": functools.reduce(operator.add, b["item_means"], 0.0) / len(b["item_means"]),
             "accuracy": 100.0 * b["accuracy"].count(0) / len(b["accuracy"]),
         }
         for system, b in per_system.items()

@@ -16,13 +16,14 @@ class AlignmentError(DataError):
 class BackendError(Exception):
     """A translation backend failed after exhausting retries.
 
-    ``first_line`` and ``last_line`` give the 0-based index range (inclusive)
-    of the input lines in the failing batch, when known.
+    ``first_line`` and ``last_line`` give the range (inclusive) of the
+    input lines in the failing batch, when known: 0-based indices from
+    ``translate_batch``, 1-based line numbers of the input file from
+    ``iter_rtt``.  ``reason`` is the message without that range.
     """
 
     def __init__(self, message: str, first_line: int | None = None, last_line: int | None = None):
+        self.reason, self.first_line, self.last_line = message, first_line, last_line
         if first_line is not None:
             message = f"{message} (input lines {first_line}..{last_line})"
         super().__init__(message)
-        self.first_line = first_line
-        self.last_line = last_line

@@ -253,8 +253,11 @@ def write_lines(path: str | Path | None, lines: Iterable[str]) -> None:
             write(line)
 
 
-def file_fingerprint(path: str | Path) -> str:
-    """Stable content fingerprint used by run manifests."""
+def file_fingerprint(path: str | Path) -> str | None:
+    """Stable content fingerprint used by run manifests; None for anything
+    but a regular file, such as a pipe, which the command has read already."""
+    if not Path(path).is_file():
+        return None
     digest = hashlib.blake2b(digest_size=16)
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):

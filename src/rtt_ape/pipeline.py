@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
 
 from .backends import BackendSpec, check_jobs, translate_batch
+from .errors import BackendError
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .parallel import Reiterable, fork_map, usable_cores
 
@@ -103,7 +104,8 @@ def iter_rtt(
     min(``jobs``, usable cores), or 1 if ``lines`` is an iterator, which
     the workers could not each read.  The workers share ``jobs`` out, and
     each runs its chunks' command and HTTP batches in that many processes;
-    chunks grow to match.  A failure is raised after every pair before it.
+    chunks grow to match.  A failure is raised after every pair before it;
+    a backend error or a dead worker names the input line numbers it hit.
     Closing the returned iterator stops the workers.  ``cfg`` defaults to
     ``FilterConfig()``.
     """
@@ -135,17 +137,20 @@ def iter_rtt(
         """The chunk's pivots and round trips, None for those the filter drops."""
         k, chunk = item
         batch_jobs = jobs // workers + (k % workers < jobs % workers)  # its worker's share
-        # A module global, looked up at each call: perfbench's traced run wraps it.
-        pivot = translate_batch(y_to_x, [line for _, line in chunk], jobs=batch_jobs,
-                                cache_dir=cache_dir, start=k * size)
-        round_trips = translate_batch(x_to_y, pivot, jobs=batch_jobs, cache_dir=cache_dir,
-                                      start=k * size)
+        try:
+            # A module global, looked up at each call: perfbench's traced run wraps it.
+            pivot = translate_batch(y_to_x, [line for _, line in chunk], jobs=batch_jobs,
+                                    cache_dir=cache_dir, start=k * size)
+            round_trips = translate_batch(x_to_y, pivot, jobs=batch_jobs, cache_dir=cache_dir,
+                                          start=k * size)
+        except BackendError as exc:  # at indices among the kept lines: name input lines
+            first, last = (chunk[i - k * size][0] for i in (exc.first_line, exc.last_line))
+            raise BackendError(exc.reason, first, last) from exc
         return pivot, [r if not filter_round_trip or mono_filter(r, cfg) else None
                        for r in round_trips]
 
-    def name(item: tuple[int, list]) -> str:
-        first = item[0] * size
-        return f"rtt-gen worker for input lines {first}..{first + len(item[1]) - 1}"
+    def name(item: tuple[int, list[tuple[int, str]]]) -> str:
+        return f"rtt-gen worker for input lines {item[1][0][0]}..{item[1][-1][0]}"
 
     # Closing this generator frees, and so stops, the workers' iterator.
     return ((line_no, p, None if r is None else RttPair(original, r))

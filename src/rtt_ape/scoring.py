@@ -18,8 +18,10 @@ costs one search of a pattern that matches any character of a page not
 seen yet; only a hit scans the new pages and recompiles the classes.  The
 substitutions' replacements are bound ``str.format`` methods, which ``re``
 calls from C, where Python 3.11 would expand template strings in Python
-per match.  Each side of a pair has its n-grams of all four orders counted
-into one ``Counter``, in C.
+per match.  A sentence's n-grams are kept per order: a ``set`` where none
+repeats (most orders from bigrams up), else a ``Counter``.  Clipped matches
+against a set are one intersection, in C; only orders that repeat an
+n-gram on both sides loop in Python.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 NGRAM_ORDER = 4
@@ -178,13 +179,27 @@ class NgramStats:
             self.ref_len + other.ref_len,
         )
 
+    def add(self, other: "NgramStats") -> None:
+        """Add ``other`` into these counts, in place."""
+        self.match = list(map(operator.add, self.match, other.match))
+        self.total = list(map(operator.add, self.total, other.total))
+        self.hyp_len += other.hyp_len
+        self.ref_len += other.ref_len
 
-def _ngram_counts(tokens: tuple[str, ...]) -> Counter:
-    """Counts of the n-grams of every order 1..4, keyed by token tuple: a
-    key's order is its length."""
+
+# Built for both sentences of each distinct pair; a few entries keep a
+# reference's table for every system scored against it.  Shared, so never mutated.
+@functools.lru_cache(maxsize=8)
+def _ngram_table(tokens: tuple[str, ...]) -> tuple[set | Counter, ...]:
+    """The n-grams of each order 1..4, keyed by token tuple: a ``set`` when
+    none of that order repeats, else a ``Counter``."""
     shifted = [tokens[i:] for i in range(NGRAM_ORDER)]
-    # One Counter over all four orders: counted in C, with no update per order.
-    return Counter(chain.from_iterable(zip(*shifted[:n]) for n in range(1, NGRAM_ORDER + 1)))
+    table = []
+    for n in range(1, NGRAM_ORDER + 1):
+        grams = list(zip(*shifted[:n]))
+        distinct = set(grams)
+        table.append(distinct if len(distinct) == len(grams) else Counter(grams))
+    return tuple(table)
 
 
 # Scoring meets the same (hypothesis, reference) pair again and again (full
@@ -192,13 +207,14 @@ def _ngram_counts(tokens: tuple[str, ...]) -> Counter:
 # a bounded cache changes nothing semantically.
 @functools.lru_cache(maxsize=1 << 16)
 def _clipped_matches(hyp_tokens: tuple[str, ...], ref_tokens: tuple[str, ...]) -> tuple[int, ...]:
-    ref_counts = _ngram_counts(ref_tokens)
-    match = [0] * NGRAM_ORDER
-    for gram, count in _ngram_counts(hyp_tokens).items():
-        ref_count = ref_counts.get(gram)
-        if ref_count:
-            match[len(gram) - 1] += count if count < ref_count else ref_count  # min(), inlined
-    return tuple(match)
+    # min(hyp count, ref count) is 1 for each n-gram common to a set and the
+    # other side: their intersection, in C.  Two Counters loop over the common n-grams.
+    return tuple(
+        len(hyp.intersection(ref)) if type(hyp) is set
+        else len(ref.intersection(hyp)) if type(ref) is set
+        else sum(min(count, ref[gram]) for gram, count in hyp.items() if gram in ref)
+        for hyp, ref in zip(_ngram_table(hyp_tokens), _ngram_table(ref_tokens))
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,7 +314,9 @@ def score_from_stats(stats: NgramStats, config: BleuConfig = BleuConfig()) -> Bl
     if stats.hyp_len < stats.ref_len:
         brevity_penalty = math.exp(1 - stats.ref_len / stats.hyp_len) if stats.hyp_len > 0 else 0.0
 
-    score = brevity_penalty * math.exp(sum(_floored_log(p) for p in precisions) / NGRAM_ORDER)
+    # A left fold: from Python 3.12 on, sum() of floats compensates and changes bits.
+    log_sum = functools.reduce(operator.add, map(_floored_log, precisions), 0.0)
+    score = brevity_penalty * math.exp(log_sum / NGRAM_ORDER)
     # The log/exp round trip can land a few ulp above 100 on a perfect
     # corpus; scores are defined on [0, 100].
     score = min(score, 100.0)
@@ -320,12 +338,7 @@ def corpus_stats(pairs: Iterable[tuple[str, str]]) -> NgramStats:
     seen = False
     for hyp, ref in pairs:
         seen = True
-        pair = ngram_stats(_tokenize_cached(hyp), _tokenize_cached(ref))
-        # Summed into the one result, without a new NgramStats per pair.
-        stats.match = list(map(operator.add, stats.match, pair.match))
-        stats.total = list(map(operator.add, stats.total, pair.total))
-        stats.hyp_len += pair.hyp_len
-        stats.ref_len += pair.ref_len
+        stats.add(ngram_stats(_tokenize_cached(hyp), _tokenize_cached(ref)))
     if not seen:
         raise ValueError("cannot score an empty corpus")
     return stats

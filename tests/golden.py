@@ -3,8 +3,9 @@ fixed input set, kept under ``tests/data/golden/``.
 
 ``inputs/`` holds line files and three backend specs derived from
 ``tests/data/mini_ende_*.sgm``, plus one line containing U+2028 in each
-line file and in one SGM file, and an SGM file with a tab inside a
-segment.  ``expected/`` holds what the commands in
+line file and in one SGM file, an SGM file with a tab inside a segment,
+and three line files of the ``ODD_*`` lines (astral characters, U+0085
+and "\r" inside lines), which ``bleu`` scores and ``dedup`` writes back.  ``expected/`` holds what the commands in
 ``CASES`` wrote, run in order in one directory (later commands read
 earlier outputs), what some of them printed to stderr, the exit code and
 stderr of each failing run in ``ERRORS``, and the ``--help`` text of the
@@ -48,6 +49,16 @@ SGM = ("mini_ende_src.sgm", "mini_ende_ref.sgm")
 # readers would cut it in two.
 LS_EN = "First line\u2028second line of the paragraph."
 LS_DE = "Erste Zeile\u2028zweite Zeile des Absatzes."
+
+# Lines that hold characters beyond the Basic Multilingual Plane (a symbol,
+# punctuation and letters, which the tokenizer reads from pages of their
+# own), U+0085 and "\r" inside a line and at its end: only "\n" ends a line.
+ODD_REF = ["Der Preis\U0001F600stieg um 5 %\x85und fiel dann.",
+           "\U0001D407\U0001D41A\U0001D42E\U0001D42C\U00010100am See\rmit Blick.",
+           "Zeile mit Wagenr\u00fccklauf am Ende.\r"]
+ODD_HYP = ["Der Preis\U0001F600stieg um 5 %\x85und fiel.",
+           "\U0001D407\U0001D41A\U0001D42E\U0001D42C\U00010100am See\rmit Aussicht.",
+           ODD_REF[2]]
 
 # Subcommands whose ``--help`` is kept, as ``<name>.help.txt``, wrapped at
 # the width click uses in an 80-column terminal.
@@ -93,6 +104,10 @@ CASES: list[tuple[list[str], list[str]]] = [
      ["rtt.tsv", "rtt.pivot.txt", "rtt_cache", "rtt.tsv.manifest.json"]),
     (["bleu", "--hyp", "ape_all.txt", "--ref", "hyp.txt", "--lang", "en-de", "--set", "mini",
       "--out", "bleu.json"], ["bleu.json", "bleu.stderr", "bleu.json.manifest.json"]),
+    (["bleu", "--hyp", "odd_hyp.txt", "--ref", "odd_ref.txt", "--lang", "de-de", "--set", "odd",
+      "--out", "bleu_odd.json"], ["bleu_odd.json", "bleu_odd.stderr", "bleu_odd.json.manifest.json"]),
+    (["dedup", "--in", "odd.txt", "--report", "odd.dedup.report.json", "--out", "odd.dedup.txt"],
+     ["odd.dedup.txt", "odd.dedup.report.json"]),
     (["report-split", "--ref-text", "hyp.txt", "--origins", "origins.txt", "--src", "en",
       "--tgt", "de", "--name", "mini", "--hyp", "ape_all=ape_all.txt", "--hyp",
       "ape_to=ape_to.txt", "--hyp", "merge_all=merge_all.txt", "--table",
@@ -239,6 +254,9 @@ def write_inputs() -> None:
         "cat.json": {"kind": "command", "from_lang": "en", "to_lang": "de", "command": "cat",
                      "batch_size": 16, "retries": 0},
     }
+    _write_lines(INPUTS / "odd_ref.txt", ODD_REF)
+    _write_lines(INPUTS / "odd_hyp.txt", ODD_HYP)
+    _write_lines(INPUTS / "odd.txt", [*ODD_REF, *ODD_HYP])
     _write_lines(INPUTS / "dup.txt", [*src[:6], *ref[:3], *src[2:8], LS_EN, "", LS_EN, ""])
     items = [(s, h, ("base", "ape")[i % 2]) for i, (s, h) in enumerate(zip([*src, LS_EN], hyp))]
     _write_lines(INPUTS / "items.tsv", ["\t".join(item) for item in items])

@@ -1,7 +1,10 @@
 """Vocabulary counting, round-trip quality reports, split score tables, and
 human-evaluation task files."""
 
+import functools
 import json
+import math
+import operator
 import os
 import random
 import signal
@@ -10,7 +13,7 @@ import time
 import pytest
 from conftest import perturb_sentence, random_sentence
 
-from rtt_ape import analysis, scoring
+from rtt_ape import analysis
 from rtt_ape.analysis import (
     ACCURACY_QUESTION,
     FLUENCY_QUESTION,
@@ -24,7 +27,7 @@ from rtt_ape.analysis import (
     vocab_size,
 )
 from rtt_ape.errors import DataError
-from rtt_ape.scoring import BleuConfig, NgramStats, corpus_bleu, corpus_stats
+from rtt_ape.scoring import BleuConfig, NgramStats, corpus_bleu, corpus_stats, ngram_stats
 from rtt_ape.testset import Segment, TestSet
 
 
@@ -212,8 +215,8 @@ class TestSplitScoreTableWorkers:
         hyps = {f"sys{i}": list(refs) for i in range(7)}
         hyps["sys7"] = refs[:-1]
         calls = []
-        real = scoring.ngram_stats
-        monkeypatch.setattr(scoring, "ngram_stats", lambda *a: calls.append(a) or real(*a))
+        real = analysis.ngram_stats
+        monkeypatch.setattr(analysis, "ngram_stats", lambda *a: calls.append(a) or real(*a))
         with pytest.raises(ValueError, match="system 'sys7' has 10 lines, test set has 11"):
             split_score_table(ts, hyps, workers=2)
         assert calls == []
@@ -222,12 +225,12 @@ class TestSplitScoreTableWorkers:
         ts, refs = _documents_testset()
         parent = os.getpid()
 
-        def stats(pairs):
+        def stats(hyp_tokens, ref_tokens):
             if os.getpid() != parent:
                 raise DataError("bad pair in a child")
-            return corpus_stats(pairs)
+            return ngram_stats(hyp_tokens, ref_tokens)
 
-        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        monkeypatch.setattr(analysis, "ngram_stats", stats)
         with pytest.raises(DataError, match="bad pair in a child"):
             split_score_table(ts, {"sys": refs}, workers=2)
 
@@ -235,12 +238,12 @@ class TestSplitScoreTableWorkers:
         ts, refs = _documents_testset()
         parent = os.getpid()
 
-        def stats(pairs):
+        def stats(hyp_tokens, ref_tokens):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return corpus_stats(pairs)
+            return ngram_stats(hyp_tokens, ref_tokens)
 
-        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        monkeypatch.setattr(analysis, "ngram_stats", stats)
         with pytest.raises(ChildProcessError, match=(
                 r"scoring worker for segments 5\.\.10 ended without a result "
                 r"\(killed by SIGKILL\)")):
@@ -250,12 +253,12 @@ class TestSplitScoreTableWorkers:
         ts, refs = _documents_testset()
         parent = os.getpid()
 
-        def stats(pairs):
+        def stats(hyp_tokens, ref_tokens):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(30)  # the parent must not wait for this
 
-        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        monkeypatch.setattr(analysis, "ngram_stats", stats)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             split_score_table(ts, {"sys": refs}, workers=3)
@@ -357,6 +360,17 @@ class TestHumanevalAggregate:
         text = _completed_tasks([[9, 5, 5]], [[0, 0, 0]], ["a"])
         with pytest.raises(DataError, match="1..5"):
             humaneval_aggregate(_rows(text))
+
+    def test_fluency_is_a_left_fold_of_the_item_means(self):
+        # math.fsum of these means, like sum() from Python 3.12 on, differs in the last bit.
+        fluency = [[3, 5, 5], [1, 1, 5], [1, 1, 1], [3, 5, 5], [2, 2, 3]]
+        text = _completed_tasks(fluency, [[0, 0, 0]] * 5, ["a"] * 5)
+        first_seen = dict.fromkeys(int(row[5:10]) - 1 for row in _rows(text)
+                                   if row.startswith("item-"))
+        means = [sum(fluency[i]) / 3 for i in first_seen]
+        fold = functools.reduce(operator.add, means, 0.0) / 5
+        assert fold != math.fsum(means) / 5
+        assert humaneval_aggregate(_rows(text))["a"]["fluency"] == fold
 
     def test_crlf_line_ends_read_like_lf(self):
         text = _completed_tasks([[5, 4, 3], [2, 3, 4]], [[0, 1, 0], [0, 0, 0]], ["a", "b"])

@@ -23,8 +23,9 @@ from rtt_ape.backends import BackendSpec, spec_from_dict
 from rtt_ape.cli import SUBCOMMANDS, cli, main
 from rtt_ape.corpus import FilterConfig, SentencePair, bitext_filter, mono_filter
 from rtt_ape.errors import DataError
+from rtt_ape.lineio import file_fingerprint
 from rtt_ape.pipeline import ApeMode, generate_rtt, iter_rtt, make_training_pairs
-from rtt_ape.scoring import BleuConfig, corpus_stats
+from rtt_ape.scoring import BleuConfig, ngram_stats
 from rtt_ape.testset import parse_sgm
 
 DATA = Path(__file__).parent / "data"
@@ -610,26 +611,35 @@ class TestStreamingRttGen:
             f"{p.original}\t{p.round_trip}\n" for p in pairs).encode("utf-8")
         assert 200 < len(pairs) < 299  # some lines dropped by each filter
 
-    def test_a_pipe_at_jobs_2_is_read_once_like_at_jobs_1(self, tmp_path, monkeypatch, capsys):
-        """Workers can not each read a pipe: this process reads it alone.
-        (To stdout: the manifest of an --out would read the pipe again.)"""
+    def test_a_pipe_at_jobs_2_is_read_once_like_at_jobs_1(self, tmp_path, monkeypatch):
+        """Workers can not each read a pipe: this process reads it alone, and
+        its manifest records the pipe with no digest instead of reading it
+        again, which would wait for a writer for good."""
         monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)
         cat = _spec_file(tmp_path / "cat.json", {"kind": "command", "command": "cat",
                                                  "batch_size": 2, "retries": 0})
         mono, fifo = tmp_path / "mono.txt", tmp_path / "mono.fifo"
         write(mono, [f"satz {i}" for i in range(3000)])
         argv = ["rtt-gen", "--to-pivot", "identity", "--from-pivot", str(cat)]
-        assert run(*argv, "--in", str(mono)) == 0
-        expected = capsys.readouterr().out
+        assert run(*argv, "--in", str(mono), "--out", str(tmp_path / "file.tsv")) == 0
         os.mkfifo(fifo)
         writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(mono), str(fifo)])
+        signal.signal(signal.SIGALRM, lambda *_: pytest.fail("rtt-gen hung on the pipe"))
+        signal.alarm(60)
         try:
-            assert run(*argv, "--in", str(fifo), "--jobs", "2") == 0
+            assert run(*argv, "--in", str(fifo), "--jobs", "2",
+                       "--out", str(tmp_path / "pipe.tsv")) == 0
             assert writer.wait(10) == 0
         finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
             writer.kill()
             writer.wait()
-        assert capsys.readouterr().out == expected
+        assert (tmp_path / "pipe.tsv").read_bytes() == (tmp_path / "file.tsv").read_bytes()
+        inputs = [json.loads((tmp_path / f"{name}.tsv.manifest.json").read_text())["inputs"]
+                  for name in ("file", "pipe")]
+        assert inputs[1] == {str(fifo): None, str(cat): inputs[0][str(cat)]}
+        assert inputs[0][str(mono)] == file_fingerprint(mono)
 
     def test_gz_output_at_jobs_2_still_forks(self, tmp_path, monkeypatch):
         """The workers are forked before the .gz output starts its writer
@@ -663,7 +673,7 @@ class TestStreamingRttGen:
         assert run("rtt-gen", "--in", str(mono), "--to-pivot", str(channel),
                    "--from-pivot", str(failing), "--intermediate", str(pivot),
                    "--cache-dir", str(cache), "--out", str(out)) == 3
-        assert "input lines 20..20" in capsys.readouterr().err
+        assert "input lines 21..21" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + ["cache"])
         # Every batch before the failing one ran and is cached for a rerun.
         assert len(list(cache.rglob("*.txt"))) == 20
@@ -877,13 +887,13 @@ class TestReportSplitWorkers:
     def test_a_data_error_in_a_worker_is_exit_2(self, tmp_path, capsys, monkeypatch):
         parent = os.getpid()
 
-        def stats(pairs):
+        def stats(hyp_tokens, ref_tokens):
             if os.getpid() != parent:
                 raise DataError("worker saw a bad line")
-            return corpus_stats(pairs)
+            return ngram_stats(hyp_tokens, ref_tokens)
 
         monkeypatch.setattr(cli_analysis, "_scoring_workers", lambda pairs: 2)
-        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        monkeypatch.setattr(analysis, "ngram_stats", stats)
         out = tmp_path / "report.json"
         assert run(*_report_split_argv(tmp_path, out)) == 2
         assert capsys.readouterr().err == "data error: worker saw a bad line\n"
@@ -893,13 +903,13 @@ class TestReportSplitWorkers:
                                                                  monkeypatch):
         parent = os.getpid()
 
-        def stats(pairs):
+        def stats(hyp_tokens, ref_tokens):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return corpus_stats(pairs)
+            return ngram_stats(hyp_tokens, ref_tokens)
 
         monkeypatch.setattr(cli_analysis, "_scoring_workers", lambda pairs: 2)
-        monkeypatch.setattr(analysis, "corpus_stats", stats)
+        monkeypatch.setattr(analysis, "ngram_stats", stats)
         out = tmp_path / "report.json"
         assert run(*_report_split_argv(tmp_path, out)) == 2
         assert capsys.readouterr().err == (

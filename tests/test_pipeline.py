@@ -242,7 +242,7 @@ class TestPipelinedIterRtt:
         # Line 11 is in the third chunk, which this process translates.
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 2)
         got, err = self._fail_at(11, failing_side)
-        assert str(err).endswith("(input lines 10..11)")
+        assert str(err).endswith("(input lines 11..12)")
         assert got == [(n, f"satz {n}", RttPair(f"satz {n}", f"satz {n}")) for n in range(1, 9)]
 
     @pytest.mark.parametrize("failing_side", ["pivot", "return"])
@@ -252,9 +252,21 @@ class TestPipelinedIterRtt:
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 2)
         got, err = self._fail_at(15, failing_side)
         assert str(err) == ("command backend failed after 1 attempts: command backend exited 1:  "
-                            "(input lines 14..15)")
-        assert (err.first_line, err.last_line) == (14, 15)
+                            "(input lines 15..16)")
+        assert (err.first_line, err.last_line) == (15, 16)
         assert got == [(n, f"satz {n}", RttPair(f"satz {n}", f"satz {n}")) for n in range(1, 13)]
+
+    @pytest.mark.parametrize("boom", [4, 5])
+    def test_a_backend_error_names_its_input_line_past_a_filtered_one(self, monkeypatch, boom):
+        # One-line chunks: kept line 3 (input line 4) is this process's,
+        # kept line 4 (input line 5) the child's.
+        monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 1)
+        failing = _command("awk '/BOOM/ { exit 1 } { print }'", "en", "de", 1)
+        lines = ["eins", "x" * 600, "zwei", "drei", "vier"]
+        lines[boom - 1] = "BOOM"
+        with pytest.raises(BackendError) as err:
+            list(iter_rtt(lines, IDENT_DE_EN, failing, jobs=2))
+        assert str(err.value).endswith(f"(input lines {boom}..{boom})")
 
     def test_a_worker_killed_by_a_signal_names_its_lines(self, monkeypatch):
         # Chunks of lcm(3, 4) = 12 lines: the child translates the second.
@@ -269,7 +281,7 @@ class TestPipelinedIterRtt:
         monkeypatch.setattr(pipeline, "translate_batch", translate)
         got = []
         with pytest.raises(ChildProcessError, match=(
-                r"^rtt-gen worker for input lines 12\.\.23 ended without a result "
+                r"^rtt-gen worker for input lines 13\.\.24 ended without a result "
                 r"\(killed by SIGKILL\)$")):
             for item in iter_rtt([f"satz {i}" for i in range(40)], NOISY_DE_EN, _cat_en_de(4),
                                  jobs=2):

@@ -4,6 +4,7 @@ structural invariants of corpus scoring."""
 import functools
 import itertools
 import math
+import operator
 import random
 import re
 import sys
@@ -180,18 +181,27 @@ class TestNgramStats:
         assert stats.total == total
         assert all(0 <= m <= t for m, t in zip(stats.match, stats.total))
 
-    @given(
-        st.lists(st.sampled_from("a b c d e".split()), max_size=20),
-        st.lists(st.sampled_from("a b c d e".split()), max_size=20),
-    )
-    def test_matches_slicing_form(self, hyp, ref):
+    # Two or three words make an order repeat an n-gram on one side, on both or
+    # on neither, so each order takes both the set and the Counter path.
+    @given(st.sampled_from(["a b", "a b c", "a b c d e"]).map(str.split).flatmap(
+        lambda words: st.tuples(*[st.lists(st.sampled_from(words), max_size=20)] * 2)))
+    @example(("a a b a a b".split(), "a b a b a a".split()))  # Counters on both sides
+    @example(("a b c".split(), "a a b c".split()))  # a set against a Counter, both ways
+    @example(("a a b c".split(), "a b c".split()))
+    def test_matches_slicing_form(self, pair):
+        hyp, ref = pair
+        scoring._clipped_matches.cache_clear()
         assert ngram_stats(hyp, ref) == scoring_oracle.ngram_stats(hyp, ref)
         assert ngram_stats(tuple(hyp), tuple(ref)) == scoring_oracle.ngram_stats(hyp, ref)
 
-    @given(st.lists(st.sampled_from("a b c d e".split()), max_size=20))
-    def test_one_counter_is_the_sum_of_the_per_order_counters(self, tokens):
-        per_order = [scoring_oracle._ngram_counts(tokens, n) for n in range(1, 5)]
-        assert scoring._ngram_counts(tuple(tokens)) == sum(per_order, Counter())
+    @given(st.lists(st.sampled_from("a b c".split()), max_size=20))
+    def test_each_order_of_the_table_equals_the_oracle_counts(self, tokens):
+        table = scoring._ngram_table(tuple(tokens))
+        for n, grams in enumerate(table, 1):
+            counts = scoring_oracle._ngram_counts(tokens, n)
+            assert Counter(grams) == counts
+            # A set exactly when no n-gram of the order repeats.
+            assert isinstance(grams, set) == all(c == 1 for c in counts.values())
 
     def test_merge_is_fieldwise_addition(self):
         a = ngram_stats(["a", "b"], ["a", "b"])
@@ -494,6 +504,19 @@ class TestBrevityPenalty:
         full = NgramStats([10, 8, 6, 4], [12, 11, 10, 9], hyp_len=12, ref_len=12)
         truncated = NgramStats([8, 6, 4, 2], [9, 8, 7, 6], hyp_len=9, ref_len=12)
         assert score_from_stats(truncated).score < score_from_stats(full).score
+
+
+class TestFloatBits:
+    """The same scores on every Python: no sum() of floats."""
+
+    def test_the_log_sum_is_a_left_fold(self):
+        # Their left fold is 11.35504175147051; math.fsum, like sum() from
+        # Python 3.12 on, gives 11.355041751470512.
+        stats = NgramStats([98, 74, 1097, 385], [1331, 622, 1622, 2671], 1331, 1331)
+        logs = [math.log(100.0 * m / t) for m, t in zip(stats.match, stats.total)]
+        assert functools.reduce(operator.add, logs, 0.0) == 11.35504175147051
+        assert math.fsum(logs) == 11.355041751470512
+        assert score_from_stats(stats).score == math.exp(11.35504175147051 / 4) == 17.094562626197103
 
 
 class TestSignature:
