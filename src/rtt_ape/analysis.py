@@ -212,8 +212,11 @@ def humaneval_make_tasks(
     deterministically, with the fluency and accuracy prompts embedded and
     the rating cells left empty.
 
-    Items are (source, output, system_label) triples.
+    Items are (source, output, system_label) triples.  ``raters_per_item``
+    below 1 is a ``ValueError``: a task file without rows rates nothing.
     """
+    if raters_per_item < 1:
+        raise ValueError(f"raters per item must be >= 1, got {raters_per_item}")
     rows = [
         (f"item-{index:05d}", str(slot), _sanitize(source), _sanitize(output),
          FLUENCY_QUESTION, "", ACCURACY_QUESTION, "", _sanitize(system_label))

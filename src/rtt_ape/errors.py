@@ -19,7 +19,8 @@ class BackendError(Exception):
     ``first_line`` and ``last_line`` give the range (inclusive) of the
     input lines in the failing batch, when known: 0-based indices from
     ``translate_batch``, 1-based line numbers of the input file from
-    ``iter_rtt``.  ``reason`` is the message without that range.
+    ``iter_rtt`` and ``apply_ape``.  ``reason`` is the message without that
+    range.
     """
 
     def __init__(self, message: str, first_line: int | None = None, last_line: int | None = None):

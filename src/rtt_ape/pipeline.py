@@ -233,7 +233,9 @@ def apply_ape(
     target-original indices of ``halves`` and leaves the rest byte-identical.
     Given ``halves`` must index ``hyp`` (``SplitHalves.check_range``) under
     either scope.  The backend is iterated ``mode.iterations`` times over the
-    in-scope lines.  Line count and order never change.
+    in-scope lines.  Line count and order never change.  A backend error
+    names the 1-based line numbers in ``hyp`` of its batch's first and last
+    line.
     """
     selective = mode.scope == TARGET_ORIGINAL_ONLY
     if halves is not None:
@@ -246,7 +248,11 @@ def apply_ape(
     changed_per_iteration = []
     for _ in range(mode.iterations):
         in_scope = [current[i] for i in scope]
-        edited = translate_batch(ape, in_scope, jobs=jobs, cache_dir=cache_dir)
+        try:
+            edited = translate_batch(ape, in_scope, jobs=jobs, cache_dir=cache_dir)
+        except BackendError as exc:  # at indices among the in-scope lines: name input lines
+            first, last = (scope[i] + 1 for i in (exc.first_line, exc.last_line))
+            raise BackendError(exc.reason, first, last) from exc
         changed = 0
         for i, line in zip(scope, edited):
             if current[i] != line:

@@ -7,21 +7,25 @@ configuration: mixed case, a single reference per hypothesis, mteval-v14
 n-gram matches.  Every score carries the matching signature string so
 numbers stay comparable across tools.
 
-The tokenizer's punctuation and symbol tables are built from the host
-``unicodedata`` module, one 256-code-point page at a time as text arrives;
-the Unicode version in use is exposed as ``UNICODE_VERSION`` and should be
-reported alongside scores, since table drift across Unicode versions
-silently changes tokenization.
+The tokenizer's punctuation and symbol classes are built from a checked-in
+table of the Unicode 14.0.0 categories P and S (``unicode_classes``), not
+from the host ``unicodedata``, so a line tokenizes the same on every Python
+(only ``\\d`` still reads the host's digits, which differ for a few
+scripts).  ``UNICODE_VERSION`` names that table and should be reported
+alongside scores, since table drift across Unicode versions changes
+tokenization.
 
-Tokenizing runs no Python per character or per regex match.  Each line
-costs one search of a pattern that matches any character of a page not
-seen yet; only a hit scans the new pages and recompiles the classes.  The
-substitutions' replacements are bound ``str.format`` methods, which ``re``
-calls from C, where Python 3.11 would expand template strings in Python
-per match.  A sentence's n-grams are kept per order: a ``set`` where none
-repeats (most orders from bigrams up), else a ``Counter``.  Clipped matches
-against a set are one intersection, in C; only orders that repeat an
-n-gram on both sides loop in Python.
+Tokenizing runs no Python per character or per regex match.  ``re`` tests
+a class of code points up to U+FFFF against a bitmap, but one holding
+astral code points against a list of ranges, several times slower; so a
+line without an astral character, found by one search, uses classes cut at
+U+FFFF, and only other lines use the full classes, compiled on first need.
+The substitutions' replacements are bound ``str.format`` methods, which
+``re`` calls from C, where Python 3.11 would expand template strings in
+Python per match.  A sentence's n-grams are kept per order: a ``set`` where
+none repeats (most orders from bigrams up), else a ``Counter``.  Clipped
+matches against a set are one intersection, in C; only orders that repeat
+an n-gram on both sides loop in Python.
 """
 
 from __future__ import annotations
@@ -31,50 +35,39 @@ import math
 import operator
 import re
 import sys
-import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+from . import unicode_classes
 
 NGRAM_ORDER = 4
 
 # Version of the scorer semantics implemented here (not of this package).
 SCORER_VERSION = "1.2.20"
 
-UNICODE_VERSION = unicodedata.unidata_version
+# The Unicode version of the tokenizer's table, whatever the host's.
+UNICODE_VERSION = unicode_classes.UNICODE_VERSION
 
 # Stand-in for log(0); keeps the score computation total while driving the
 # geometric mean to zero, exactly as the reference scorer does.
 _LOG_FLOOR = -9999999999
 
 
-def _category_classes(code_points: Iterable[int] = range(sys.maxunicode)) -> tuple[str, str]:
-    """The punctuation and symbol character classes (without brackets) over
-    ``code_points`` (ascending), as ranges of ``re.escape``d code points,
-    built in one pass.  The default scans all of Unicode.
-
-    Compatibility constraint: sacreBLEU 1.2.20 joins the characters of each
-    category unescaped, in code point order, and inside that raw class the
-    ``\\]`` sequence reads as an escaped bracket, so it never matches a
-    literal backslash.  The punctuation class is therefore category P minus
-    U+005C; the symbol class is exactly category S.
-    """
-    ranges: dict[str, list[list[int]]] = {"P": [], "S": []}
-    for cp in code_points:
-        spans = ranges.get(unicodedata.category(chr(cp))[0])
-        if spans is None or cp == 0x5C:
-            continue
-        if spans and spans[-1][1] == cp - 1:
-            spans[-1][1] = cp
-        else:
-            spans.append([cp, cp])
-    return tuple(
-        "".join(f"{re.escape(chr(lo))}-{re.escape(chr(hi))}" for lo, hi in ranges[major])
-        for major in "PS"
-    )
+def _ranges(table: str) -> list[tuple[int, int]]:
+    return [(int(lo, 16), int(hi, 16)) for lo, hi in (span.split("-") for span in table.split())]
 
 
-_PAGE_BITS = 8
+# Compatibility constraint: sacreBLEU 1.2.20 joins the characters of each
+# category unescaped, in code point order, and inside that raw class the
+# "\]" sequence reads as an escaped bracket, so it never matches a literal
+# backslash.  The punctuation class is therefore category P minus U+005C;
+# the symbol class is exactly category S.
+_PUNCT_RANGES = [(lo, hi) for first, last in _ranges(unicode_classes.PUNCTUATION)
+                 for lo, hi in ((first, min(last, 0x5B)), (max(first, 0x5D), last)) if lo <= hi]
+_SYMBOL_RANGES = _ranges(unicode_classes.SYMBOL)
+
+_ASTRAL = re.compile(r"[\U00010000-\U0010FFFF]")
 
 # The replacements are bound ``str.format`` methods of the match, which
 # ``re`` calls per match from C.  Python 3.11 expands a template string such
@@ -85,41 +78,25 @@ _PUNCT_NONDIGIT = " {0[1]} {0[2]}".format
 _SYMBOL = " {0[1]} ".format
 
 
-def _build_state(page_classes: dict[int, tuple[str, str]]) -> tuple[
-    dict[int, tuple[str, str]],
-    tuple[tuple[re.Pattern[str], Callable[[re.Match[str]], str]], ...],
-    re.Pattern[str],
-]:
-    """The tokenizer's substitutions, in order, over the punctuation and
-    symbol classes of each 256-code-point page in ``page_classes`` (an empty
-    class has no substitution, since ``[]`` is not a regex), and a pattern
-    that matches any character of a page not in ``page_classes``."""
-    ordered = [page_classes[page] for page in sorted(page_classes)]
-    punct = "".join(punct for punct, _ in ordered)
-    symbol = "".join(symbol for _, symbol in ordered)
-    substitutions = []
-    if punct:
-        substitutions.append((re.compile(r"([^\d])([" + punct + r"])"), _NONDIGIT_PUNCT))
-        substitutions.append((re.compile(r"([" + punct + r"])([^\d])"), _PUNCT_NONDIGIT))
-    if symbol:
-        substitutions.append((re.compile(r"([" + symbol + r"])"), _SYMBOL))
-    seen = "".join(
-        f"\\U{page << _PAGE_BITS:08x}-\\U{page << _PAGE_BITS | 0xFF:08x}" for page in page_classes
+def _classes(top: int) -> tuple[str, str]:
+    """The punctuation and symbol character classes (without brackets) over
+    the code points up to ``top``, as ranges of ``re.escape``d code points."""
+    return tuple(
+        "".join(f"{re.escape(chr(lo))}-{re.escape(chr(min(hi, top)))}"
+                for lo, hi in ranges if lo <= top)
+        for ranges in (_PUNCT_RANGES, _SYMBOL_RANGES)
     )
-    unseen = re.compile(f"[^{seen}]" if seen else "(?s:.)")
-    return page_classes, tuple(substitutions), unseen
 
 
-# A line's tokens depend only on whether its own characters are in the
-# classes, so classes holding every P/S character of each page seen so far
-# tokenize exactly like the full classes, without scanning all of Unicode.
-# Each page is scanned once; one regex search per line finds a character of
-# a page not seen yet.  (page classes, substitutions, unseen) is never
-# mutated and is replaced whole, in one assignment, so a thread never pairs
-# new pages with old regexes; two threads that build at once may each
-# publish only their own pages, which costs a later rescan, never a wrong
-# token.
-_state = _build_state({})
+@functools.lru_cache(maxsize=None)
+def _substitutions(top: int) -> tuple[tuple[re.Pattern[str], Callable[[re.Match[str]], str]], ...]:
+    """The tokenizer's substitutions, in order, with classes cut at ``top``."""
+    punct, symbol = _classes(top)
+    return (
+        (re.compile(r"([^\d])([" + punct + r"])"), _NONDIGIT_PUNCT),
+        (re.compile(r"([" + punct + r"])([^\d])"), _PUNCT_NONDIGIT),
+        (re.compile(r"([" + symbol + r"])"), _SYMBOL),
+    )
 
 
 # Scoring re-tokenizes the same test-set lines constantly (full set plus
@@ -127,17 +104,8 @@ _state = _build_state({})
 # most lines); a bounded cache changes nothing semantically.
 @functools.lru_cache(maxsize=1 << 16)
 def _tokenize_cached(text: str) -> tuple[str, ...]:
-    global _state
     text = text.rstrip()
-    page_classes, substitutions, unseen = _state
-    if unseen.search(text):
-        new_pages = {ord(char) >> _PAGE_BITS for char in set(text)}.difference(page_classes)
-        page_classes = page_classes | {
-            page: _category_classes(range(page << _PAGE_BITS, (page + 1) << _PAGE_BITS))
-            for page in new_pages
-        }
-        page_classes, substitutions, unseen = _state = _build_state(page_classes)
-    for pattern, replacement in substitutions:
+    for pattern, replacement in _substitutions(sys.maxunicode if _ASTRAL.search(text) else 0xFFFF):
         text = pattern.sub(replacement, text)
     # Interned, so the cached token tuples share one string per vocabulary word.
     return tuple(map(sys.intern, text.split()))

@@ -51,8 +51,8 @@ LS_EN = "First line\u2028second line of the paragraph."
 LS_DE = "Erste Zeile\u2028zweite Zeile des Absatzes."
 
 # Lines that hold characters beyond the Basic Multilingual Plane (a symbol,
-# punctuation and letters, which the tokenizer reads from pages of their
-# own), U+0085 and "\r" inside a line and at its end: only "\n" ends a line.
+# punctuation and letters, for which the tokenizer uses its full classes),
+# U+0085 and "\r" inside a line and at its end: only "\n" ends a line.
 ODD_REF = ["Der Preis\U0001F600stieg um 5 %\x85und fiel dann.",
            "\U0001D407\U0001D41A\U0001D42E\U0001D42C\U00010100am See\rmit Blick.",
            "Zeile mit Wagenr\u00fccklauf am Ende.\r"]

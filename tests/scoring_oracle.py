@@ -2,33 +2,40 @@
 
 ``tokenize`` is the original raw-class international tokenizer: each
 category's characters joined unescaped, in code point order, exactly as
-sacreBLEU 1.2.20 builds them.  ``ngram_stats`` is the original slice-based
-clipped-count form.  The production code in ``rtt_ape.scoring`` replaces
-both with faster equivalents and must agree with them exactly.
+sacreBLEU 1.2.20 builds them, but read from the pinned table
+(``rtt_ape.unicode_classes``) in place of the host ``unicodedata``.
+``ngram_stats`` is the original slice-based clipped-count form.  The
+production code in ``rtt_ape.scoring`` replaces both with faster
+equivalents and must agree with them exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import sys
-import unicodedata
 from collections import Counter
 from typing import Sequence
 
+from rtt_ape import unicode_classes
 from rtt_ape.scoring import NGRAM_ORDER, NgramStats
 
 
-def _category_chars(prefix: str) -> str:
-    return "".join(
-        chr(cp) for cp in range(sys.maxunicode) if unicodedata.category(chr(cp)).startswith(prefix)
-    )
+def table_chars(table: str) -> str:
+    """Every character of a table's "first-last" hex ranges, in order."""
+    chars = []
+    for span in table.split():
+        first, last = (int(cp, 16) for cp in span.split("-"))
+        chars.extend(map(chr, range(first, last + 1)))
+    return "".join(chars)
 
 
 @functools.lru_cache(maxsize=1)
 def raw_classes() -> tuple[str, str]:
     """The unescaped punctuation and symbol classes, brackets included."""
-    return "[" + _category_chars("P") + "]", "[" + _category_chars("S") + "]"
+    return (
+        "[" + table_chars(unicode_classes.PUNCTUATION) + "]",
+        "[" + table_chars(unicode_classes.SYMBOL) + "]",
+    )
 
 
 @functools.lru_cache(maxsize=1)

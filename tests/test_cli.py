@@ -451,6 +451,21 @@ class TestPipelineCommands:
         spec.write_text(json.dumps({"kind": "command", "command": "false", "retries": 0}))
         assert run("ape-apply", "--in", str(hyp), "--backend", str(spec)) == 3
 
+    @pytest.mark.parametrize("scope", ["all", "target_original_only"])
+    def test_backend_failure_names_the_input_line(self, tmp_path, capsys, scope):
+        hyp = tmp_path / "hyp.txt"
+        write(hyp, ["eins", "zwei", "drei", "BOOM", "fünf", "sechs"])
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"source_original": [0, 2, 4], "target_original": [1, 3, 5]}))
+        spec = _spec_file(tmp_path / "boom.json", {
+            "kind": "command", "command": "awk '/BOOM/ { exit 1 } { print }'",
+            "batch_size": 1, "retries": 0})
+        out = tmp_path / "ape.txt"
+        assert run("ape-apply", "--in", str(hyp), "--backend", str(spec), "--scope", scope,
+                   "--split", str(split), "--out", str(out)) == 3
+        assert capsys.readouterr().err.rstrip().endswith("(input lines 4..4)")
+        assert not out.exists()
+
 
 def _spec_file(path: Path, spec: dict) -> Path:
     path.write_text(json.dumps(spec))
@@ -794,6 +809,22 @@ class TestAnalysisCommands:
         assert run("humaneval-agg", "--tasks", str(done)) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["base"] == {"fluency": 4.0, "accuracy": 100.0}
+
+    @pytest.mark.parametrize("raters", [0, -1])
+    def test_humaneval_make_without_raters_is_exit_2(self, tmp_path, capsys, raters):
+        items = tmp_path / "items.tsv"
+        items.write_text("src a\tout a\tbase\n")
+        tasks = tmp_path / "tasks.tsv"
+        assert run("humaneval-make", "--items", str(items), "--raters", str(raters),
+                   "--out", str(tasks)) == 2
+        assert f"got {raters}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"humaneval-make": {"raters": raters}}))
+        assert run("--config", str(cfg), "humaneval-make", "--items", str(items)) == 2
+        captured = capsys.readouterr()
+        assert f"got {raters}" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "items.tsv"]
 
     # Line breaks of str.splitlines() that humaneval-make keeps inside a cell.
     @pytest.mark.parametrize(

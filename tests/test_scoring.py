@@ -8,17 +8,18 @@ import operator
 import random
 import re
 import sys
-import threading
 import unicodedata
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gen_unicode_classes
 import scoring_oracle
 from conftest import build_bias_fixture, random_parallel_corpus
-from rtt_ape import scoring
+from rtt_ape import scoring, unicode_classes
 from rtt_ape.analysis import split_score_table
 from rtt_ape.backends import translate_batch
 from rtt_ape.scoring import (
@@ -35,6 +36,12 @@ from rtt_ape.scoring import (
 TEXT = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)),
     max_size=80,
+)
+
+HOST_HAS_TABLE_VERSION = pytest.mark.skipif(
+    unicodedata.unidata_version != scoring.UNICODE_VERSION,
+    reason=f"the host's unicodedata is {unicodedata.unidata_version}, "
+    f"not the table's {scoring.UNICODE_VERSION}",
 )
 
 
@@ -103,10 +110,13 @@ class TestTokenizerAgainstRawClassOracle:
     unescaped classes of the reference scorer, quirks included."""
 
     def test_class_membership_over_every_code_point(self):
-        every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
-        classes = [f"[{cls}]" for cls in scoring._category_classes()]
-        for new, raw in zip(classes, scoring_oracle.raw_classes()):
-            assert re.findall(new, every_code_point) == re.findall(raw, every_code_point)
+        # Both the classes cut at U+FFFF, for lines without an astral
+        # character, and the full ones.
+        for top in (0xFFFF, sys.maxunicode):
+            every_code_point = "".join(map(chr, range(top + 1)))
+            classes = [f"[{cls}]" for cls in scoring._classes(top)]
+            for new, raw in zip(classes, scoring_oracle.raw_classes()):
+                assert re.findall(new, every_code_point) == re.findall(raw, every_code_point)
 
     def test_every_punct_and_symbol_in_context(self):
         chars = [
@@ -126,8 +136,8 @@ class TestTokenizerAgainstRawClassOracle:
 
     def test_every_short_string_from_a_cold_state(self, monkeypatch):
         # A letter, a digit, a space, the digit-joining marks, the unpadded
-        # backslash, a symbol, and two marks of page 0x20: every punctuation
-        # run next to digits up to length 4.
+        # backslash, a symbol, and two marks of General Punctuation: every
+        # punctuation run next to digits up to length 4.
         _cold_tokenizer(monkeypatch)
         alphabet = "a1 .,\\$\u201e\u2013"
         lines = [
@@ -139,7 +149,31 @@ class TestTokenizerAgainstRawClassOracle:
             line for line in lines if tuple(tokenize_intl(line)) != scoring_oracle.tokenize(line)
         ]
         assert mismatches == []
-        assert scoring._state[0].keys() == {0x00, 0x20}
+
+
+class TestPinnedUnicodeTable:
+    """The classes come from the checked-in Unicode 14.0.0 table, so tokens
+    are the same on every Python, whatever its ``unicodedata``."""
+
+    def test_tokens_do_not_depend_on_the_host_unicode_version(self):
+        assert scoring.UNICODE_VERSION == "14.0.0"
+        # U+20C0 SOM SIGN is a symbol since Unicode 14.0; Unicode 13.0 (Python
+        # 3.10) has no such character.
+        assert tokenize_intl("Preis 100\u20c0 heute") == ["Preis", "100", "\u20c0", "heute"]
+        # U+1FAE8 SHAKING FACE is a symbol since Unicode 15.0 (Python 3.12).
+        assert tokenize_intl("Ziel\U0001FAE8 x") == ["Ziel\U0001FAE8", "x"]
+
+    @HOST_HAS_TABLE_VERSION
+    def test_the_table_holds_the_host_categories(self):
+        for table, major in ((unicode_classes.PUNCTUATION, "P"), (unicode_classes.SYMBOL, "S")):
+            expected = "".join(chr(cp) for cp in range(sys.maxunicode + 1)
+                               if unicodedata.category(chr(cp))[0] == major)
+            assert scoring_oracle.table_chars(table) == expected
+
+    @HOST_HAS_TABLE_VERSION
+    def test_the_generator_reproduces_the_module(self):
+        assert Path(unicode_classes.__file__).read_bytes() == (
+            gen_unicode_classes.render().encode("utf-8"))
 
 
 def _brute_force_stats(hyp, ref):
@@ -276,138 +310,12 @@ class TestMemoAndInterning:
 
 
 def _cold_tokenizer(mp: pytest.MonkeyPatch) -> None:
-    """Reset the tokenizer to no pages and an empty line cache, undone by ``mp``."""
-    mp.setattr(scoring, "_state", scoring._build_state({}))
+    """Give the tokenizer an empty line cache, undone by ``mp``."""
     mp.setattr(
         scoring,
         "_tokenize_cached",
         functools.lru_cache(maxsize=1 << 16)(scoring._tokenize_cached.__wrapped__),
     )
-
-
-def _pages(text: str) -> set[int]:
-    return {ord(char) >> 8 for char in text}
-
-
-def _count_scans(mp: pytest.MonkeyPatch) -> list[int]:
-    """Wrap ``scoring._category_classes``; each call appends the page it scans."""
-    scans = []
-    category_classes = scoring._category_classes
-
-    def counting(code_points=range(sys.maxunicode)):
-        scans.append(code_points[0] >> 8)
-        return category_classes(code_points)
-
-    mp.setattr(scoring, "_category_classes", counting)
-    return scans
-
-
-PUNCT_AND_SYMBOLS = [
-    chr(cp) for cp in range(sys.maxunicode) if unicodedata.category(chr(cp))[0] in "PS"
-]
-
-
-class TestLazyClasses:
-    """Classes grown page by page from the text seen must tokenize exactly
-    like the full classes, in any order, from any number of threads."""
-
-    # The first example also builds the oracle's full raw classes.
-    @settings(deadline=None)
-    @given(TEXT)
-    def test_arbitrary_text_from_a_cold_state(self, text):
-        with pytest.MonkeyPatch.context() as mp:
-            _cold_tokenizer(mp)
-            assert tuple(tokenize_intl(text)) == scoring_oracle.tokenize(text)
-            assert scoring._state[0].keys() == _pages(text.rstrip())
-            assert scoring._state[2].search(text.rstrip()) is None
-
-    @given(TEXT, st.data())
-    def test_unseen_matches_exactly_when_a_page_is_new(self, text, data):
-        pages = data.draw(st.sets(st.sampled_from(sorted(_pages(text) | {0}))))
-        pages |= data.draw(st.sets(st.integers(0, sys.maxunicode >> 8), max_size=4))
-        page_classes, _, unseen = scoring._build_state(dict.fromkeys(pages, ("", "")))
-        assert (unseen.search(text) is None) == (_pages(text) <= page_classes.keys())
-
-    def test_a_cold_state_sees_every_character_as_new(self):
-        _, substitutions, unseen = scoring._build_state({})
-        assert substitutions == ()
-        assert unseen.search("") is None
-        assert all(unseen.search(char) for char in ("a", "\n", "\u3000", chr(sys.maxunicode)))
-
-    def test_cold_tokens_equal_tokens_after_exhaustive_warm_up(self, monkeypatch):
-        rng = random.Random(5)
-        hyps, refs = random_parallel_corpus(rng, 50)
-        lines = hyps + refs + [
-            context.format(char)
-            for char in PUNCT_AND_SYMBOLS + ["\\", "-", "]", "[", "^"]
-            for context in ("a{}b", "1{}2")
-        ]
-        rng.shuffle(lines)
-        _cold_tokenizer(monkeypatch)
-        scans = _count_scans(monkeypatch)
-        cold = [tokenize_intl(line) for line in lines]
-        assert sorted(scans) == sorted(_pages("".join(lines)))  # each page scanned once
-        _cold_tokenizer(monkeypatch)
-        tokenize_intl("".join(PUNCT_AND_SYMBOLS))
-        assert scoring._state[0].keys() == _pages("".join(PUNCT_AND_SYMBOLS))
-        assert [tokenize_intl(line) for line in lines] == cold
-        assert cold == [list(scoring_oracle.tokenize(line)) for line in lines]
-
-    def test_threads_growing_disjoint_pages_at_once(self, monkeypatch):
-        # Each thread's lines use only its own pages, so every thread forces
-        # class builds that race with the others' (lines need no ASCII
-        # space: the padding is added after the pages are read).
-        # Pages 0x00 and 0x20; 0x30 and 0xFF; 0x03 to 0x05; 0x06 and 0x09.
-        alphabets = (
-            "ab1.,;:!?-()[]\\$+ \u2013\u2014\u2018\u201c\u201d\u2026\u2030",
-            "\u3000\u3001\u3002\u300c\u300d\u3042\u30a2\u30fb\uff01\uff08\uff11\uffe5",
-            "\u03b1\u03b2\u037e\u0387\u0431\u0482\u055a\u055e\u05be\u05d0",
-            "\u0628\u060c\u061b\u061f\u0660\u0661\u0915\u0964\u0965\u0966",
-        )
-        assert sum(map(len, map(_pages, alphabets))) == len(_pages("".join(alphabets)))
-        rng = random.Random(11)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                _cold_tokenizer(monkeypatch)
-                work = [
-                    ["".join(rng.choice(alphabet) for _ in range(30)) for _ in range(50)]
-                    for alphabet in alphabets
-                ]
-                results: dict[int, list[tuple[str, ...]]] = {}
-                start = threading.Barrier(len(work))
-
-                def tokenize_all(index):
-                    start.wait(timeout=60)
-                    results[index] = [tuple(tokenize_intl(line)) for line in work[index]]
-
-                threads = [
-                    threading.Thread(target=tokenize_all, args=(i,)) for i in range(len(work))
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-                for index, lines in enumerate(work):
-                    assert results[index] == [scoring_oracle.tokenize(line) for line in lines]
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_latin1_and_general_punctuation_need_at_most_two_builds(self, monkeypatch):
-        _cold_tokenizer(monkeypatch)
-        scans = _count_scans(monkeypatch)
-        rng = random.Random(13)
-        alphabet = [chr(cp) for cp in range(0x20, 0x100)] + [
-            chr(cp) for cp in range(0x2000, 0x2070)
-        ]
-        lines = ["".join(rng.choice(alphabet) for _ in range(40)) for _ in range(1000)]
-        assert [tuple(tokenize_intl(line)) for line in lines] == [
-            scoring_oracle.tokenize(line) for line in lines
-        ]
-        assert sorted(scans) == [0x00, 0x20]
-        assert scoring._state[0].keys() == {0x00, 0x20}
 
 
 class TestCorpusBleu:
