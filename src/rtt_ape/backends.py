@@ -326,7 +326,8 @@ def translate_batch(
     """Translate lines through the backend, one output line per input line,
     order preserved.  Batching, retries, and caching are internal; command
     and HTTP batches, and their cache files, are shared out among ``jobs``
-    worker processes (``parallel.fork_map``).  A line containing "\n" is a
+    worker processes (``parallel.fork_map``); a worker that dies is a
+    ``BackendError`` over the batch it owed.  A line containing "\n" is a
     ``DataError``, raised before any batch runs: no backend can frame it.
     ``jobs`` outside 1..``MAX_JOBS`` is a ``ValueError``, also raised first.
 
@@ -353,10 +354,12 @@ def translate_batch(
         return cached if cached is not None else _run_external_batch(
             spec, batch, start + offset, cache_path)
 
-    def name(offset: int) -> str:
-        last = min(offset + spec.batch_size, len(lines)) - 1
-        return f"backend worker for input lines {start + offset}..{start + last}"
-
     offsets = range(0, len(lines), spec.batch_size)
-    return [line for _, out in fork_map(run, offsets, min(jobs, len(offsets)), name)
-            for line in out]
+    translated: list[str] = []
+    try:
+        for _, out in fork_map(run, offsets, min(jobs, len(offsets)), lambda _: "backend worker"):
+            translated += out
+    except ChildProcessError as exc:  # a worker died owing the batch after those received
+        last = min(len(translated) + spec.batch_size, len(lines)) - 1
+        raise BackendError(str(exc), start + len(translated), start + last) from None
+    return translated

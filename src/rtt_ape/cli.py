@@ -34,10 +34,11 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import functools
+import gc
 import importlib
 import json
 import sys
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -55,6 +56,9 @@ if TYPE_CHECKING:
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
+
+# The context object of a run of the process's own command line.
+_PROCESS_ENTRY = object()
 
 # Each subcommand's module (``rtt_ape.<module>``), where the command is the
 # attribute ``<name>_cmd``, dashes as underscores.  The only list of
@@ -80,7 +84,7 @@ SUBCOMMANDS = {
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _require(params: dict, *names: str) -> None:
@@ -224,18 +228,28 @@ def _command(name: str) -> Callable[[Callable[[dict], Iterable[str] | None]], cl
     else ``--out``), ``<output>.manifest.json`` records the resolved
     parameters, seed, version, start and finish times, and a fingerprint of
     every input: each set ``click.Path(exists=True)`` option, plus the paths
-    the body returns (inputs named inside other values)."""
+    the body returns (inputs named inside other values).
+
+    Run from the process entry (``main()`` without ``argv``), the body
+    starts after ``gc.freeze()``: what start-up built (modules, classes,
+    functions, the command) lives until the process ends, so the frozen
+    heap keeps it out of every later collection, shutdown's included, and
+    out of those of the workers the body forks.  A caller that passes
+    ``argv`` keeps its heap collectable."""
 
     def build(body: Callable[[dict], Iterable[str] | None]) -> click.Command:
         @functools.wraps(body)
         def run(**params) -> None:
+            ctx = click.get_current_context()
+            if ctx.obj is _PROCESS_ENTRY:
+                gc.freeze()
             started = _now()
             extra_inputs = body(params) or ()
             out = params.get("out_src") or params.get("out")
             if out is None:
                 return
             inputs = [
-                params[p.name] for p in click.get_current_context().command.params
+                params[p.name] for p in ctx.command.params
                 if isinstance(p.type, click.Path) and p.type.exists and params[p.name]
             ]
             manifest = {
@@ -256,9 +270,12 @@ def _command(name: str) -> Callable[[Callable[[dict], Iterable[str] | None]], cl
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point with the documented exit-code contract."""
+    """Entry point with the documented exit-code contract.  Without
+    ``argv`` it runs the process's command line, as the process's entry
+    (see ``_command``)."""
     try:
-        cli.main(args=argv, prog_name="rtt-ape", standalone_mode=False)
+        cli.main(args=argv, prog_name="rtt-ape", standalone_mode=False,
+                 obj=_PROCESS_ENTRY if argv is None else None)
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.ClickException as exc:

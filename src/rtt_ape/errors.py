@@ -14,7 +14,8 @@ class AlignmentError(DataError):
 
 
 class BackendError(Exception):
-    """A translation backend failed after exhausting retries.
+    """A translation backend failed after exhausting retries, or the worker
+    process running its batch died.
 
     ``first_line`` and ``last_line`` give the range (inclusive) of the
     input lines in the failing batch, when known: 0-based indices from

@@ -7,13 +7,12 @@ configuration: mixed case, a single reference per hypothesis, mteval-v14
 n-gram matches.  Every score carries the matching signature string so
 numbers stay comparable across tools.
 
-The tokenizer's punctuation and symbol classes are built from a checked-in
-table of the Unicode 14.0.0 categories P and S (``unicode_classes``), not
-from the host ``unicodedata``, so a line tokenizes the same on every Python
-(only ``\\d`` still reads the host's digits, which differ for a few
-scripts).  ``UNICODE_VERSION`` names that table and should be reported
-alongside scores, since table drift across Unicode versions changes
-tokenization.
+The tokenizer's punctuation, symbol and digit classes are built from a
+checked-in table of the Unicode 14.0.0 categories P, S and Nd
+(``unicode_classes``), not from the host ``unicodedata`` or ``re``'s
+``\\d``, so a line tokenizes the same on every Python.  ``UNICODE_VERSION``
+names that table and should be reported alongside scores, since table
+drift across Unicode versions changes tokenization.
 
 Tokenizing runs no Python per character or per regex match.  ``re`` tests
 a class of code points up to U+FFFF against a bitmap, but one holding
@@ -66,6 +65,8 @@ def _ranges(table: str) -> list[tuple[int, int]]:
 _PUNCT_RANGES = [(lo, hi) for first, last in _ranges(unicode_classes.PUNCTUATION)
                  for lo, hi in ((first, min(last, 0x5B)), (max(first, 0x5D), last)) if lo <= hi]
 _SYMBOL_RANGES = _ranges(unicode_classes.SYMBOL)
+# The reference scorer's ``\d`` under Python 3.11: category Nd of Unicode 14.0.0.
+_DIGIT_RANGES = _ranges(unicode_classes.DIGIT)
 
 _ASTRAL = re.compile(r"[\U00010000-\U0010FFFF]")
 
@@ -78,23 +79,24 @@ _PUNCT_NONDIGIT = " {0[1]} {0[2]}".format
 _SYMBOL = " {0[1]} ".format
 
 
-def _classes(top: int) -> tuple[str, str]:
-    """The punctuation and symbol character classes (without brackets) over
-    the code points up to ``top``, as ranges of ``re.escape``d code points."""
+def _classes(top: int) -> tuple[str, str, str]:
+    """The digit, punctuation and symbol character classes (without
+    brackets) over the code points up to ``top``, as ranges of
+    ``re.escape``d code points."""
     return tuple(
         "".join(f"{re.escape(chr(lo))}-{re.escape(chr(min(hi, top)))}"
                 for lo, hi in ranges if lo <= top)
-        for ranges in (_PUNCT_RANGES, _SYMBOL_RANGES)
+        for ranges in (_DIGIT_RANGES, _PUNCT_RANGES, _SYMBOL_RANGES)
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _substitutions(top: int) -> tuple[tuple[re.Pattern[str], Callable[[re.Match[str]], str]], ...]:
     """The tokenizer's substitutions, in order, with classes cut at ``top``."""
-    punct, symbol = _classes(top)
+    digit, punct, symbol = _classes(top)
     return (
-        (re.compile(r"([^\d])([" + punct + r"])"), _NONDIGIT_PUNCT),
-        (re.compile(r"([" + punct + r"])([^\d])"), _PUNCT_NONDIGIT),
+        (re.compile(r"([^" + digit + r"])([" + punct + r"])"), _NONDIGIT_PUNCT),
+        (re.compile(r"([" + punct + r"])([^" + digit + r"])"), _PUNCT_NONDIGIT),
         (re.compile(r"([" + symbol + r"])"), _SYMBOL),
     )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import os
 import random
 import threading
 import time
@@ -108,6 +109,14 @@ def no_leaked_processes():
     while (leaked := child_pids() - before) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not leaked, f"child processes still there after the test: {sorted(leaked)}"
+
+
+def command_killing_its_worker() -> str:
+    """A command backend's command that copies its batch, except that on a
+    batch of one "BOOM" line it kills its parent process with SIGKILL, when
+    that is a batch worker, not this process."""
+    return ("sh -c 'batch=$(cat); if [ \"$batch\" = BOOM ] && [ $PPID != "
+            f"{os.getpid()} ]; then kill -9 $PPID; fi; printf \"%s\\n\" \"$batch\"'")
 
 
 PUNCT = ["", "", "", "", ",", ".", "!", "?", ";", ":"]

@@ -1,6 +1,7 @@
 """Generate ``src/rtt_ape/unicode_classes.py``: the inclusive code-point
 ranges of the Unicode general categories P (punctuation) and S (symbol),
-read from ``unicodedata``, that the international tokenizer pads.
+which the international tokenizer pads, and Nd (decimal digit), next to
+which it leaves a period or comma alone, read from ``unicodedata``.
 
 Run it under a Python whose ``unicodedata.unidata_version`` is the pinned
 version (14.0.0: Python 3.11):
@@ -22,10 +23,11 @@ from pathlib import Path
 
 MODULE = Path(__file__).resolve().parents[1] / "src" / "rtt_ape" / "unicode_classes.py"
 
-HEADER = '''"""The Unicode {version} general categories P (punctuation) and S (symbol), as
-inclusive code-point ranges in hex, "first-last", in code-point order.  The
-international tokenizer builds its classes from these tables, so its tokens
-do not depend on the Unicode version of the running Python.
+HEADER = '''"""The Unicode {version} general categories P (punctuation), S (symbol) and
+Nd (decimal digit), as inclusive code-point ranges in hex, "first-last", in
+code-point order.  The international tokenizer builds its classes from these
+tables, so its tokens do not depend on the Unicode version of the running
+Python.
 
 Generated by ``tests/gen_unicode_classes.py``; do not edit.
 """
@@ -34,12 +36,13 @@ UNICODE_VERSION = "{version}"
 '''
 
 
-def category_ranges(major: str) -> list[tuple[int, int]]:
+def category_ranges(category: str) -> list[tuple[int, int]]:
     """The inclusive ranges of the code points whose general category starts
-    with ``major``, over all of Unicode, per the host ``unicodedata``."""
+    with ``category`` (such as "P" or "Nd"), over all of Unicode, per the host
+    ``unicodedata``."""
     ranges: list[tuple[int, int]] = []
     for cp in range(sys.maxunicode + 1):
-        if unicodedata.category(chr(cp))[0] != major:
+        if not unicodedata.category(chr(cp)).startswith(category):
             continue
         if ranges and ranges[-1][1] == cp - 1:
             ranges[-1] = (ranges[-1][0], cp)
@@ -51,8 +54,8 @@ def category_ranges(major: str) -> list[tuple[int, int]]:
 def render() -> str:
     """The module's text, for the host ``unicodedata``."""
     parts = [HEADER.format(version=unicodedata.unidata_version)]
-    for name, major in (("PUNCTUATION", "P"), ("SYMBOL", "S")):
-        spans = " ".join(f"{lo:04X}-{hi:04X}" for lo, hi in category_ranges(major))
+    for name, category in (("PUNCTUATION", "P"), ("SYMBOL", "S"), ("DIGIT", "Nd")):
+        spans = " ".join(f"{lo:04X}-{hi:04X}" for lo, hi in category_ranges(category))
         parts.append(f'\n{name} = """\n{textwrap.fill(spans, 79)}\n"""\n')
     return "".join(parts)
 

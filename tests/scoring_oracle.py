@@ -3,7 +3,9 @@
 ``tokenize`` is the original raw-class international tokenizer: each
 category's characters joined unescaped, in code point order, exactly as
 sacreBLEU 1.2.20 builds them, but read from the pinned table
-(``rtt_ape.unicode_classes``) in place of the host ``unicodedata``.
+(``rtt_ape.unicode_classes``) in place of the host ``unicodedata``, and
+with the table's digits in place of ``re``'s ``\\d``, which reads the
+host's (the same under Python 3.11).
 ``ngram_stats`` is the original slice-based clipped-count form.  The
 production code in ``rtt_ape.scoring`` replaces both with faster
 equivalents and must agree with them exactly.
@@ -30,21 +32,19 @@ def table_chars(table: str) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def raw_classes() -> tuple[str, str]:
-    """The unescaped punctuation and symbol classes, brackets included."""
-    return (
-        "[" + table_chars(unicode_classes.PUNCTUATION) + "]",
-        "[" + table_chars(unicode_classes.SYMBOL) + "]",
-    )
+def raw_classes() -> tuple[str, str, str]:
+    """The unescaped digit, punctuation and symbol classes, without brackets."""
+    return tuple(table_chars(table) for table in (
+        unicode_classes.DIGIT, unicode_classes.PUNCTUATION, unicode_classes.SYMBOL))
 
 
 @functools.lru_cache(maxsize=1)
 def _intl_regexes() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
-    punct, symbol = raw_classes()
+    digit, punct, symbol = raw_classes()
     return (
-        re.compile(r"([^\d])(" + punct + r")"),
-        re.compile(r"(" + punct + r")([^\d])"),
-        re.compile(r"(" + symbol + r")"),
+        re.compile(r"([^" + digit + r"])([" + punct + r"])"),
+        re.compile(r"([" + punct + r"])([^" + digit + r"])"),
+        re.compile(r"([" + symbol + r"])"),
     )
 
 

@@ -1,12 +1,16 @@
 """CLI surface: flags, exit codes, JSON output, manifests, composition."""
 
+import contextlib
 import gc
+import glob
 import gzip
 import inspect
 import json
 import os
+import random
 import signal
 import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -17,6 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
+import rtt_ape
+from conftest import command_killing_its_worker, random_parallel_corpus, random_sentence
 from rtt_ape import analysis, cli_analysis, pipeline
 from rtt_ape.analysis import humaneval_make_tasks, vocab_size
 from rtt_ape.backends import BackendSpec, spec_from_dict
@@ -29,6 +36,7 @@ from rtt_ape.scoring import BleuConfig, ngram_stats
 from rtt_ape.testset import parse_sgm
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(rtt_ape.__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -464,6 +472,26 @@ class TestPipelineCommands:
         assert run("ape-apply", "--in", str(hyp), "--backend", str(spec), "--scope", scope,
                    "--split", str(split), "--out", str(out)) == 3
         assert capsys.readouterr().err.rstrip().endswith("(input lines 4..4)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scope", ["all", "target_original_only"])
+    def test_a_dead_batch_worker_is_a_backend_error_naming_the_input_line(
+            self, tmp_path, capsys, scope):
+        # Under either scope input line 4 is the second batch of one line,
+        # which the forked batch worker runs; its command kills that worker.
+        hyp = tmp_path / "hyp.txt"
+        write(hyp, ["eins", "zwei", "drei", "BOOM", "fünf", "sechs"])
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"source_original": [0, 2, 4], "target_original": [1, 3, 5]}))
+        spec = _spec_file(tmp_path / "boom.json", {
+            "kind": "command", "command": command_killing_its_worker(), "batch_size": 1,
+            "retries": 0})
+        out = tmp_path / "ape.txt"
+        assert run("ape-apply", "--in", str(hyp), "--backend", str(spec), "--scope", scope,
+                   "--split", str(split), "--jobs", "2", "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "backend error: backend worker ended without a result (killed by SIGKILL) "
+            "(input lines 4..4)\n")
         assert not out.exists()
 
 
@@ -1411,3 +1439,103 @@ class TestLengthChecksNameTheFiles:
         assert capsys.readouterr().err == (
             f"data error: line count mismatch: 1 in {tmp_path / 'one.txt'} "
             f"vs 20 segments in {ref}\n")
+
+
+def _entry_case(command: str, d: Path) -> tuple[list[str], list[str]]:
+    """Write the inputs of one run of ``command`` under ``d``: its argv, and
+    the outputs it writes, as paths relative to ``d``.  Given two usable
+    cores, report-split scores in a forked worker and rtt-gen translates
+    every other chunk in one."""
+    rng = random.Random(7)
+    if command == "ape-apply":
+        write(d / "hyp.txt", [f"satz {i} erhält es" for i in range(40)])
+        (d / "split.json").write_text(json.dumps(
+            {"source_original": list(range(0, 40, 2)), "target_original": list(range(1, 40, 2))}))
+        _spec_file(d / "den.json", {"kind": "toy_denoiser", "from_lang": "de", "to_lang": "de",
+                                    "channel": {"lexicon": {"erhält": "empfängt"}}})
+        return (["ape-apply", "--in", "hyp.txt", "--backend", "den.json", "--scope",
+                 "target_original_only", "--split", "split.json", "--report", "ape.report.json",
+                 "--out", "ape.txt"], ["ape.txt", "ape.report.json"])
+    if command == "report-split":
+        refs, worse = random_parallel_corpus(rng, cli_analysis.MIN_PAIRS_PER_WORKER)
+        write(d / "ref.txt", refs)
+        write(d / "worse.txt", worse)
+        write(d / "origins.txt", ["de", "en"] * (len(refs) // 2))
+        return (["report-split", "--ref-text", "ref.txt", "--origins", "origins.txt", "--src",
+                 "en", "--tgt", "de", "--hyp", "ref=ref.txt", "--hyp", "worse=worse.txt",
+                 "--table", "--out", "report.json"], ["report.json"])
+    write(d / "mono.txt", [random_sentence(rng, 3, 8) for _ in range(100)])
+    _spec_file(d / "to_en.json", {"kind": "toy_channel", "from_lang": "de", "to_lang": "en",
+                                  "batch_size": 4, "channel": {"drop_prob": 0.2, "seed": 3}})
+    _spec_file(d / "cat.json", {"kind": "command", "command": "cat", "from_lang": "en",
+                                "to_lang": "de", "batch_size": 4})
+    return (["rtt-gen", "--in", "mono.txt", "--to-pivot", "to_en.json", "--from-pivot",
+             "cat.json", "--jobs", "2", "--cache-dir", "cache", "--out", "rtt.tsv"],
+            ["rtt.tsv", "cache"])
+
+
+# Run in a fresh interpreter: ``sys.exit(main())`` on its own command line,
+# with two usable cores, recording at exit its forks and how many objects
+# it froze (Python 3.12 starts with some frozen).
+_ENTRY = """\
+import atexit, gc, json, os, sys
+record, sys.argv, frozen = sys.argv[1], ["rtt-ape", *sys.argv[2:]], gc.get_freeze_count()
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(fork()) or forks[-1]
+os.sched_getaffinity = lambda pid: {0, 1}
+atexit.register(lambda: open(record, "w").write(
+    json.dumps([gc.get_freeze_count() - frozen, len(forks)])))
+from rtt_ape.cli import main
+sys.exit(main())
+"""
+
+
+def _session_members(sid: int) -> list[int] | None:
+    """The processes of session ``sid``, from ``/proc`` (``None`` without it)."""
+    if not os.path.isdir("/proc/self"):
+        return None
+    members = []
+    for stat in glob.glob("/proc/[0-9]*/stat"):
+        with contextlib.suppress(OSError):  # a process that has just ended
+            with open(stat) as fh:
+                if int(fh.read().rsplit(")", 1)[1].split()[3]) == sid:
+                    members.append(int(stat.split("/")[2]))
+    return members
+
+
+class TestProcessEntry:
+    """Only ``main()`` without ``argv`` freezes the start-up heap
+    (``gc.freeze``), and a frozen run writes the same bytes."""
+
+    @pytest.mark.parametrize("command", ["ape-apply", "report-split", "rtt-gen"])
+    def test_a_fresh_process_freezes_and_writes_what_main_with_argv_writes(
+            self, command, tmp_path, monkeypatch):
+        monkeypatch.delenv("RTT_APE_CACHE", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_process, fresh = tmp_path / "in_process", tmp_path / "fresh"
+        in_process.mkdir()
+        fresh.mkdir()
+        argv, outputs = _entry_case(command, in_process)
+        monkeypatch.chdir(in_process)
+        frozen = gc.get_freeze_count()  # 0, but some hundreds on Python 3.12
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == frozen
+
+        assert _entry_case(command, fresh) == (argv, outputs)
+        record = tmp_path / "record.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        with subprocess.Popen([sys.executable, "-c", _ENTRY, str(record), *argv], cwd=fresh,
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              start_new_session=True) as proc:
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert not _session_members(proc.pid)  # no process left behind
+        newly_frozen, forks = json.loads(record.read_text())
+        assert newly_frozen > 0
+        assert forks == (0 if command == "ape-apply" else 1)
+
+        compared = [f"{outputs[0]}.manifest.json", *outputs]
+        assert [golden.compared(fresh / name) for name in compared] == (
+            [golden.compared(in_process / name) for name in compared])
+        assert (in_process / outputs[0]).stat().st_size > 0

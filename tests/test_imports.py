@@ -40,6 +40,17 @@ def _modules_after(code: str) -> set[str]:
     return set(result.stdout.splitlines()[-1].split())
 
 
+def _imported_names(path: Path) -> set[str]:
+    """The absolute module names the import statements of ``path`` name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
 def _run_cli(*argv: str) -> str:
     return f"from rtt_ape.cli import main\nassert main({list(argv)!r}) == 0"
 
@@ -50,8 +61,12 @@ def _ours(modules: set[str]) -> set[str]:
 
 class TestImportBoundary:
     def test_importing_the_cli_loads_only_errors_and_lineio(self):
-        assert _ours(_modules_after("import rtt_ape.cli")) == {
-            "rtt_ape.cli", "rtt_ape.errors", "rtt_ape.lineio"}
+        modules = _ours(_modules_after("import rtt_ape.cli"))
+        assert modules == {"rtt_ape.cli", "rtt_ape.errors", "rtt_ape.lineio"}
+        # Manifest timestamps come from ``time``: of the CLI's start, only
+        # click (``click.types``) loads ``datetime``.
+        assert "datetime" not in {name for module in modules
+                                  for name in _imported_names(PACKAGE / f"{module[8:]}.py")}
 
     def test_version_loads_no_subcommand_module_no_subprocess_and_no_gzip(self):
         modules = _modules_after(_run_cli("--version"))

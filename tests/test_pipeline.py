@@ -9,7 +9,7 @@ import time
 import tracemalloc
 
 import pytest
-from conftest import child_pids
+from conftest import child_pids, command_killing_its_worker
 
 from rtt_ape import pipeline
 from rtt_ape.backends import BackendSpec, ChannelConfig, translate_batch
@@ -287,6 +287,16 @@ class TestPipelinedIterRtt:
                                  jobs=2):
                 got.append(item)
         assert [n for n, _, _ in got] == list(range(1, 13))
+
+    def test_a_dead_batch_worker_names_its_input_line(self, monkeypatch):
+        # One reader, which runs its batches in two processes: kept line 2
+        # (input line 3) is the forked batch worker's, and its command kills it.
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: 1)
+        boom = _command(command_killing_its_worker(), "en", "de", 1)
+        with pytest.raises(BackendError) as err:
+            list(iter_rtt(["eins", "x" * 600, "BOOM", "zwei", "drei"], IDENT_DE_EN, boom, jobs=2))
+        assert str(err.value) == ("backend worker ended without a result (killed by SIGKILL) "
+                                  "(input lines 3..3)")
 
     def test_closing_the_generator_early_stops_every_worker(self):
         before = child_pids()

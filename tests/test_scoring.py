@@ -114,9 +114,9 @@ class TestTokenizerAgainstRawClassOracle:
         # character, and the full ones.
         for top in (0xFFFF, sys.maxunicode):
             every_code_point = "".join(map(chr, range(top + 1)))
-            classes = [f"[{cls}]" for cls in scoring._classes(top)]
-            for new, raw in zip(classes, scoring_oracle.raw_classes()):
-                assert re.findall(new, every_code_point) == re.findall(raw, every_code_point)
+            for new, raw in zip(scoring._classes(top), scoring_oracle.raw_classes()):
+                assert (re.findall(f"[{new}]", every_code_point)
+                        == re.findall(f"[{raw}]", every_code_point))
 
     def test_every_punct_and_symbol_in_context(self):
         chars = [
@@ -163,12 +163,29 @@ class TestPinnedUnicodeTable:
         # U+1FAE8 SHAKING FACE is a symbol since Unicode 15.0 (Python 3.12).
         assert tokenize_intl("Ziel\U0001FAE8 x") == ["Ziel\U0001FAE8", "x"]
 
+    def test_digits_do_not_depend_on_the_host_unicode_version(self):
+        # U+11F50 KAWI DIGIT ZERO is a digit, for ``re``'s ``\d`` too, since
+        # Unicode 15.0 (Python 3.12): here the comma after it is split off.
+        assert tokenize_intl("x\U00011F50,5") == ["x\U00011F50", ",", "5"]
+        # U+16AC0 TANGSA DIGIT ZERO is a digit since Unicode 14.0; Unicode 13.0
+        # (Python 3.10) has no such character.
+        assert tokenize_intl("\U00016AC0,5") == ["\U00016AC0,5"]
+
     @HOST_HAS_TABLE_VERSION
     def test_the_table_holds_the_host_categories(self):
-        for table, major in ((unicode_classes.PUNCTUATION, "P"), (unicode_classes.SYMBOL, "S")):
+        tables = ((unicode_classes.PUNCTUATION, "P"), (unicode_classes.SYMBOL, "S"),
+                  (unicode_classes.DIGIT, "Nd"))
+        for table, category in tables:
             expected = "".join(chr(cp) for cp in range(sys.maxunicode + 1)
-                               if unicodedata.category(chr(cp))[0] == major)
+                               if unicodedata.category(chr(cp)).startswith(category))
             assert scoring_oracle.table_chars(table) == expected
+
+    @HOST_HAS_TABLE_VERSION
+    def test_the_digits_are_the_host_re_digits(self):
+        """What the reference scorer's ``\\d`` matches under this Unicode version."""
+        every_code_point = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert "".join(re.findall(r"\d", every_code_point)) == (
+            scoring_oracle.table_chars(unicode_classes.DIGIT))
 
     @HOST_HAS_TABLE_VERSION
     def test_the_generator_reproduces_the_module(self):
