@@ -1,0 +1,138 @@
+"""The command line's parse contract, one row per case: what a command line
+(with an optional ``--config`` file and environment) exits with, what it
+writes to stdout, and the ``Error:`` line it prints to stderr where the
+text is pinned.  Rows with an ``--out`` also pin values of the manifest's
+resolved config, which shows where each value came from."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import rtt_ape
+from rtt_ape import analysis
+from rtt_ape.cli import main
+
+SRC = Path(rtt_ape.__file__).resolve().parents[1]
+
+VOCAB = b'{\n  "vocab_size": 4,\n  "tokenizer": "whitespace"\n}\n'
+APE = "ape-apply --in {d}/h.txt --backend identity --report {d}/report.json --out {d}/out.txt"
+
+
+def row(argv: str, code: int, stdout: bytes = b"", error: str | None = None,
+        config: dict | None = None, env: dict | None = None,
+        manifest: dict | None = None) -> dict:
+    """One case.  ``{d}`` in ``argv``, in config and env values and in the
+    expected texts stands for the case's directory, ``{cfg}`` for the path
+    of its config file, which is passed as ``--config`` before ``argv``."""
+    return dict(argv=argv, code=code, stdout=stdout, error=error, config=config, env=env,
+                manifest=manifest)
+
+
+CONTRACT = {
+    "--opt=value": row("vocab --in={d}/h.txt", 0, VOCAB),
+    "abbreviated flag": row("vocab --i {d}/h.txt", 1,
+                            error="No such option '--i'. Did you mean '--in'?"),
+    "-h": row("-h", 1, error="No such option '-h'."),
+    "-h after the subcommand": row("vocab -h", 1, error="No such option '-h'."),
+    "unknown subcommand": row("frobnicate", 1, error="No such command 'frobnicate'."),
+    "unknown flag": row("vocab --wat", 1, error="No such option '--wat'. Did you mean '--out'?"),
+    "missing required option": row("bleu --hyp {d}/h.txt", 1, error="Missing option '--ref'."),
+    "missing input file": row("vocab --in {d}/nope.txt", 1,
+                              error="Invalid value for '--in': Path '{d}/nope.txt' does not "
+                                    "exist."),
+    "bad choice": row("vocab --in {d}/h.txt --tokenizer x", 1,
+                      error="Invalid value for '--tokenizer': 'x' is not one of 'whitespace', "
+                            "'intl'."),
+    "bad integer": row("ape-apply --in {d}/h.txt --backend identity --iterations x", 1,
+                       error="Invalid value for '--iterations': 'x' is not a valid integer."),
+    "config string integer": row(APE, 0, config={"ape-apply": {"iterations": "2"}},
+                                 manifest={"iterations": 2}),
+    "flag beats config": row(APE + " --iterations 3", 0, config={"ape-apply": {"iterations": 2}},
+                             manifest={"iterations": 3}),
+    "config bad integer": row(APE, 1, config={"ape-apply": {"jobs": "two"}},
+                              error="Invalid value for '--jobs': 'two' is not a valid integer."),
+    "missing config file": row("--config {d}/nope.json vocab --in {d}/h.txt", 1,
+                               error="Invalid value for '--config': Path '{d}/nope.json' does "
+                                     "not exist."),
+    "unknown config section": row("vocab --in {d}/h.txt", 1, config={"ape-aply": {}},
+                                  error="bad config file '{cfg}': no subcommand 'ape-aply'"),
+    "unknown config key": row("vocab --in {d}/h.txt", 1, config={"vocab": {"tokeniser": "intl"}},
+                              error="bad config file '{cfg}': vocab has no parameter 'tokeniser'"),
+    "RTT_APE_CACHE beats config": row(APE, 0, config={"ape-apply": {"cache_dir": "{d}/cfgcache"}},
+                                      env={"RTT_APE_CACHE": "{d}/envcache"},
+                                      manifest={"cache_dir": "{d}/envcache"}),
+    "flag beats RTT_APE_CACHE": row(APE + " --cache-dir {d}/flagcache", 0,
+                                    env={"RTT_APE_CACHE": "{d}/envcache"},
+                                    manifest={"cache_dir": "{d}/flagcache"}),
+    "repeated --hyp keeps its order": row(
+        "report-split --ref-text {d}/h.txt --origins {d}/o.txt --src en --tgt de "
+        "--hyp b={d}/h.txt --hyp a={d}/g.txt --out {d}/out.txt", 0,
+        manifest={"hyp_specs": ["b={d}/h.txt", "a={d}/g.txt"]}),
+    "--version": row("--version", 0, b"rtt-ape, version 0.1.0\n"),
+    "missing command": row("", 1, config={}, error="Missing command."),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACT))
+def test_parse_contract(case, tmp_path, capsysbinary, monkeypatch):
+    spec = CONTRACT[case]
+    d = str(tmp_path)
+    (tmp_path / "h.txt").write_text("a b\nc d\n", encoding="utf-8")
+    (tmp_path / "g.txt").write_text("a b\nc e\n", encoding="utf-8")
+    (tmp_path / "o.txt").write_text("de\nen\n", encoding="utf-8")
+    cfg = str(tmp_path / "cfg.json")
+
+    def fill(value):
+        return json.loads(json.dumps(value).replace("{d}", d).replace("{cfg}", cfg))
+
+    monkeypatch.delenv("RTT_APE_CACHE", raising=False)
+    for name, value in fill(spec["env"] or {}).items():
+        monkeypatch.setenv(name, value)
+    argv = fill(spec["argv"]).split()
+    if spec["config"] is not None:
+        Path(cfg).write_text(json.dumps(fill(spec["config"])), encoding="utf-8")
+        argv = ["--config", cfg, *argv]
+    assert main(argv) == spec["code"]
+    printed = capsysbinary.readouterr()
+    assert printed.out == spec["stdout"]
+    errors = [line for line in printed.err.decode("utf-8").splitlines()
+              if line.startswith("Error: ")]
+    if spec["code"] == 0:
+        assert printed.err == b""
+    elif spec["error"] is not None:
+        assert errors == [f"Error: {fill(spec['error'])}"]
+    for name, value in fill(spec["manifest"] or {}).items():
+        manifest = json.loads((tmp_path / "out.txt.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"][name] == value
+
+
+def test_ctrl_c_in_a_command_prints_aborted_and_exits_1(tmp_path, capsysbinary, monkeypatch):
+    def interrupted(lines, tokenizer="whitespace"):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analysis, "vocab_size", interrupted)
+    (tmp_path / "h.txt").write_text("a b\n", encoding="utf-8")
+    assert main(["vocab", "--in", str(tmp_path / "h.txt")]) == 1
+    assert capsysbinary.readouterr() == (b"", b"\naborted\n")
+
+
+def test_a_closed_stdout_pipe_exits_1_without_a_word(tmp_path):
+    """``rtt-ape dedup --in big.txt | head -1``: the reader goes away while
+    the command still writes."""
+    big = tmp_path / "big.txt"
+    big.write_text("".join(f"distinct line {i}\n" for i in range(100_000)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    with subprocess.Popen([sys.executable, "-m", "rtt_ape.cli", "dedup", "--in", str(big)],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"distinct line 0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
