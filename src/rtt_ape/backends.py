@@ -15,7 +15,6 @@ forked worker processes (``parallel.fork_map``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -27,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, get_type_hints
 
 from .errors import BackendError, DataError
-from .lineio import atomic_open, iter_lines
+from .lineio import atomic_open, blake2b, iter_lines
 from .parallel import fork_map
 
 KINDS = ("command", "http", "toy_channel", "toy_denoiser", "identity")
@@ -117,7 +116,7 @@ class BackendSpec:
     @cached_property
     def _fingerprint(self) -> str:
         blob = json.dumps(self.as_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
+        return blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
 # A field type's JSON value types, exact (true is no integer); others take an object.
@@ -170,7 +169,7 @@ def channel_apply(
     out = [cfg.lexicon.get(t, t) for t in tokens]
     changed = out != tokens
     if cfg.drop_prob > 0.0 or cfg.swap_prob > 0.0:
-        digest = hashlib.blake2b(f"{cfg.seed}:{salt}".encode("ascii"), digest_size=8).digest()
+        digest = blake2b(f"{cfg.seed}:{salt}".encode("ascii"), digest_size=8).digest()
         rng = rng or random.Random()
         rng.seed(int.from_bytes(digest, "big"))
         if cfg.drop_prob > 0.0:
@@ -262,7 +261,7 @@ def _run_http_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
 
 
 def _cache_file(cache_dir: Path, spec: BackendSpec, batch: list[str]) -> Path:
-    batch_fp = hashlib.blake2b("\n".join(batch).encode("utf-8"), digest_size=16).hexdigest()
+    batch_fp = blake2b("\n".join(batch).encode("utf-8"), digest_size=16).hexdigest()
     return cache_dir / spec.fingerprint() / f"{batch_fp}.txt"
 
 

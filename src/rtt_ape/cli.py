@@ -1,48 +1,37 @@
 """Command-line interface: every pipeline and analysis operation as a
 scriptable subcommand.
 
-This module holds the ``cli`` group, the runner every subcommand goes
-through and the helpers they share.  The subcommands themselves live in
-the ``cli_*`` modules named in ``SUBCOMMANDS``, grouped by the library
-layer they drive; the group imports a subcommand's module the first time
-the subcommand is looked up, so a start compiles and builds only the
-command it runs (``--version`` none, ``--help`` all).
+``main`` parses the command line with ``argparse``, runs the subcommand's
+body and writes its manifest.  The subcommands live in the ``cli_*``
+modules named in ``SUBCOMMANDS``, grouped by the library layer they drive,
+each declared as data in its module's ``COMMANDS``: the body, whose
+docstring is its help, and its table of ``Option``s, which also converts
+and checks ``--config`` values, names the manifest's inputs and writes
+``--help``.  A run imports only the module of the subcommand it names
+(``--version`` none, ``--help`` all), and each body imports only the
+library modules it runs.
 
-Conventions shared by all subcommands:
-
-* machine output goes to stdout or ``--out``, the same bytes either way;
-  diagnostics go to stderr;
-* every file a run writes (``--out``, ``--report``, the line files and the
-  manifest) goes through a temp file that replaces it only on success (see
-  ``lineio.atomic_open``); output on stdout streams, so lines printed before
-  a failure stay printed;
-* ``lineio`` frames every line: a line holds no "\\n" and a TSV cell no
-  "\\t" or "\\n", and an output line that would is a data error naming the
-  output and the line (``lineio.open_lines``);
-* a run manifest (resolved config, input fingerprints, seed, version,
-  timestamps) is written next to ``--out`` as ``<out>.manifest.json``;
-* config precedence is flags > ``--config`` file > built-in defaults, and
-  config values are converted and checked by the same types as flags; a
-  section that names no subcommand, or a key that names none of the
-  invoked subcommand's parameters, is a usage error;
-* randomness always takes an explicit ``--seed`` and defaults to 0;
-* exit codes: 0 success, 1 usage error, 2 data error, 3 backend error;
-* each subcommand imports the library modules it runs, in its body, so a
-  start loads only those (``--version`` loads none).
+An option's value comes from its flag (``--opt value`` or ``--opt=value``,
+never abbreviated), else its environment variable, else the ``--config``
+file, else its default.  Machine output goes to stdout or ``--out``, the
+same bytes either way, and every file goes through ``lineio``;
+diagnostics go to stderr as they are.  Exit codes: 0 success, 1 usage
+error (also Ctrl-C and a closed stdout pipe), 2 data error, 3 backend
+error.  README.md states the conventions in full.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
+import contextlib
 import gc
 import importlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
-
-import click
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import __version__
 from .errors import BackendError, DataError, SgmParseError
@@ -57,42 +46,114 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_BACKEND = 3
 
-# The context object of a run of the process's own command line.
-_PROCESS_ENTRY = object()
+# Each subcommand's module (``rtt_ape.<module>``), whose ``COMMANDS`` holds
+# it.  The only list of subcommands: ``--help`` and ``--config`` read it too.
+SUBCOMMANDS = {name: module for module, names in [
+    ("cli_testset", ("parse-sgm", "split", "merge")),
+    ("cli_corpus", ("filter-mono", "filter-bitext", "dedup", "sample")),
+    ("cli_pipeline", ("rtt-gen", "make-pairs", "ape-apply")),
+    ("cli_analysis", ("bleu", "report-rtt", "report-split", "vocab", "humaneval-make",
+                      "humaneval-agg")),
+] for name in names}
 
-# Each subcommand's module (``rtt_ape.<module>``), where the command is the
-# attribute ``<name>_cmd``, dashes as underscores.  The only list of
-# subcommands: ``--help`` and ``--config`` read it too.
-SUBCOMMANDS = {
-    "parse-sgm": "cli_testset",
-    "split": "cli_testset",
-    "merge": "cli_testset",
-    "filter-mono": "cli_corpus",
-    "filter-bitext": "cli_corpus",
-    "dedup": "cli_corpus",
-    "sample": "cli_corpus",
-    "rtt-gen": "cli_pipeline",
-    "make-pairs": "cli_pipeline",
-    "ape-apply": "cli_pipeline",
-    "bleu": "cli_analysis",
-    "report-rtt": "cli_analysis",
-    "report-split": "cli_analysis",
-    "vocab": "cli_analysis",
-    "humaneval-make": "cli_analysis",
-    "humaneval-agg": "cli_analysis",
-}
+
+class UsageError(Exception):
+    """A command line that cannot run as given: exit 1."""
+
+
+class Type(NamedTuple):
+    """``convert`` checks a flag's text or a ``--config`` value and returns
+    the value, or raises ``ValueError`` with the reason; ``metavar`` names
+    the value in help, and is empty for a flag, which takes none."""
+
+    metavar: str
+    convert: Callable[[object], object]
+
+
+def _integer(value: object) -> int:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):  # int(2.7) would be 2
+        with contextlib.suppress(ValueError):
+            return int(value)
+    raise ValueError(f"{value!r} is not a valid integer.")
+
+
+def _float(value: object) -> float:
+    with contextlib.suppress(TypeError, ValueError):
+        return float(value)
+    raise ValueError(f"{value!r} is not a valid float.")
+
+
+def _existing(value: object) -> str:
+    if not os.path.exists(path := str(value)):
+        raise ValueError(f"Path {path!r} does not exist.")
+    return path
+
+
+def _boolean(value: object) -> bool:
+    text = str(value).strip().lower()  # a JSON true reads "true"
+    if text not in ("1", "true", "t", "yes", "y", "on", "0", "false", "f", "no", "n", "off"):
+        raise ValueError(f"{value!r} is not a valid boolean.")
+    return text in ("1", "true", "t", "yes", "y", "on")
+
+
+TEXT, PATH = Type("TEXT", str), Type("PATH", str)
+INTEGER, FLOAT = Type("INTEGER", _integer), Type("FLOAT", _float)
+INPUT = Type("PATH", _existing)  # an input file, fingerprinted in the manifest
+FLAG = Type("", _boolean)
+
+
+def choice(*values: str) -> Type:
+    def convert(value: object) -> str:
+        if value not in values:
+            raise ValueError(f"{value!r} is not one of {', '.join(map(repr, values))}.")
+        return value
+
+    return Type(f"[{'|'.join(values)}]", convert)
+
+
+class Option(NamedTuple):
+    """A subcommand's ``--flag VALUE``, or ``--flag`` alone for a ``FLAG``.
+    Its parameter is ``dest``, else the flag's name with dashes as
+    underscores; ``env`` names an environment variable that gives the value
+    when no flag does.  A ``multiple`` option may be repeated: its type
+    converts the tuple of its values, and its default is ``()``."""
+
+    flag: str
+    type: Type = TEXT
+    default: object = None
+    help: str = ""
+    required: bool = False
+    dest: str = ""
+    env: str = ""
+    multiple: bool = False
+
+    @property
+    def name(self) -> str:
+        return self.dest or self.flag[2:].replace("-", "_")
+
+
+# Options several subcommands share.
+IN = Option("--in", INPUT, required=True, dest="in_path")
+OUT = Option("--out", PATH)
+REPORT = Option("--report", PATH, dest="report_path")
+
+_CONFIG = Option("--config", INPUT,
+                 help="JSON file with per-subcommand defaults (flags still win).")
+_GROUP = [Option("--version", FLAG, help="Show the version and exit."), _CONFIG]
+_DESCRIPTION = ("Round-trip translation pipelines, post-editing application, and origin-split "
+                "BLEU evaluation.")
 
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
-def _require(params: dict, *names: str) -> None:
-    """Options required only in some modes; always-required ones say so to click."""
-    for name in names:
+def _require(params: dict, **flags: str) -> None:
+    """Options required only in some modes, as parameter=flag; always
+    required ones say so in their table."""
+    for name, flag in flags.items():
         if params.get(name) in (None, ()):
-            flag = "--" + name.replace("_", "-")
-            raise click.UsageError(f"missing required option {flag}")
+            raise UsageError(f"Missing option '{flag}'.")
 
 
 def _emit(out: str | None, text: str) -> None:
@@ -110,7 +171,7 @@ def _report_out(report: FilterReport | ChangeReport, report_path: str | None) ->
     if report_path:
         _emit(report_path, text)
     else:
-        click.echo(text, err=True, nl=False)
+        sys.stderr.write(text)
 
 
 def _write_pairs(params: dict, pairs: Iterable[SentencePair]) -> None:
@@ -121,7 +182,7 @@ def _write_pairs(params: dict, pairs: Iterable[SentencePair]) -> None:
             for pair in pairs:
                 write((pair.source, pair.target))
         return
-    _require(params, "out_src", "out_tgt")
+    _require(params, out_src="--out-src", out_tgt="--out-tgt")
     with open_lines(params["out_src"]) as src, open_lines(params["out_tgt"]) as tgt:
         for pair in pairs:
             src(pair.source)
@@ -156,15 +217,118 @@ def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
     if sgm := params.get("sgm") or params.get("src_sgm"):
         source = reference = _read_sgm(sgm, "src")[0]
         if with_refs:
-            _require(params, "ref_sgm")
+            _require(params, ref_sgm="--ref-sgm")
             reference = _read_sgm(params["ref_sgm"], "ref")[0]
     elif text := params.get("text") or params.get("ref_text"):
         lines, origins = (read_aligned(text, params["origins"]) if params.get("origins")
                           else (read_lines(text), None))
         source = reference = segments_from_lines(lines, origins)
     else:
-        raise click.UsageError("provide --sgm (or --src-sgm/--ref-sgm) or --text with --origins")
+        raise UsageError("provide --sgm (or --src-sgm/--ref-sgm) or --text with --origins")
     return TestSet(params.get("name") or "unknown", params["src"], params["tgt"], source, reference)
+
+
+def _load_command(name: str) -> tuple[Callable[[dict], Iterable[str] | None], list[Option]]:
+    """The body and the option table of subcommand ``name``."""
+    return importlib.import_module(f".{SUBCOMMANDS[name]}", __package__).COMMANDS[name]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _parser(usage: str, description: str, options: list[Option]) -> _Parser:
+    """A parser of ``options`` and ``--help`` that leaves an option not given
+    None.  Its help, wrapped for an 80-column terminal, shows each option's
+    default, if it takes a value, and whether it is required."""
+    parser = _Parser(usage=usage, description=description, add_help=False, allow_abbrev=False,
+                     formatter_class=lambda prog: argparse.HelpFormatter(
+                         prog, width=78, max_help_position=34))
+    for option in [*options, Option("--help", FLAG, help="Show this message and exit.")]:
+        notes = [f"default: {option.default}"] if option.type.metavar and option.default not in (
+            None, ()) else []
+        notes += ["required"] if option.required else []
+        kind = dict(action="store_const", const=True) if not option.type.metavar else dict(
+            metavar=option.type.metavar, action="append" if option.multiple else "store")
+        parser.add_argument(option.flag, dest=option.name, **kind, help=" ".join(
+            filter(None, [option.help, notes and f"[{'; '.join(notes)}]"])))
+    return parser
+
+
+def _unknown(extra: list[str], options: list[Option]) -> UsageError:
+    """The error for the first argument no option took, naming the long
+    options an unknown one resembles."""
+    from difflib import get_close_matches
+
+    flag = extra[0].partition("=")[0]
+    if not flag.startswith("-"):
+        return UsageError(f"Got unexpected extra argument ({extra[0]})")
+    close = sorted(get_close_matches(flag, [o.flag for o in options] + ["--help"]))
+    hint = f" Did you mean {', '.join(map(repr, close))}?" if close and flag[1:2] == "-" else ""
+    return UsageError(f"No such option {flag!r}.{hint}")
+
+
+def _convert(option: Option, value: object) -> object:
+    try:
+        return option.type.convert(value)
+    except ValueError as exc:
+        raise UsageError(f"Invalid value for '{option.flag}': {exc}") from None
+
+
+def _parse_group(argv: list[str]) -> tuple[str | None, str, list[str]] | None:
+    """The ``--config`` path, the subcommand's name and its arguments; None
+    after ``--help`` or ``--version``, which print."""
+    group = _parser("rtt-ape [OPTIONS] COMMAND [ARGS]...", _DESCRIPTION, _GROUP)
+    group.add_argument("command", nargs="?", help=argparse.SUPPRESS)
+    group.add_argument("args", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
+    given, extra = group.parse_known_args(argv)
+    if extra:
+        raise _unknown(extra, _GROUP)
+    if given.help:
+        import textwrap
+
+        docs = {name: _load_command(name)[0].__doc__ for name in sorted(SUBCOMMANDS)}
+        pad = max(map(len, docs)) + 2
+        commands = "".join(f"  {name:{pad}}{textwrap.shorten(doc, 76 - pad, placeholder='...')}\n"
+                           for name, doc in docs.items())
+        _emit(None, f"{group.format_help()}\ncommands:\n{commands}")
+    elif given.version:
+        _emit(None, f"rtt-ape, version {__version__}\n")
+    if given.help or given.version:
+        return None
+    config_path = None if given.config is None else _convert(_CONFIG, given.config)
+    if given.command not in SUBCOMMANDS:
+        raise UsageError(f"No such command {given.command!r}." if given.command
+                         else "Missing command.")
+    return config_path, given.command, given.args
+
+
+def _parse_command(name: str, args: list[str], config_path: str | None) -> dict | None:
+    """The parameters of subcommand ``name``, each from the first of: its
+    flag in ``args``, its environment variable, its ``--config`` key, its
+    default; converted and checked by the option's type.  None after
+    ``--help``, which prints."""
+    body, options = _load_command(name)
+    parser = _parser(f"rtt-ape {name} [OPTIONS]", body.__doc__, options)
+    given, extra = parser.parse_known_args(args)
+    if extra:
+        raise _unknown(extra, options)
+    if given.help:
+        _emit(None, parser.format_help())
+        return None
+    section = {} if config_path is None else _config_section(config_path, name, options)
+    params = {}
+    for option in options:
+        value = getattr(given, option.name)
+        if value is None and option.env:
+            value = os.environ.get(option.env) or None
+        if value is None:
+            value = section.get(option.name)
+        params[option.name] = option.default if value is None else _convert(option, value)
+        if option.required and params[option.name] in (None, ()):
+            raise UsageError(f"Missing option '{option.flag}'.")
+    return params
 
 
 def _config_sections(config: object) -> dict[str, dict]:
@@ -173,125 +337,88 @@ def _config_sections(config: object) -> dict[str, dict]:
     return config
 
 
-class _LazyGroup(click.Group):
-    """A group that imports a subcommand's module on first use (see
-    ``SUBCOMMANDS``)."""
-
-    def list_commands(self, ctx: click.Context) -> list[str]:
-        return sorted(SUBCOMMANDS)
-
-    def get_command(self, ctx: click.Context, cmd_name: str) -> click.Command | None:
-        module = SUBCOMMANDS.get(cmd_name)
-        if module is None:
-            return None
-        commands = importlib.import_module(f".{module}", __package__)
-        return getattr(commands, cmd_name.replace("-", "_") + "_cmd")
-
-
-@click.group(cls=_LazyGroup)
-@click.version_option(version=__version__, prog_name="rtt-ape")
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              help="JSON file with per-subcommand defaults (flags still win).")
-@click.pass_context
-def cli(ctx: click.Context, config_path: str | None) -> None:
-    """Round-trip translation pipelines, post-editing application, and
-    origin-split BLEU evaluation."""
-    if config_path is None:
-        return
+def _config_section(config_path: str, name: str, options: list[Option]) -> dict:
+    """Subcommand ``name``'s section of the ``--config`` file.  A section
+    that names no subcommand, or a key none of its options, would otherwise
+    be ignored without a word."""
     config = read_json(config_path, "config file", _config_sections)
-    # A misspelled section or key would otherwise be ignored without a word.
-    # Sections are checked against the map, without importing any module;
-    # keys only in the invoked subcommand's section, whose command is built.
-    unknown = sorted(set(config) - set(SUBCOMMANDS))
-    if unknown:
-        raise click.UsageError(
-            f"bad config file {config_path!r}: no subcommand {', '.join(map(repr, unknown))}"
-        )
-    name = ctx.invoked_subcommand
-    command = ctx.command.get_command(ctx, name)
-    unknown = sorted(set(config.get(name, {})) - {p.name for p in command.params})
-    if unknown:
-        raise click.UsageError(
-            f"bad config file {config_path!r}: {name} has no parameter "
-            + ", ".join(map(repr, unknown))
-        )
-    # Click reads each subcommand's section as its defaults, below flags and
-    # environment variables, and converts the values with the options' types.
-    ctx.default_map = config
+    if unknown := sorted(set(config) - set(SUBCOMMANDS)):
+        problem = "no subcommand " + ", ".join(map(repr, unknown))
+    elif unknown := sorted(set(config.get(name, {})) - {option.name for option in options}):
+        problem = f"{name} has no parameter " + ", ".join(map(repr, unknown))
+    else:
+        return config.get(name, {})
+    raise UsageError(f"bad config file {config_path!r}: {problem}")
 
 
-def _command(name: str) -> Callable[[Callable[[dict], Iterable[str] | None]], click.Command]:
-    """Make ``body(params)`` the subcommand ``name``, a command for ``cli``
-    to find through ``SUBCOMMANDS``.
-
-    When the body succeeds and the run has an output file (``--out-src``,
-    else ``--out``), ``<output>.manifest.json`` records the resolved
-    parameters, seed, version, start and finish times, and a fingerprint of
-    every input: each set ``click.Path(exists=True)`` option, plus the paths
-    the body returns (inputs named inside other values).
-
-    Run from the process entry (``main()`` without ``argv``), the body
-    starts after ``gc.freeze()``: what start-up built (modules, classes,
-    functions, the command) lives until the process ends, so the frozen
-    heap keeps it out of every later collection, shutdown's included, and
-    out of those of the workers the body forks.  A caller that passes
-    ``argv`` keeps its heap collectable."""
-
-    def build(body: Callable[[dict], Iterable[str] | None]) -> click.Command:
-        @functools.wraps(body)
-        def run(**params) -> None:
-            ctx = click.get_current_context()
-            if ctx.obj is _PROCESS_ENTRY:
-                gc.freeze()
-            started = _now()
-            extra_inputs = body(params) or ()
-            out = params.get("out_src") or params.get("out")
-            if out is None:
-                return
-            inputs = [
-                params[p.name] for p in ctx.command.params
-                if isinstance(p.type, click.Path) and p.type.exists and params[p.name]
-            ]
-            manifest = {
-                "tool": "rtt-ape",
-                "version": __version__,
-                "subcommand": name,
-                "config": params,
-                "inputs": {p: file_fingerprint(p) for p in [*inputs, *extra_inputs]},
-                "seed": params.get("seed"),
-                "started": started,
-                "finished": _now(),
-            }
-            _emit(out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-        return click.command(name)(run)
-
-    return build
+def _run(name: str, params: dict) -> None:
+    """Run subcommand ``name``'s body.  When it succeeds and the run has an
+    output file (``--out-src``, else ``--out``), ``<output>.manifest.json``
+    records the resolved parameters, seed, version, start and finish times,
+    and a fingerprint of every input: each set ``INPUT`` option, plus the
+    paths the body returns (inputs named inside other values)."""
+    body, options = _load_command(name)
+    started = _now()
+    extra_inputs = body(params) or ()
+    out = params.get("out_src") or params.get("out")
+    if out is None:
+        return
+    inputs = [params[o.name] for o in options if o.type is INPUT and params[o.name]]
+    manifest = dict(tool="rtt-ape", version=__version__, subcommand=name, config=params,
+                    inputs={p: file_fingerprint(p) for p in [*inputs, *extra_inputs]},
+                    seed=params.get("seed"), started=started, finished=_now())
+    _emit(out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code contract.  Without
-    ``argv`` it runs the process's command line, as the process's entry
-    (see ``_command``)."""
+    ``argv`` it runs the process's command line, as the process's entry:
+    the body then starts after ``gc.freeze()``.  What start-up built
+    (modules, classes, functions, the parser) lives until the process ends,
+    so the frozen heap keeps it out of every later collection, shutdown's
+    included, and out of those of the workers the body forks.  A caller
+    that passes ``argv`` keeps its heap collectable."""
+    name = None
     try:
-        cli.main(args=argv, prog_name="rtt-ape", standalone_mode=False,
-                 obj=_PROCESS_ENTRY if argv is None else None)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
+        if (parsed := _parse_group(sys.argv[1:] if argv is None else argv)) is None:
+            return 0
+        config_path, name, args = parsed
+        if (params := _parse_command(name, args, config_path)) is None:
+            return 0
+        if argv is None:
+            gc.freeze()
+        _run(name, params)
+    except UsageError as exc:
+        command = f"rtt-ape {name}" if name else "rtt-ape"
+        usage = f"{command} [OPTIONS]" if name else "rtt-ape [OPTIONS] COMMAND [ARGS]..."
+        print(f"Usage: {usage}\nTry '{command} --help' for help.\n\nError: {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
-    except click.Abort:
-        click.echo("aborted", err=True)
+    except (EOFError, KeyboardInterrupt):
+        print("\naborted", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader of stdout has gone (``rtt-ape dedup ... | head -1``).
+        # What is left in stdout's buffer can never be written: point
+        # stdout at devnull, so that the flush at exit fails no second time.
+        with contextlib.suppress(OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_USAGE
     except BackendError as exc:
-        click.echo(f"backend error: {exc}", err=True)
+        print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (DataError, ValueError, OSError) as exc:
-        click.echo(f"data error: {exc}", err=True)
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # ``python -m rtt_ape.cli`` runs this file as ``__main__``, while the
+    # subcommand modules import ``rtt_ape.cli``: run that module's ``main``,
+    # so that one copy of the runner is in play.
+    from rtt_ape.cli import main as _main
+
+    sys.exit(_main())

@@ -1,23 +1,18 @@
 """Scoring and analysis subcommands: BLEU, origin-split and round-trip
 reports, vocabulary sizes, human evaluation.
 
-Loaded by ``cli`` the first time one of its subcommands is looked up."""
+Loaded by ``cli`` when a run names one of its subcommands."""
 
 from __future__ import annotations
 
-import click
+import sys
 
-from .cli import _command, _dump_json, _emit, _load_testset
+from .cli import (FLAG, IN, INPUT, INTEGER, OUT, Option, Type, UsageError, _dump_json, _emit,
+                  _load_testset, choice)
 from .errors import DataError
 from .lineio import iter_aligned, iter_lines, iter_rows, read_aligned, read_lines
 
 
-@_command("bleu")
-@click.option("--hyp", type=click.Path(exists=True), required=True)
-@click.option("--ref", type=click.Path(exists=True), required=True)
-@click.option("--lang", default="unknown", help="Language pair, e.g. en-de.")
-@click.option("--set", "set_name", default="unknown", help="Test set name for the signature.")
-@click.option("--out", type=click.Path())
 def bleu_cmd(params: dict) -> None:
     """Corpus BLEU of line-aligned hypothesis and reference files."""
     from .scoring import UNICODE_VERSION, BleuConfig, corpus_bleu
@@ -25,15 +20,9 @@ def bleu_cmd(params: dict) -> None:
     score = corpus_bleu(iter_aligned(params["hyp"], params["ref"]),
                         BleuConfig(params["lang"], params["set_name"]))
     _emit(params["out"], _dump_json({**score.as_dict(), "unicode_version": UNICODE_VERSION}))
-    click.echo(score.format(), err=True)
+    print(score.format(), file=sys.stderr)
 
 
-@_command("report-rtt")
-@click.option("--original", type=click.Path(exists=True), required=True)
-@click.option("--roundtrip", type=click.Path(exists=True), required=True)
-@click.option("--lang", default="unknown")
-@click.option("--set", "set_name", default="unknown")
-@click.option("--out", type=click.Path())
 def report_rtt_cmd(params: dict) -> None:
     """Round-trip quality: BLEU against the originals, precision breakdown,
     and vocabulary sizes of both sides."""
@@ -46,18 +35,19 @@ def report_rtt_cmd(params: dict) -> None:
     _emit(params["out"], _dump_json(report.as_dict()))
 
 
-def _check_hyp_specs(ctx: click.Context, param: click.Parameter, specs: tuple[str, ...]):
-    """Each ``--hyp LABEL=PATH`` names an existing file, checked like any
-    ``click.Path(exists=True)`` input, under a label no other ``--hyp`` uses."""
+def _hyp_specs(specs: object) -> tuple[str, ...]:
+    """``--hyp LABEL=PATH``s: each names an existing file, checked like any
+    ``INPUT``, under a label no other ``--hyp`` uses."""
+    specs = tuple(specs) if isinstance(specs, (list, tuple)) else (specs,)
     labels = set()
     for spec in specs:
-        label, sep, path = spec.partition("=")
+        label, sep, path = str(spec).partition("=")
         if not sep or not label or not path:
-            raise click.UsageError(f"--hyp expects LABEL=PATH, got {spec!r}")
+            raise UsageError(f"--hyp expects LABEL=PATH, got {spec!r}")
         if label in labels:
-            raise click.UsageError(f"--hyp label {label!r} given more than once")
+            raise UsageError(f"--hyp label {label!r} given more than once")
         labels.add(label)
-        click.Path(exists=True).convert(path, param, ctx)
+        INPUT.convert(path)
     return specs
 
 
@@ -79,19 +69,6 @@ def _scoring_workers(pairs: int) -> int:
     return max(1, min(usable_cores(), pairs // MIN_PAIRS_PER_WORKER))
 
 
-@_command("report-split")
-@click.option("--src-sgm", type=click.Path(exists=True))
-@click.option("--ref-sgm", type=click.Path(exists=True))
-@click.option("--ref-text", type=click.Path(exists=True),
-              help="Plain-text references (with --origins) instead of SGM.")
-@click.option("--origins", type=click.Path(exists=True))
-@click.option("--src", required=True, help="Source language code.")
-@click.option("--tgt", required=True, help="Target language code.")
-@click.option("--name", help="Test set name for signatures.")
-@click.option("--hyp", "hyp_specs", multiple=True, required=True, callback=_check_hyp_specs,
-              help="LABEL=PATH; repeat for several systems.")
-@click.option("--table", is_flag=True, default=False, help="Also print an aligned table to stderr.")
-@click.option("--out", type=click.Path())
 def report_split_cmd(params: dict) -> list[str]:
     """Score systems on the full set and on both origin halves."""
     from .analysis import render_split_table, split_score_table
@@ -108,15 +85,10 @@ def report_split_cmd(params: dict) -> list[str]:
     table = split_score_table(ts, hyps, workers=_scoring_workers(len(hyps) * len(ts)))
     _emit(params["out"], _dump_json({label: report.as_dict() for label, report in table.items()}))
     if params["table"]:
-        click.echo(render_split_table(table, ts), err=True)
+        print(render_split_table(table, ts), file=sys.stderr)
     return [spec.partition("=")[2] for spec in params["hyp_specs"]]
 
 
-@_command("vocab")
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--tokenizer", type=click.Choice(["whitespace", "intl"]), default="whitespace",
-              show_default=True)
-@click.option("--out", type=click.Path())
 def vocab_cmd(params: dict) -> None:
     """Count distinct tokens (case-sensitive)."""
     from .analysis import vocab_size
@@ -125,12 +97,6 @@ def vocab_cmd(params: dict) -> None:
     _emit(params["out"], _dump_json({"vocab_size": count, "tokenizer": params["tokenizer"]}))
 
 
-@_command("humaneval-make")
-@click.option("--items", type=click.Path(exists=True), required=True,
-              help="TSV: source<TAB>output<TAB>system_label.")
-@click.option("--raters", type=int, default=3, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path())
 def humaneval_make_cmd(params: dict) -> None:
     """Build blind rating tasks: one row per (item, rater slot)."""
     from .analysis import humaneval_make_tasks
@@ -139,12 +105,6 @@ def humaneval_make_cmd(params: dict) -> None:
     _emit(params["out"], humaneval_make_tasks(items, params["raters"], params["seed"]))
 
 
-@_command("humaneval-agg")
-@click.option("--tasks", type=click.Path(exists=True), required=True,
-              help="Completed task file.")
-@click.option("--allow-partial", is_flag=True, default=False,
-              help="Skip items with missing ratings instead of failing.")
-@click.option("--out", type=click.Path())
 def humaneval_agg_cmd(params: dict) -> None:
     """Aggregate completed ratings per system: mean fluency and accuracy %."""
     from .analysis import format_ratings, humaneval_aggregate
@@ -152,4 +112,37 @@ def humaneval_agg_cmd(params: dict) -> None:
     results = humaneval_aggregate(read_lines(params["tasks"]),
                                   allow_partial=params["allow_partial"])
     _emit(params["out"], _dump_json(results))
-    click.echo(format_ratings(results), err=True)
+    print(format_ratings(results), file=sys.stderr)
+
+
+# Each subcommand: its body and its options (see ``cli.Option``).
+COMMANDS = {
+    "bleu": (bleu_cmd, [
+        Option("--hyp", INPUT, required=True), Option("--ref", INPUT, required=True),
+        Option("--lang", default="unknown", help="Language pair, e.g. en-de."),
+        Option("--set", default="unknown", dest="set_name",
+               help="Test set name for the signature."), OUT]),
+    "report-rtt": (report_rtt_cmd, [
+        Option("--original", INPUT, required=True), Option("--roundtrip", INPUT, required=True),
+        Option("--lang", default="unknown"), Option("--set", default="unknown", dest="set_name"),
+        OUT]),
+    "report-split": (report_split_cmd, [
+        Option("--src-sgm", INPUT), Option("--ref-sgm", INPUT),
+        Option("--ref-text", INPUT, help="Plain-text references (with --origins) instead of SGM."),
+        Option("--origins", INPUT),
+        Option("--src", required=True, help="Source language code."),
+        Option("--tgt", required=True, help="Target language code."),
+        Option("--name", help="Test set name for signatures."),
+        Option("--hyp", Type("LABEL=PATH", _hyp_specs), (), required=True, dest="hyp_specs",
+               multiple=True, help="Repeat for several systems."),
+        Option("--table", FLAG, False, help="Also print an aligned table to stderr."), OUT]),
+    "vocab": (vocab_cmd, [
+        IN, Option("--tokenizer", choice("whitespace", "intl"), "whitespace"), OUT]),
+    "humaneval-make": (humaneval_make_cmd, [
+        Option("--items", INPUT, required=True, help="TSV: source<TAB>output<TAB>system_label."),
+        Option("--raters", INTEGER, 3), Option("--seed", INTEGER, 0), OUT]),
+    "humaneval-agg": (humaneval_agg_cmd, [
+        Option("--tasks", INPUT, required=True, help="Completed task file."),
+        Option("--allow-partial", FLAG, False,
+               help="Skip items with missing ratings instead of failing."), OUT]),
+}

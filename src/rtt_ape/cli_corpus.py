@@ -1,22 +1,14 @@
 """Corpus subcommands: length filters, deduplication, sampling.
 
-Loaded by ``cli`` the first time one of its subcommands is looked up."""
+Loaded by ``cli`` when a run names one of its subcommands."""
 
 from __future__ import annotations
 
-import click
-
-from .cli import _command, _filter_config, _report_out, _require, _write_pairs
+from .cli import (FLAG, FLOAT, IN, INPUT, INTEGER, OUT, PATH, REPORT, Option, _filter_config,
+                  _report_out, _require, _write_pairs)
 from .lineio import iter_aligned, iter_lines, iter_rows, write_lines
 
 
-@_command("filter-mono")
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--max-chars", type=int, default=500, show_default=True)
-@click.option("--max-tokens", type=int, default=70, show_default=True)
-@click.option("--report", "report_path", type=click.Path(),
-              help="Write the JSON counters here instead of stderr.")
-@click.option("--out", type=click.Path())
 def filter_mono_cmd(params: dict) -> None:
     """Drop monolingual lines exceeding the character or token caps."""
     from .corpus import FilterReport, mono_reject_reason
@@ -28,17 +20,6 @@ def filter_mono_cmd(params: dict) -> None:
     _report_out(report, params["report_path"])
 
 
-@_command("filter-bitext")
-@click.option("--src", "src_path", type=click.Path(exists=True))
-@click.option("--tgt", "tgt_path", type=click.Path(exists=True))
-@click.option("--tsv", "tsv_path", type=click.Path(exists=True),
-              help="Tab-separated source/target pairs instead of two files.")
-@click.option("--out-src", type=click.Path())
-@click.option("--out-tgt", type=click.Path())
-@click.option("--out", type=click.Path(), help="TSV output (with --tsv).")
-@click.option("--max-tokens", "bitext_max_tokens", type=int, default=250, show_default=True)
-@click.option("--max-ratio", type=float, default=2.0, show_default=True)
-@click.option("--report", "report_path", type=click.Path())
 def filter_bitext_cmd(params: dict) -> None:
     """Drop bitext pairs with an empty side, an over-long side, or an
     excessive token length ratio."""
@@ -47,7 +28,8 @@ def filter_bitext_cmd(params: dict) -> None:
     if params["tsv_path"]:
         rows = iter_rows(params["tsv_path"], 2)
     else:
-        _require(params, "src_path", "tgt_path", "out_src", "out_tgt")
+        _require(params, src_path="--src", tgt_path="--tgt", out_src="--out-src",
+                 out_tgt="--out-tgt")
         rows = iter_aligned(params["src_path"], params["tgt_path"])
     pairs = (SentencePair(*row) for row in rows)
     cfg = _filter_config(params)
@@ -56,12 +38,6 @@ def filter_bitext_cmd(params: dict) -> None:
     _report_out(report, params["report_path"])
 
 
-@_command("dedup")
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--exact", is_flag=True, default=False,
-              help="Keep full lines instead of 128-bit fingerprints (audit mode).")
-@click.option("--report", "report_path", type=click.Path())
-@click.option("--out", type=click.Path())
 def dedup_cmd(params: dict) -> None:
     """Keep the first occurrence of each exact line, preserving order."""
     from .corpus import FilterReport, dedup
@@ -72,14 +48,31 @@ def dedup_cmd(params: dict) -> None:
     _report_out(report, params["report_path"])
 
 
-@_command("sample")
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path())
 def sample_cmd(params: dict) -> None:
     """Uniform random subset of exactly n lines, in original order."""
     from .corpus import sample_lines
 
     subset = sample_lines(iter_lines(params["in_path"]), params["n"], params["seed"])
     write_lines(params["out"], subset)
+
+
+# Each subcommand: its body and its options (see ``cli.Option``).
+COMMANDS = {
+    "filter-mono": (filter_mono_cmd, [
+        IN, Option("--max-chars", INTEGER, 500), Option("--max-tokens", INTEGER, 70),
+        REPORT._replace(help="Write the JSON counters here instead of stderr."), OUT]),
+    "filter-bitext": (filter_bitext_cmd, [
+        Option("--src", INPUT, dest="src_path"), Option("--tgt", INPUT, dest="tgt_path"),
+        Option("--tsv", INPUT, dest="tsv_path",
+               help="Tab-separated source/target pairs instead of two files."),
+        Option("--out-src", PATH), Option("--out-tgt", PATH),
+        OUT._replace(help="TSV output (with --tsv)."),
+        Option("--max-tokens", INTEGER, 250, dest="bitext_max_tokens"),
+        Option("--max-ratio", FLOAT, 2.0), REPORT]),
+    "dedup": (dedup_cmd, [
+        IN, Option("--exact", FLAG, False,
+                   help="Keep full lines instead of 128-bit fingerprints (audit mode)."),
+        REPORT, OUT]),
+    "sample": (sample_cmd, [
+        IN, Option("--n", INTEGER, required=True), Option("--seed", INTEGER, 0), OUT]),
+}

@@ -1,6 +1,6 @@
 """Round-trip translation and post-editing subcommands, which run backends.
 
-Loaded by ``cli`` the first time one of its subcommands is looked up."""
+Loaded by ``cli`` when a run names one of its subcommands."""
 
 from __future__ import annotations
 
@@ -8,9 +8,8 @@ from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import click
-
-from .cli import _command, _filter_config, _report_out, _require, _write_pairs
+from .cli import (FLOAT, IN, INTEGER, INPUT, OUT, PATH, REPORT, Option, UsageError,
+                  _filter_config, _report_out, _require, _write_pairs, choice)
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .lineio import iter_lines, iter_rows, open_lines, read_json, read_lines, write_lines
 
@@ -31,25 +30,10 @@ def _load_backend(value: str) -> BackendSpec:
     if value == "identity":
         return BackendSpec.identity()
     if not Path(value).exists():
-        raise click.UsageError(f"backend {value!r} is neither 'identity' nor an existing spec file")
+        raise UsageError(f"backend {value!r} is neither 'identity' nor an existing spec file")
     return read_json(value, "backend spec", spec_from_dict)
 
 
-@_command("rtt-gen")
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True,
-              help="Monolingual corpus, one sentence per line.")
-@click.option("--to-pivot", required=True, help="Backend spec (JSON file) or 'identity'.")
-@click.option("--from-pivot", required=True, help="Backend spec (JSON file) or 'identity'.")
-@click.option("--max-chars", type=int, default=500, show_default=True)
-@click.option("--max-tokens", type=int, default=70, show_default=True)
-@click.option("--filter-sides", type=click.Choice(["both", "original", "round_trip"]),
-              default="both", show_default=True,
-              help="Which side(s) of each pair the length filter applies to.")
-@click.option("--intermediate", type=click.Path(),
-              help="Also write the pivot-language text for auditing.")
-@click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--cache-dir", envvar="RTT_APE_CACHE", type=click.Path())
-@click.option("--out", type=click.Path(), help="TSV: original<TAB>round_trip.")
 def rtt_gen_cmd(params: dict) -> list[str]:
     """Generate round-trip translations for every surviving line."""
     from .parallel import Reiterable
@@ -75,16 +59,6 @@ def rtt_gen_cmd(params: dict) -> list[str]:
     return _spec_files(params["to_pivot"], params["from_pivot"])
 
 
-@_command("make-pairs")
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True,
-              help="TSV of original<TAB>round_trip as written by rtt-gen.")
-@click.option("--direction", type=click.Choice(["normal", "reverse"]), default="normal",
-              show_default=True)
-@click.option("--out-src", type=click.Path())
-@click.option("--out-tgt", type=click.Path())
-@click.option("--out", type=click.Path(), help="TSV output instead of two files.")
-@click.option("--max-tokens", "bitext_max_tokens", type=int, default=250, show_default=True)
-@click.option("--max-ratio", type=float, default=2.0, show_default=True)
 def make_pairs_cmd(params: dict) -> None:
     """Turn round-trip pairs into filtered training bitext."""
     from .pipeline import PAIRS_PER_CHUNK, RttPair, chunked, make_training_pairs
@@ -96,24 +70,12 @@ def make_pairs_cmd(params: dict) -> None:
                           for pair in make_training_pairs(chunk, params["direction"], cfg)))
 
 
-@_command("ape-apply")
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True,
-              help="Translation output to post-edit, one line per sentence.")
-@click.option("--backend", required=True, help="Backend spec (JSON file) or 'identity'.")
-@click.option("--scope", type=click.Choice(SCOPES), default=ALL, show_default=True)
-@click.option("--iterations", type=int, default=1, show_default=True)
-@click.option("--split", "split_path", type=click.Path(exists=True),
-              help="JSON from the split subcommand (needed for selective scope).")
-@click.option("--report", "report_path", type=click.Path())
-@click.option("--jobs", type=int, default=1, show_default=True)
-@click.option("--cache-dir", envvar="RTT_APE_CACHE", type=click.Path())
-@click.option("--out", type=click.Path())
 def ape_apply_cmd(params: dict) -> list[str]:
     """Post-edit translation output through a backend, fully or selectively."""
     from .pipeline import ApeMode, apply_ape
 
     if params["scope"] == TARGET_ORIGINAL_ONLY:
-        _require(params, "split_path")
+        _require(params, split_path="--split")
     hyp = read_lines(params["in_path"])
     halves = SplitHalves.read(params["split_path"], len(hyp)) if params["split_path"] else None
     mode = ApeMode(scope=params["scope"], iterations=params["iterations"])
@@ -122,3 +84,35 @@ def ape_apply_cmd(params: dict) -> list[str]:
     write_lines(params["out"], output)
     _report_out(change_report, params["report_path"])
     return _spec_files(params["backend"])
+
+
+_BACKEND_HELP = "Backend spec (JSON file) or 'identity'."
+_JOBS = Option("--jobs", INTEGER, 1)
+_CACHE_DIR = Option("--cache-dir", PATH, env="RTT_APE_CACHE")
+
+# Each subcommand: its body and its options (see ``cli.Option``).
+COMMANDS = {
+    "rtt-gen": (rtt_gen_cmd, [
+        IN._replace(help="Monolingual corpus, one sentence per line."),
+        Option("--to-pivot", required=True, help=_BACKEND_HELP),
+        Option("--from-pivot", required=True, help=_BACKEND_HELP),
+        Option("--max-chars", INTEGER, 500), Option("--max-tokens", INTEGER, 70),
+        Option("--filter-sides", choice("both", "original", "round_trip"), "both",
+               help="Which side(s) of each pair the length filter applies to."),
+        Option("--intermediate", PATH, help="Also write the pivot-language text for auditing."),
+        _JOBS, _CACHE_DIR, OUT._replace(help="TSV: original<TAB>round_trip.")]),
+    "make-pairs": (make_pairs_cmd, [
+        IN._replace(help="TSV of original<TAB>round_trip as written by rtt-gen."),
+        Option("--direction", choice("normal", "reverse"), "normal"),
+        Option("--out-src", PATH), Option("--out-tgt", PATH),
+        OUT._replace(help="TSV output instead of two files."),
+        Option("--max-tokens", INTEGER, 250, dest="bitext_max_tokens"),
+        Option("--max-ratio", FLOAT, 2.0)]),
+    "ape-apply": (ape_apply_cmd, [
+        IN._replace(help="Translation output to post-edit, one line per sentence."),
+        Option("--backend", required=True, help=_BACKEND_HELP),
+        Option("--scope", choice(*SCOPES), ALL), Option("--iterations", INTEGER, 1),
+        Option("--split", INPUT, dest="split_path",
+               help="JSON from the split subcommand (needed for selective scope)."),
+        REPORT, _JOBS, _CACHE_DIR, OUT]),
+}

@@ -1,25 +1,14 @@
 """Test-set subcommands: parse SGM, split by origin, merge post-edits.
 
-Loaded by ``cli`` the first time one of its subcommands is looked up."""
+Loaded by ``cli`` when a run names one of its subcommands."""
 
 from __future__ import annotations
 
-import click
-
-from .cli import _command, _dump_json, _emit, _load_testset, _read_sgm
+from .cli import INPUT, OUT, PATH, Option, _dump_json, _emit, _load_testset, _read_sgm, choice
 from .halves import SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .lineio import open_lines, read_aligned, write_lines
 
 
-@_command("parse-sgm")
-@click.option("--sgm", type=click.Path(exists=True), required=True, help="SGM input file.")
-@click.option("--side", type=click.Choice(["src", "ref", "hyp"]), default="src")
-@click.option("--format", "out_format", type=click.Choice(["text", "tsv", "json", "sgm"]),
-              default="text", help="text: one segment text per line; tsv: id/doc/origin/text; "
-                                   "json: segment records; sgm: canonical re-serialization.")
-@click.option("--labels-out", type=click.Path(),
-              help="Also write the origin-labels sidecar (one language code per line).")
-@click.option("--out", type=click.Path())
 def parse_sgm_cmd(params: dict) -> None:
     """Parse a WMT-style SGM file into segments."""
     from .testset import serialize_sgm
@@ -40,15 +29,6 @@ def parse_sgm_cmd(params: dict) -> None:
         write_lines(params["labels_out"], (s.orig_lang for s in segments))
 
 
-@_command("split")
-@click.option("--sgm", type=click.Path(exists=True), help="Source-side SGM file.")
-@click.option("--text", type=click.Path(exists=True), help="Plain-text test set.")
-@click.option("--origins", type=click.Path(exists=True),
-              help="Origin-labels sidecar for --text.")
-@click.option("--src", required=True, help="Source language code, e.g. en.")
-@click.option("--tgt", required=True, help="Target language code, e.g. de.")
-@click.option("--name", help="Test set name for reports.")
-@click.option("--out", type=click.Path())
 def split_cmd(params: dict) -> None:
     """Partition a test set by original language; emits index lists as JSON."""
     from .testset import split_by_origin
@@ -58,13 +38,6 @@ def split_cmd(params: dict) -> None:
     _emit(params["out"], _dump_json(payload))
 
 
-@_command("merge")
-@click.option("--base", type=click.Path(exists=True), required=True)
-@click.option("--edited", type=click.Path(exists=True), required=True)
-@click.option("--split", "split_path", type=click.Path(exists=True), required=True,
-              help="JSON produced by the split subcommand.")
-@click.option("--mode", type=click.Choice(SCOPES), default=TARGET_ORIGINAL_ONLY)
-@click.option("--out", type=click.Path())
 def merge_cmd(params: dict) -> None:
     """Merge post-edited lines into a base hypothesis, selectively or fully."""
     from .testset import merge_selective
@@ -72,3 +45,29 @@ def merge_cmd(params: dict) -> None:
     base, edited = read_aligned(params["base"], params["edited"])
     halves = SplitHalves.read(params["split_path"], len(base))
     write_lines(params["out"], merge_selective(base, edited, halves, params["mode"]))
+
+
+# Each subcommand: its body and its options (see ``cli.Option``).
+COMMANDS = {
+    "parse-sgm": (parse_sgm_cmd, [
+        Option("--sgm", INPUT, required=True, help="SGM input file."),
+        Option("--side", choice("src", "ref", "hyp"), "src"),
+        Option("--format", choice("text", "tsv", "json", "sgm"), "text", dest="out_format",
+               help="text: one segment text per line; tsv: id/doc/origin/text; "
+                    "json: segment records; sgm: canonical re-serialization."),
+        Option("--labels-out", PATH,
+               help="Also write the origin-labels sidecar (one language code per line)."),
+        OUT]),
+    "split": (split_cmd, [
+        Option("--sgm", INPUT, help="Source-side SGM file."),
+        Option("--text", INPUT, help="Plain-text test set."),
+        Option("--origins", INPUT, help="Origin-labels sidecar for --text."),
+        Option("--src", required=True, help="Source language code, e.g. en."),
+        Option("--tgt", required=True, help="Target language code, e.g. de."),
+        Option("--name", help="Test set name for reports."), OUT]),
+    "merge": (merge_cmd, [
+        Option("--base", INPUT, required=True), Option("--edited", INPUT, required=True),
+        Option("--split", INPUT, required=True, dest="split_path",
+               help="JSON produced by the split subcommand."),
+        Option("--mode", choice(*SCOPES), TARGET_ORIGINAL_ONLY), OUT]),
+}

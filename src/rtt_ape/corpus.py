@@ -11,10 +11,11 @@ probability is unwelcome.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TypeVar
+
+from .lineio import blake2b
 
 T = TypeVar("T")
 
@@ -76,7 +77,7 @@ class FilterReport:
 
 
 def _fingerprint(line: str) -> bytes:
-    return hashlib.blake2b(line.encode("utf-8"), digest_size=16).digest()
+    return blake2b(line.encode("utf-8"), digest_size=16).digest()
 
 
 def dedup(

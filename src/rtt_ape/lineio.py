@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import codecs
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -20,6 +19,11 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DataError
+
+try:  # hashlib.blake2b itself, without the OpenSSL bindings hashlib loads (~4 ms a start)
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without the module
+    from hashlib import blake2b
 
 T = TypeVar("T")
 
@@ -258,7 +262,7 @@ def file_fingerprint(path: str | Path) -> str | None:
     but a regular file, such as a pipe, which the command has read already."""
     if not Path(path).is_file():
         return None
-    digest = hashlib.blake2b(digest_size=16)
+    digest = blake2b(digest_size=16)
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             digest.update(chunk)

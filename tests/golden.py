@@ -35,9 +35,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-import click
-
-from rtt_ape.cli import cli, main
+from rtt_ape.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -60,10 +58,8 @@ ODD_HYP = ["Der Preis\U0001F600stieg um 5 %\x85und fiel.",
            "\U0001D407\U0001D41A\U0001D42E\U0001D42C\U00010100am See\rmit Aussicht.",
            ODD_REF[2]]
 
-# Subcommands whose ``--help`` is kept, as ``<name>.help.txt``, wrapped at
-# the width click uses in an 80-column terminal.
+# Subcommands whose ``--help`` is kept, as ``<name>.help.txt``.
 HELP = ["rtt-gen", "ape-apply", "filter-mono", "filter-bitext", "make-pairs"]
-HELP_WIDTH = 78
 
 # The values a manifest may change between runs of the same command.
 _TIMESTAMPS = re.compile(rb'("(?:started|finished)": )"[^"]*"')
@@ -186,11 +182,11 @@ def run_cases(workdir: Path) -> dict[str, int]:
         os.chdir(cwd)
         if cache_env is not None:
             os.environ["RTT_APE_CACHE"] = cache_env
-    root = click.Context(cli, info_name="rtt-ape", terminal_width=HELP_WIDTH)
     for name in HELP:
-        command = cli.get_command(root, name)
-        text = click.Context(command, info_name=name, parent=root).get_help()
-        (workdir / f"{name}.help.txt").write_text(text + "\n", encoding="utf-8")
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(out):
+            codes[f"{name} --help"] = main([name, "--help"])
+        (workdir / f"{name}.help.txt").write_bytes(out.buffer.getvalue())
     return codes
 
 

@@ -4,6 +4,7 @@ import contextlib
 import gc
 import glob
 import gzip
+import importlib
 import inspect
 import json
 import os
@@ -16,7 +17,6 @@ import threading
 import tracemalloc
 from pathlib import Path
 
-import click
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +27,7 @@ from conftest import command_killing_its_worker, random_parallel_corpus, random_
 from rtt_ape import analysis, cli_analysis, pipeline
 from rtt_ape.analysis import humaneval_make_tasks, vocab_size
 from rtt_ape.backends import BackendSpec, spec_from_dict
-from rtt_ape.cli import SUBCOMMANDS, cli, main
+from rtt_ape.cli import SUBCOMMANDS, _load_command, main
 from rtt_ape.corpus import FilterConfig, SentencePair, bitext_filter, mono_filter
 from rtt_ape.errors import DataError
 from rtt_ape.lineio import file_fingerprint
@@ -984,19 +984,33 @@ class TestCliMisc:
 
     def test_help_lists_every_subcommand_with_its_short_help(self, capsys):
         assert run("--help") == 0
-        listing = capsys.readouterr().out.split("Commands:\n", 1)[1].splitlines()
+        listing = capsys.readouterr().out.split("commands:\n", 1)[1].splitlines()
         rows = dict(line.split(None, 1) for line in listing)
         assert list(rows) == sorted(SUBCOMMANDS)
         for name, short in rows.items():
-            first_line = cli.get_command(click.Context(cli), name).help.split("\n")[0]
-            assert first_line.startswith(short.removesuffix("...")), name
+            help_text = " ".join(_load_command(name)[0].__doc__.split())
+            assert help_text.startswith(short.removesuffix("...")), name
 
     @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
-    def test_every_map_entry_builds_its_command(self, name):
-        command = cli.get_command(click.Context(cli), name)
-        assert isinstance(command, click.Command)
-        assert command.name == name
-        assert command.help
+    def test_every_map_entry_builds_its_command(self, name, capsys):
+        module = importlib.import_module(f"rtt_ape.{SUBCOMMANDS[name]}")
+        assert {n for n, m in SUBCOMMANDS.items() if m == SUBCOMMANDS[name]} == set(module.COMMANDS)
+        body, options = module.COMMANDS[name]
+        assert body.__doc__
+        assert len({option.name for option in options}) == len(options)
+        assert run(name, "--help") == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"usage: rtt-ape {name} [OPTIONS]\n")
+        assert all(option.flag in printed for option in options)
+
+    def test_diagnostics_reach_stderr_as_they_are(self, corpus_files, tmp_path, capsys):
+        """An ANSI escape in a diagnostic is printed, not stripped."""
+        hyp, ref = corpus_files
+        red = tmp_path / "\x1b[31mred.txt"
+        write(red, ["one line"])
+        assert run("bleu", "--hyp", str(red), "--ref", str(ref)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: line count mismatch: 1 in {red} vs 2 in {ref}\n")
 
     def test_unknown_command_is_usage_error(self):
         assert run("frobnicate") == 1
@@ -1006,8 +1020,7 @@ class TestCliMisc:
 
 
 def _option_default(command: str, name: str):
-    params = cli.get_command(click.Context(cli), command).params
-    return next(p.default for p in params if p.name == name)
+    return next(option.default for option in _load_command(command)[1] if option.name == name)
 
 
 def _parameter_default(function, name: str):
@@ -1111,7 +1124,7 @@ COMMAND_CASES = {
 
 class TestManifests:
     def test_every_subcommand_has_a_case(self):
-        assert set(COMMAND_CASES) == set(cli.list_commands(click.Context(cli)))
+        assert set(COMMAND_CASES) == set(SUBCOMMANDS)
 
     @pytest.mark.parametrize("command", sorted(COMMAND_CASES))
     def test_manifest_keys(self, command, tmp_path, monkeypatch):
@@ -1151,7 +1164,7 @@ class TestManifests:
 
 
 class TestConfigFile:
-    """--config values go through the options' own click types."""
+    """--config values go through the options' own converters."""
 
     @pytest.fixture()
     def config(self, tmp_path):
@@ -1193,6 +1206,20 @@ class TestConfigFile:
         manifests = [json.loads(Path(f"{p}.manifest.json").read_text())["config"]
                      for p in (by_flag, by_config)]
         assert manifests[0][name] == manifests[1][name] == 2
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("iterations", 2.7, "2.7"), ("jobs", True, "True"), ("iterations", 2.0, "2.0")])
+    def test_float_or_bool_for_an_integer_is_usage_error(self, config, tmp_path, capsys, name,
+                                                         value, shown):
+        """int() would truncate them, where the flag rejects ``--iterations 2.7``."""
+        hyp = tmp_path / "hyp.txt"
+        write(hyp, ["ein satz"])
+        out = tmp_path / "out.txt"
+        assert run("--config", config({"ape-apply": {name: value}}), "ape-apply", "--in", str(hyp),
+                   "--backend", "identity", "--out", str(out)) == 1
+        assert f"Error: Invalid value for '--{name}': {shown} is not a valid integer." in (
+            capsys.readouterr().err.splitlines())
+        assert not out.exists()
 
     @pytest.mark.parametrize("config_obj, offender", [
         ({"ape-aply": {"iterations": 2}}, "no subcommand 'ape-aply'"),
@@ -1295,7 +1322,7 @@ class TestFilterBitextStreaming:
 
 
 # Lines that a terminal-oriented writer would alter: an ANSI escape, which
-# click.echo strips when stdout is not a terminal, breaks that
+# such a writer strips when stdout is not a terminal, breaks that
 # str.splitlines() knows, a carriage return inside a line, and characters
 # outside the Basic Multilingual Plane.
 FRAGILE = [

@@ -61,12 +61,37 @@ def _ours(modules: set[str]) -> set[str]:
 
 class TestImportBoundary:
     def test_importing_the_cli_loads_only_errors_and_lineio(self):
-        modules = _ours(_modules_after("import rtt_ape.cli"))
-        assert modules == {"rtt_ape.cli", "rtt_ape.errors", "rtt_ape.lineio"}
-        # Manifest timestamps come from ``time``: of the CLI's start, only
-        # click (``click.types``) loads ``datetime``.
-        assert "datetime" not in {name for module in modules
-                                  for name in _imported_names(PACKAGE / f"{module[8:]}.py")}
+        modules = _modules_after("import rtt_ape.cli")
+        assert _ours(modules) == {"rtt_ape.cli", "rtt_ape.errors", "rtt_ape.lineio"}
+        # Manifest timestamps come from ``time``; file fingerprints from
+        # ``_blake2``, without the OpenSSL bindings ``hashlib`` loads.
+        assert not {"click", "datetime", "_hashlib"} & modules
+
+    def test_no_subcommand_start_loads_click(self):
+        """``--help`` of each subcommand loads its module and builds its parser."""
+        modules = _modules_after("".join(_run_cli(name, "--help") + "\n" for name in SUBCOMMANDS))
+        assert {f"rtt_ape.{m}" for m in SUBCOMMANDS.values()} <= modules
+        assert "click" not in modules
+
+    def test_the_cli_runs_where_click_cannot_be_imported(self, tmp_path):
+        hyp, spec = tmp_path / "hyp.txt", tmp_path / "den.json"
+        hyp.write_text("".join(f"satz {i}\n" for i in range(20)), encoding="utf-8")
+        spec.write_text(json.dumps({"kind": "toy_denoiser", "from_lang": "de", "to_lang": "de",
+                                    "channel": {"lexicon": {"satz": "Satz"}}}))
+        sgm = ["--src-sgm", str(DATA / "mini_ende_src.sgm"), "--ref-sgm",
+               str(DATA / "mini_ende_ref.sgm"), "--src", "en", "--tgt", "de"]
+        runs = [["--version"], ["--help"],
+                ["split", "--sgm", sgm[1], "--src", "en", "--tgt", "de",
+                 "--out", str(tmp_path / "split.json")],
+                ["ape-apply", "--in", str(hyp), "--backend", str(spec), "--scope",
+                 "target_original_only", "--split", str(tmp_path / "split.json"),
+                 "--report", str(tmp_path / "report.json"), "--out", str(tmp_path / "ape.txt")],
+                ["report-split", *sgm, "--hyp", f"ape={tmp_path / 'ape.txt'}",
+                 "--out", str(tmp_path / "scores.json")]]
+        # Each run asserts its exit code 0; an ``import click`` would fail.
+        _modules_after("import sys\nsys.modules['click'] = None\n"
+                       + "".join(_run_cli(*argv) + "\n" for argv in runs))
+        assert json.loads((tmp_path / "scores.json").read_text())["ape"]["split_scores"]
 
     def test_version_loads_no_subcommand_module_no_subprocess_and_no_gzip(self):
         modules = _modules_after(_run_cli("--version"))
@@ -89,7 +114,7 @@ class TestImportBoundary:
             "target_original_only", "--split", str(split), "--out", str(out)))
         assert out.read_text(encoding="utf-8") == "er erhält es\nsie empfängt es\n"
         assert not {"rtt_ape.scoring", "rtt_ape.analysis", "rtt_ape.testset", "rtt_ape.corpus",
-                    "concurrent.futures", "subprocess"} & modules
+                    "concurrent.futures", "subprocess", "_hashlib"} & modules
         assert _ours(modules) & {f"rtt_ape.{m}" for m in SUBCOMMANDS.values()} == {
             "rtt_ape.cli_pipeline"}
 
@@ -99,7 +124,7 @@ class TestImportBoundary:
             "split", "--sgm", str(DATA / "mini_ende_src.sgm"), "--src", "en", "--tgt", "de",
             "--out", str(out)))
         assert json.loads(out.read_text())["n"] == 20
-        assert not {"rtt_ape.backends", "rtt_ape.scoring", "gzip", "queue"} & modules
+        assert not {"rtt_ape.backends", "rtt_ape.scoring", "gzip", "queue", "_hashlib"} & modules
 
     def test_report_split_loads_no_backends_and_no_gzip(self, tmp_path):
         """A small report-split also scores in one process: it starts no
@@ -118,7 +143,8 @@ class TestImportBoundary:
             str(DATA / "mini_ende_ref.sgm"), "--src", "en", "--tgt", "de",
             "--hyp", f"ref={hyp}", "--hyp", f"again={hyp}", "--out", str(out)))
         assert json.loads(out.read_text())["ref"]["split_scores"]["full"]["score"] == 100.0
-        assert not {"rtt_ape.backends", "gzip", "queue", "pickle", "subprocess"} & modules
+        assert not {"rtt_ape.backends", "gzip", "queue", "pickle", "subprocess",
+                    "_hashlib"} & modules
 
     def test_rtt_gen_with_a_cat_backend_loads_subprocess_and_matches_identity(self, tmp_path):
         mono = tmp_path / "mono.txt"
@@ -307,7 +333,7 @@ def _dead_definitions(sources: dict[str, str], exempt: set[str]) -> list[str]:
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             for name in names:
-                if name in exempt or name.endswith("_cmd"):
+                if name in exempt:
                     continue
                 if not any(f != file or line not in own for f, line in uses.get(name, ())):
                     dead.append(f"{file}:{node.lineno}: {name}")
@@ -318,9 +344,8 @@ class TestDeadDefinitions:
     """Code that lost its last caller tends to stay behind."""
 
     def test_every_module_level_definition_is_named_elsewhere_in_the_package(self):
-        """Exempt: the subcommands (``cli.SUBCOMMANDS`` finds each
-        ``<name>_cmd`` by name), the package's ``__getattr__``/``__dir__``,
-        and its public names, some of which only tests and benchmarks call."""
+        """Exempt: the package's ``__getattr__``/``__dir__``, and its public
+        names, some of which only tests and benchmarks call."""
         sources = {path.name: path.read_text(encoding="utf-8")
                    for path in sorted(PACKAGE.glob("*.py"))}
         exempt = {"__getattr__", "__dir__", *rtt_ape._MODULE_OF}
@@ -342,7 +367,7 @@ class TestDeadDefinitions:
             "b.py": "def used():\n    return 1\n",
         }
         assert _dead_definitions(sources, set()) == [
-            "a.py:3: UNUSED", "a.py:6: recursive", "a.py:8: Gone"]
+            "a.py:3: UNUSED", "a.py:6: recursive", "a.py:8: Gone", "a.py:10: run_cmd"]
 
 
 # Path methods that read or write a whole file.
@@ -425,19 +450,21 @@ class TestFileIoOwner:
 
 def _cli_framing(source: str) -> list[str]:
     """Each place in ``source`` that frames data itself, as "<line>: <what>":
-    a string literal holding a tab, and a ``click.echo`` (or ``echo``) call
-    that does not write to stderr (``err=True``)."""
+    a string literal holding a tab, a ``print`` call that does not write to
+    ``sys.stderr``, and a write to ``sys.stdout``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\t" in node.value:
             found.append(f"{node.lineno}: tab literal")
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            to_stderr = any(k.arg == "err" and isinstance(k.value, ast.Constant)
-                            and k.value.value is True for k in node.keywords)
-            if name == "echo" and not to_stderr:
-                found.append(f"{node.lineno}: echo to stdout")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            to_stderr = any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                            for k in node.keywords)
+            if node.func.id == "print" and not to_stderr:
+                found.append(f"{node.lineno}: print to stdout")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("write", "writelines")
+              and ast.unparse(node.func.value).startswith("sys.stdout")):
+            found.append(f"{node.lineno}: write to stdout")
     return found
 
 
@@ -452,14 +479,16 @@ class TestCliFraming:
         assert found == []
 
     def test_the_scan_finds_each_kind_of_framing(self):
-        source = ("import click\n"
-                  "from click import echo\n"
-                  "def f(row):\n"
-                  "    click.echo('\\t'.join(row))\n"
-                  "    click.echo(f'{row[0]}\\t{row[1]}', nl=False)\n"
-                  "    echo(row[0], err=False)\n"
-                  "    click.echo('diagnostic', err=True)\n"
+        source = ("import sys\n"
+                  "def f(row, out):\n"
+                  "    print('\\t'.join(row))\n"
+                  "    print(f'{row[0]}\\t{row[1]}', end='')\n"
+                  "    print(row[0], file=out)\n"
+                  "    print('diagnostic', file=sys.stderr)\n"
+                  "    sys.stdout.write(row[0])\n"
+                  "    sys.stdout.buffer.write(b'x'), sys.stdout.fileno()\n"
+                  "    sys.stderr.write('diagnostic')\n"
                   "    return 'tab\\there'\n")
         assert sorted(_cli_framing(source)) == [
-            "4: echo to stdout", "4: tab literal", "5: echo to stdout", "5: tab literal",
-            "6: echo to stdout", "8: tab literal"]
+            "10: tab literal", "3: print to stdout", "3: tab literal", "4: print to stdout",
+            "4: tab literal", "5: print to stdout", "7: write to stdout", "8: write to stdout"]
