@@ -246,13 +246,18 @@ def _parser(usage: str, description: str, options: list[Option]) -> _Parser:
                      formatter_class=lambda prog: argparse.HelpFormatter(
                          prog, width=78, max_help_position=34))
     for option in [*options, Option("--help", FLAG, help="Show this message and exit.")]:
-        notes = [f"default: {option.default}"] if option.type.metavar and option.default not in (
+        takes_value = bool(option.type.metavar)
+        notes = [f"default: {option.default}"] if takes_value and option.default not in (
             None, ()) else []
         notes += ["required"] if option.required else []
-        kind = dict(action="store_const", const=True) if not option.type.metavar else dict(
-            metavar=option.type.metavar, action="append" if option.multiple else "store")
-        parser.add_argument(option.flag, dest=option.name, **kind, help=" ".join(
-            filter(None, [option.help, notes and f"[{'; '.join(notes)}]"])))
+        text = f"{option.help} [{'; '.join(notes)}]".lstrip() if notes else option.help
+        if takes_value:
+            parser.add_argument(option.flag, dest=option.name, help=text,
+                                metavar=option.type.metavar,
+                                action="append" if option.multiple else "store")
+        else:
+            parser.add_argument(option.flag, dest=option.name, help=text,
+                                action="store_const", const=True)
     return parser
 
 

@@ -1566,3 +1566,21 @@ class TestProcessEntry:
         assert [golden.compared(fresh / name) for name in compared] == (
             [golden.compared(in_process / name) for name in compared])
         assert (in_process / outputs[0]).stat().st_size > 0
+
+    def test_python_m_runs_the_entry_of_the_imported_module(self, tmp_path):
+        """``python -m rtt_ape.cli`` runs ``rtt_ape.cli.main``, the module the
+        subcommands import, so it freezes as the script does."""
+        code = ("import atexit, gc, runpy, sys\n"
+                "frozen = gc.get_freeze_count()\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > frozen))\n"
+                "sys.argv = ['rtt-ape', *sys.argv[1:]]\n"
+                "runpy.run_module('rtt_ape.cli', run_name='__main__', alter_sys=True)\n")
+        out = tmp_path / "split.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run([sys.executable, "-c", code, "split", "--sgm",
+                                 str(DATA / "mini_ende_src.sgm"), "--src", "en", "--tgt", "de",
+                                 "--out", str(out)], env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "True\n", "")
+        assert json.loads(out.read_text())["n"] == 20

@@ -3,6 +3,7 @@ UTF-8."""
 
 import errno
 import gzip
+import hashlib
 import io
 import sys
 import tempfile
@@ -19,6 +20,13 @@ from rtt_ape.errors import DataError
 from rtt_ape.lineio import (
     atomic_open, iter_aligned, iter_lines, open_lines, read_aligned, read_lines, write_lines,
 )
+
+
+def test_fingerprints_use_hashlibs_own_blake2b():
+    """Imported from ``_blake2`` so that no start loads OpenSSL, it is the
+    very function ``hashlib`` exports: cache file names, dedup fingerprints
+    and manifest digests keep their bytes."""
+    assert lineio.blake2b is hashlib.blake2b
 
 
 def test_gz_output_does_not_depend_on_clock_or_name(tmp_path, monkeypatch):
