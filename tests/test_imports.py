@@ -114,7 +114,7 @@ class TestImportBoundary:
             "target_original_only", "--split", str(split), "--out", str(out)))
         assert out.read_text(encoding="utf-8") == "er erhält es\nsie empfängt es\n"
         assert not {"rtt_ape.scoring", "rtt_ape.analysis", "rtt_ape.testset", "rtt_ape.corpus",
-                    "concurrent.futures", "subprocess", "_hashlib"} & modules
+                    "concurrent.futures", "subprocess", "_hashlib", "click"} & modules
         assert _ours(modules) & {f"rtt_ape.{m}" for m in SUBCOMMANDS.values()} == {
             "rtt_ape.cli_pipeline"}
 
@@ -124,7 +124,8 @@ class TestImportBoundary:
             "split", "--sgm", str(DATA / "mini_ende_src.sgm"), "--src", "en", "--tgt", "de",
             "--out", str(out)))
         assert json.loads(out.read_text())["n"] == 20
-        assert not {"rtt_ape.backends", "rtt_ape.scoring", "gzip", "queue", "_hashlib"} & modules
+        assert not {"rtt_ape.backends", "rtt_ape.scoring", "gzip", "queue", "_hashlib",
+                    "click"} & modules
 
     def test_report_split_loads_no_backends_and_no_gzip(self, tmp_path):
         """A small report-split also scores in one process: it starts no
@@ -144,7 +145,7 @@ class TestImportBoundary:
             "--hyp", f"ref={hyp}", "--hyp", f"again={hyp}", "--out", str(out)))
         assert json.loads(out.read_text())["ref"]["split_scores"]["full"]["score"] == 100.0
         assert not {"rtt_ape.backends", "gzip", "queue", "pickle", "subprocess",
-                    "_hashlib"} & modules
+                    "_hashlib", "click"} & modules
 
     def test_rtt_gen_with_a_cat_backend_loads_subprocess_and_matches_identity(self, tmp_path):
         mono = tmp_path / "mono.txt"
