@@ -399,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"Usage: {usage}\nTry '{command} --help' for help.\n\nError: {exc}",
               file=sys.stderr)
         return EXIT_USAGE
-    except (EOFError, KeyboardInterrupt):
+    except KeyboardInterrupt:
         print("\naborted", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -44,7 +44,6 @@ def rtt_gen_cmd(params: dict) -> list[str]:
     # A regular file is read by each worker itself; a pipe only by this process.
     in_path = params["in_path"]
     lines = Reiterable(iter_lines, in_path) if Path(in_path).is_file() else iter_lines(in_path)
-    # Started, and its workers forked, before a .gz output starts its writer thread.
     rtt = iter_rtt(lines, y_to_x, x_to_y, _filter_config(params),
                    filter_sides=params["filter_sides"], jobs=params["jobs"],
                    cache_dir=params["cache_dir"])

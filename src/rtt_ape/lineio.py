@@ -27,94 +27,86 @@ except ImportError:  # an interpreter built without the module
 
 T = TypeVar("T")
 
-# A .gz output is compressed on a writer thread of its own (see
-# ``_GzipWriter``), fed the blocks ``io.TextIOWrapper`` writes (8 KiB each,
-# give or take a line) through a queue of at most GZIP_QUEUE_BLOCKS of them.
-GZIP_QUEUE_BLOCKS = 8
+_compressor_pipes: set[int] = set()  # write ends into .gz compressors (see _gzipped)
 
-_FLUSH = object()
-_CLOSE = object()
+
+def _close_compressor_pipes() -> None:
+    while _compressor_pipes:
+        os.close(_compressor_pipes.pop())
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_compressor_pipes)
 
 
 def smart_open(path: str | Path) -> IO[str]:
     """Open a plain or .gz text file for reading (UTF-8, '\\n' newlines)."""
     path = Path(path)
     if path.suffix == ".gz":
-        import gzip  # only .gz paths need it (see _GzipWriter)
+        import gzip  # only .gz paths need it (~2 ms at every CLI start otherwise)
 
         return gzip.open(path, mode="rt", encoding="utf-8", newline="\n")
     return open(path, encoding="utf-8", newline="\n")
 
 
-class _GzipWriter(io.BufferedIOBase):
-    """A write-only binary stream into ``raw`` that gzips on a thread of its
-    own, so that deflate, which releases the GIL, runs while the caller
-    produces the next lines.  Writes and flushes are queued, in order, for
-    the thread, which owns the ``GzipFile``: the compressed bytes are those
-    the same calls straight on a ``GzipFile`` give.  An error on the thread
-    is re-raised on the caller's by the next write, flush or close.  As a
-    context manager it closes on success and, when left by an exception,
-    stops the thread without raising the thread's error."""
+@contextlib.contextmanager
+def _gzipped(raw: IO[bytes], path: Path) -> Iterator[IO[bytes]]:
+    """A binary stream gzipped into ``raw`` (level 9, no name, mtime 0, one
+    sync flush at the end) by a child forked here, beside the caller, which
+    reads it from a pipe; by a ``GzipFile`` in this process where ``os.fork``
+    is missing or another thread runs.  The child heads a process group, so
+    Ctrl-C reaches only the caller, whose closing the pipe ends it; every
+    later child of this process closes the pipe's write end.  The child's
+    failure is a ``DataError`` naming ``path``, raised before the block's own."""
+    import gzip
 
-    def __init__(self, raw: IO[bytes]) -> None:
-        # Only .gz paths need these (~2 ms at every CLI start otherwise).
-        import gzip
-        import queue
-        import threading
+    def compressor() -> gzip.GzipFile:
+        return gzip.GzipFile(filename="", mode="wb", compresslevel=9, fileobj=raw, mtime=0)
 
-        self._gz = gzip.GzipFile(filename="", mode="wb", compresslevel=9, fileobj=raw, mtime=0)
-        self._queue: queue.Queue = queue.Queue(GZIP_QUEUE_BLOCKS)
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._drain, name="gzip-writer", daemon=True)
-        self._thread.start()
-
-    def _drain(self) -> None:
-        item = None
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        with compressor() as gz:
+            yield gz
+        return
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        data_r, data_w, report_r, report_w = fds
+        _compressor_pipes.add(data_w)
+        pid = os.fork()
+    except BaseException:
+        _compressor_pipes.difference_update(fds)
+        for fd in fds:
+            os.close(fd)
+        raise
+    with contextlib.suppress(OSError):  # set by both processes, since either may run first
+        os.setpgid(pid, 0)
+    if pid == 0:
         try:
-            while (item := self._queue.get()) is not _CLOSE:
-                if item is _FLUSH:
-                    self._gz.flush()
-                else:
-                    self._gz.write(item)
-            self._gz.close()
-        except BaseException as exc:  # handed to the caller's thread
-            self._error = exc
-            with contextlib.suppress(Exception):
-                self._gz.close()
-            # Keep taking blocks until told to stop, so that the caller
-            # never waits on a full queue.
-            while item is not _CLOSE:
-                item = self._queue.get()
+            with compressor() as gz:
+                while data := os.read(data_r, 1 << 16):
+                    gz.write(data)
+                gz.flush()
+            raw.flush()
+            os._exit(0)
+        except BaseException as exc:  # reported to the caller
+            os.write(report_w, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
+        finally:
+            os._exit(1)
+    os.close(data_r)
+    os.close(report_w)
+    with open(report_r, "rb") as report:
+        try:
+            with open(data_w, "wb") as pipe:
+                yield pipe
+        finally:
+            _compressor_pipes.discard(data_w)
+            if code := os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                import signal
 
-    def _put(self, item: object) -> None:
-        if self._error is not None:
-            raise self._error
-        self._queue.put(item)
-
-    @property
-    def closed(self) -> bool:
-        return not self._thread.is_alive()
-
-    def writable(self) -> bool:
-        return True
-
-    def write(self, data) -> int:
-        self._put(bytes(data))  # no copy: TextIOWrapper writes fresh bytes
-        return len(data)
-
-    def flush(self) -> None:
-        self._put(_FLUSH)
-
-    def close(self, raise_error: bool = True) -> None:
-        if self.closed:
-            return
-        self._queue.put(_CLOSE)
-        self._thread.join()
-        if raise_error and self._error is not None:
-            raise self._error
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(raise_error=exc_type is None)
+                failure = report.read().decode("utf-8") or (
+                    f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}")
+                raise DataError(f"{path}: the gzip writer failed: {failure}")
 
 
 @contextlib.contextmanager
@@ -129,8 +121,8 @@ def atomic_open(path: str | Path | None) -> Iterator[IO[str]]:
     The temp file's name is unique per process and thread, so threads that
     write the same path at once (two jobs caching one batch) each replace it
     whole.  Gzip headers carry no file name and a zero mtime, so equal text
-    always compresses to equal bytes.  A .gz file is compressed on a writer
-    thread (see ``_GzipWriter``), which has ended by the time the block exits."""
+    always compresses to equal bytes.  A .gz file is compressed in a child
+    process (see ``_gzipped``), which has ended by the time the block exits."""
     if path is None:
         sys.stdout.flush()
         try:
@@ -141,10 +133,8 @@ def atomic_open(path: str | Path | None) -> Iterator[IO[str]]:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
     try:
-        with open(tmp, "wb") as raw, contextlib.ExitStack() as stack:
-            binary: IO[bytes] = raw
-            if path.suffix == ".gz":
-                binary = stack.enter_context(_GzipWriter(raw))
+        with open(tmp, "wb") as raw, (_gzipped(raw, path) if path.suffix == ".gz"
+                                      else contextlib.nullcontext(raw)) as binary:
             text = io.TextIOWrapper(binary, encoding="utf-8", newline="\n")
             yield text
             text.flush()
@@ -170,13 +160,23 @@ def read_lines(path: str | Path) -> list[str]:
 
 def iter_lines(path: str | Path) -> Iterator[str]:
     """Stream lines of a text file, without terminators.  A line that is not
-    valid UTF-8 is a ``DataError`` naming the file and the line."""
+    valid UTF-8 is a ``DataError`` naming the file and the line, and damaged
+    gzip data one naming the file and the last good line."""
+    line_no = 0
     try:
         with smart_open(path) as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, 1):
                 yield line.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
+    except _gzip_errors() as exc:
+        raise DataError(f"{path}: damaged gzip data after line {line_no}: {exc}") from exc
+
+
+def _gzip_errors() -> tuple[type[Exception], ...]:
+    """What damaged gzip data raises: none before gzip is loaded."""
+    gzip = sys.modules.get("gzip")
+    return (EOFError, sys.modules["zlib"].error, gzip.BadGzipFile) if gzip else ()
 
 
 def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:

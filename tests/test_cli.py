@@ -620,6 +620,113 @@ LINE = st.text(
 )
 
 
+class TestDamagedGzipInput:
+    """A .gz input that is cut short, corrupt or not gzip is a data error
+    naming the file and the last line read whole."""
+
+    LINES = [f"zeile {i} über die straße" for i in range(3000)]
+
+    def _damaged(self, tmp_path: Path, how: str) -> Path:
+        data = gzip.compress("".join(line + "\n" for line in self.LINES).encode("utf-8"),
+                             mtime=0)
+        damaged = {
+            "truncated": data[:len(data) // 2],
+            "corrupt": data[:20] + bytes(b ^ 0xFF for b in data[20:60]) + data[60:],
+            "not gzip": b"plain text\n",
+            "trailing garbage": data + b"garbage",
+        }[how]
+        path = tmp_path / "in.txt.gz"
+        path.write_bytes(damaged)
+        return path
+
+    @pytest.mark.parametrize(("how", "last_good", "reason"), [
+        ("truncated", None, "Compressed file ended before the end-of-stream marker was reached"),
+        ("corrupt", 0, "Error -3 while decompressing data: "),
+        ("not gzip", 0, "Not a gzipped file (b'pl')"),
+        ("trailing garbage", 3000, "Not a gzipped file (b'ga')"),
+    ])
+    def test_dedup_names_the_file_and_the_last_good_line(self, tmp_path, capsys, how,
+                                                         last_good, reason):
+        path, out = self._damaged(tmp_path, how), tmp_path / "unique.txt"
+        assert run("dedup", "--in", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        prefix = f"data error: {path}: damaged gzip data after line "
+        assert err.startswith(prefix) and reason in err, err
+        line = int(err[len(prefix):].split(":")[0])
+        if last_good is None:  # cut short: the lines before the cut come through whole
+            assert 0 < line < len(self.LINES)
+        else:
+            assert line == last_good
+        assert not out.exists()
+
+    def test_a_truncated_file_read_by_an_rtt_gen_worker(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)
+        path, out = self._damaged(tmp_path, "truncated"), tmp_path / "pairs.tsv"
+        assert run("rtt-gen", "--in", str(path), "--to-pivot", "identity", "--from-pivot",
+                   "identity", "--jobs", "2", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {path}: damaged gzip data after line ")
+        assert not out.exists()
+
+
+class TestGzipOutputs:
+    """A .gz output is compressed in a forked child, not on a thread."""
+
+    def test_no_run_starts_a_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)
+
+        def refuse(thread):
+            raise AssertionError(f"a thread was started: {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cat = _spec_file(tmp_path / "cat.json", {"kind": "command", "command": "cat",
+                                                 "batch_size": 2, "retries": 0})
+        raw = tmp_path / "raw.txt.gz"
+        raw.write_bytes(gzip.compress(b"".join(b"satz %d\n" % (i % 70) for i in range(200))))
+        unique, clean, pairs = (tmp_path / name for name in
+                                ("unique.txt.gz", "clean.txt.gz", "pairs.tsv.gz"))
+        assert run("dedup", "--in", str(raw), "--out", str(unique)) == 0
+        assert run("filter-mono", "--in", str(unique), "--out", str(clean)) == 0
+        assert run("rtt-gen", "--in", str(clean), "--to-pivot", "identity", "--from-pivot",
+                   str(cat), "--jobs", "2", "--out", str(pairs)) == 0
+        assert gzip.decompress(pairs.read_bytes()) == b"".join(
+            b"satz %d\tsatz %d\n" % (i, i) for i in range(70))
+
+    def test_a_killed_compressor_is_a_data_error_naming_the_output(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        real_fork = os.fork
+
+        def fork_and_kill():
+            pid = real_fork()
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_and_kill)
+        raw, out = tmp_path / "raw.txt", tmp_path / "unique.txt.gz"
+        write(raw, [f"satz {i}" for i in range(20_000)])
+        assert run("dedup", "--in", str(raw), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {out}: the gzip writer failed: killed by SIGKILL\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.txt"]
+
+    def test_ctrl_c_leaves_no_file_and_no_process(self, tmp_path, capsys, monkeypatch):
+        from rtt_ape import corpus
+
+        def interrupted(lines, **kwargs):
+            for i, line in enumerate(lines):
+                if i == 10_000:
+                    raise KeyboardInterrupt
+                yield line
+
+        monkeypatch.setattr(corpus, "dedup", interrupted)
+        raw, out = tmp_path / "raw.txt", tmp_path / "unique.txt.gz"
+        write(raw, [f"satz {i}" for i in range(20_000)])
+        assert run("dedup", "--in", str(raw), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "\naborted\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.txt"]
+
+
 class TestStreamingRttGen:
     """rtt-gen and make-pairs stream in chunks of CHUNK_BATCHES batches,
     which the --jobs worker processes take in turn; these corpora span
@@ -684,9 +791,9 @@ class TestStreamingRttGen:
         assert inputs[1] == {str(fifo): None, str(cat): inputs[0][str(cat)]}
         assert inputs[0][str(mono)] == file_fingerprint(mono)
 
-    def test_gz_output_at_jobs_2_still_forks(self, tmp_path, monkeypatch):
-        """The workers are forked before the .gz output starts its writer
-        thread, which would keep a process from forking."""
+    def test_a_gz_output_costs_one_fork_more_than_plain(self, tmp_path, monkeypatch):
+        """The compressor is one more child, which keeps none of the
+        workers' or the batches' forks from happening, from a file or a pipe."""
         monkeypatch.setattr(pipeline, "usable_cores", lambda: 2)
         cat = _spec_file(tmp_path / "cat.json", {"kind": "command", "command": "cat",
                                                  "batch_size": 2, "retries": 0})
@@ -694,12 +801,30 @@ class TestStreamingRttGen:
         write(mono, [f"satz {i}" for i in range(100)])
         real_fork, forks = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-        for jobs in (1, 2):
-            assert run("rtt-gen", "--in", str(mono), "--to-pivot", "identity", "--from-pivot",
-                       str(cat), "--jobs", str(jobs), "--out", str(tmp_path / f"{jobs}.tsv.gz")) == 0
-        assert forks == [1]
-        assert gzip.decompress((tmp_path / "2.tsv.gz").read_bytes()) == gzip.decompress(
-            (tmp_path / "1.tsv.gz").read_bytes())
+
+        def forks_of(source: str, jobs: int, out: Path) -> int:
+            del forks[:]
+            in_path, writer = mono, None
+            if source == "pipe":
+                in_path = tmp_path / f"{out.name}.fifo"
+                os.mkfifo(in_path)
+                writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(mono),
+                                           str(in_path)])
+            try:
+                assert run("rtt-gen", "--in", str(in_path), "--to-pivot", "identity",
+                           "--from-pivot", str(cat), "--jobs", str(jobs),
+                           "--out", str(out)) == 0
+            finally:
+                if writer is not None:
+                    writer.kill()
+                    writer.wait()
+            return len(forks)
+
+        for source in ("file", "pipe"):
+            for jobs in (1, 2, 8):
+                plain, gz = (tmp_path / f"{source}{jobs}.{ext}" for ext in ("tsv", "tsv.gz"))
+                assert forks_of(source, jobs, gz) == forks_of(source, jobs, plain) + 1
+                assert gzip.decompress(gz.read_bytes()) == plain.read_bytes()
 
     def test_backend_failure_in_third_chunk_leaves_no_output(self, tmp_path, capsys):
         channel = _spec_file(tmp_path / "de-en.json", {

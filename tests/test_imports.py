@@ -235,7 +235,7 @@ class TestDeferredImports:
                     for file, line, node in _deferred_imports()
                     if isinstance(node, ast.ImportFrom) and node.level == 0
                     for alias in node.names]
-        assert {"gzip", "queue", "shlex", "subprocess", "urllib.request"} <= {
+        assert {"gzip", "shlex", "subprocess", "urllib.request"} <= {
             module for _, _, module, _ in imports}
         failed = []
         for file, line, module, name in imports:

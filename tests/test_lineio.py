@@ -1,21 +1,26 @@
 """Line I/O: atomic writes, byte-stable gzip output, and input that is not
 UTF-8."""
 
+import contextlib
 import errno
 import gzip
 import hashlib
 import io
+import os
+import signal
 import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtt_ape import lineio
+from conftest import child_pids
+from rtt_ape import lineio, parallel
 from rtt_ape.errors import DataError
 from rtt_ape.lineio import (
     atomic_open, iter_aligned, iter_lines, open_lines, read_aligned, read_lines, write_lines,
@@ -120,12 +125,55 @@ def _single_threaded_gzip(lines: list[str]) -> bytes:
     return buf.getvalue()
 
 
-def _writer_threads() -> list[str]:
-    return [t.name for t in threading.enumerate() if t.name == "gzip-writer"]
+@contextlib.contextmanager
+def _in_process(how: str = "no fork"):
+    """Force the .gz writer onto its in-process path: with ``os.fork``
+    missing, or beside another running thread."""
+    if how == "no fork":
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, "fork")
+            yield
+        return
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+
+
+def _at_each_path(check: Callable[[str], None]) -> None:
+    """``check(path)`` at each of the .gz writer's paths."""
+    check("forked")
+    for how in ("no fork", "thread"):
+        with _in_process(how):
+            check(how)
+
+
+def _children() -> set[int]:
+    return child_pids() or set()
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int, what: str):
+    signal.signal(signal.SIGALRM, lambda *_: pytest.fail(what))
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
 class TestGzipWriterThread:
-    """A .gz output is compressed on a writer thread."""
+    """A .gz output is compressed beside the caller, in a forked child;
+    where ``os.fork`` is missing or another thread runs, in this process."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(LINE, max_size=30), st.sampled_from([1, 3, 2000]))
@@ -133,61 +181,82 @@ class TestGzipWriterThread:
     @example(["eine zeile"], 1)
     def test_bytes_equal_single_threaded_gzip(self, lines, repeat):
         # 2000 repeats of up to 30 lines span many 8 KiB blocks, more than
-        # the queue holds.
+        # the pipe to the child holds.
         lines = lines * repeat
+        expected = _single_threaded_gzip(lines)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "x.gz"
-            with atomic_open(out) as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-            assert out.read_bytes() == _single_threaded_gzip(lines)
-        assert not _writer_threads()
+
+            def check(path: str) -> None:
+                with atomic_open(out) as fh:
+                    for line in lines:
+                        fh.write(line + "\n")
+                assert out.read_bytes() == expected, path
+
+            _at_each_path(check)
 
     @pytest.mark.parametrize("n_lines", [1, 50_000])
     def test_error_on_writer_thread_reaches_the_caller(self, tmp_path, monkeypatch, n_lines):
+        """A full disk under the compressor: its error names the output
+        when the child meets it, and is the ``OSError`` itself in process."""
         out = tmp_path / "out.txt.gz"
         write_lines(out, ["old"])
         before = out.read_bytes()
-        error = OSError(errno.ENOSPC, "No space left on device")
         real_open = open
 
         class FullDisk(io.FileIO):
-            # The gzip header is written on the caller's thread; every
-            # later write, on the writer thread, fails.
+            # The 10-byte gzip header gets through; every later write fails.
             def write(self, data):
-                if threading.current_thread() is not threading.main_thread():
-                    raise error
+                if self.tell() >= 10:
+                    raise OSError(errno.ENOSPC, "No space left on device")
                 return super().write(data)
 
         def fake_open(path, mode="r", *args, **kwargs):
-            return FullDisk(path, "wb") if mode == "wb" else real_open(path, mode, *args, **kwargs)
+            if mode == "wb" and not isinstance(path, int):  # the temp file, not a pipe
+                return FullDisk(path, "wb")
+            return real_open(path, mode, *args, **kwargs)
 
         monkeypatch.setattr(lineio, "open", fake_open, raising=False)
-        with pytest.raises(OSError) as raised:
-            write_lines(out, (f"zeile {i}" for i in range(n_lines)))
-        assert raised.value is error
-        assert out.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [out.name]
-        assert not _writer_threads()
+
+        def check(path: str) -> None:
+            with pytest.raises((DataError, OSError)) as raised:
+                write_lines(out, (f"zeile {i}" for i in range(n_lines)))
+            if path == "forked":
+                assert isinstance(raised.value, DataError)
+                assert str(raised.value) == (f"{out}: the gzip writer failed: "
+                                             "[Errno 28] No space left on device")
+            else:
+                assert raised.value.errno == errno.ENOSPC
+                assert str(raised.value) == "[Errno 28] No space left on device"
+            assert out.read_bytes() == before
+            assert [p.name for p in tmp_path.iterdir()] == [out.name]
+            assert not _children()
+
+        _at_each_path(check)
 
     def test_interrupt_inside_the_block_stops_the_writer(self, tmp_path):
         out = tmp_path / "out.txt.gz"
         write_lines(out, ["old"])
         before = out.read_bytes()
-        with pytest.raises(KeyboardInterrupt):
-            with atomic_open(out) as fh:
-                for i in range(50_000):
-                    fh.write(f"zeile {i}\n")
-                assert _writer_threads()
-                raise KeyboardInterrupt
-        assert out.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [out.name]
-        assert not _writer_threads()
+
+        def check(path: str) -> None:
+            with pytest.raises(KeyboardInterrupt):
+                with atomic_open(out) as fh:
+                    for i in range(50_000):
+                        fh.write(f"zeile {i}\n")
+                    assert len(_children()) == (path == "forked")
+                    raise KeyboardInterrupt
+            assert out.read_bytes() == before
+            assert [p.name for p in tmp_path.iterdir()] == [out.name]
+            assert not _children()
+
+        _at_each_path(check)
 
     def test_concurrent_writers_under_a_short_switch_interval(self, tmp_path):
-        # More writers than cores, each with its own writer thread, while
-        # the interpreter switches threads as often as it can: every file
-        # must still hold its own blocks, in order.
+        # More writers than cores, beside one another's threads, so each
+        # compresses in this process, while the interpreter switches
+        # threads as often as it can: every file must still hold its own
+        # blocks, in order.
         texts = {i: [f"datei {i} zeile {j} über die straße" for j in range(3000)]
                  for i in range(4)}
 
@@ -207,7 +276,81 @@ class TestGzipWriterThread:
         assert not any(thread.is_alive() for thread in threads)
         for i, lines in texts.items():
             assert (tmp_path / f"{i}.txt.gz").read_bytes() == _single_threaded_gzip(lines)
-        assert not _writer_threads()
+
+
+class TestGzipWriterProcess:
+    """The forked compressor: how it fails, and that no other process
+    keeps its pipe open."""
+
+    def test_a_killed_child_is_an_error_naming_the_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.txt.gz"
+        real_fork = os.fork
+
+        def fork_and_kill():
+            pid = real_fork()
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_and_kill)
+        for n_lines in (1, 50_000):
+            with pytest.raises(DataError) as raised:
+                write_lines(out, (f"zeile {i}" for i in range(n_lines)))
+            assert str(raised.value) == f"{out}: the gzip writer failed: killed by SIGKILL"
+            assert list(tmp_path.iterdir()) == []
+            assert not _children()
+
+    def test_outputs_closed_in_the_order_they_were_opened(self, tmp_path):
+        lines = [f"zeile {i}" for i in range(5000)]
+        with _deadline(20, "a compressor waited for a pipe another process held"):
+            with contextlib.ExitStack() as first:
+                a = first.enter_context(atomic_open(tmp_path / "a.gz"))
+                second = atomic_open(tmp_path / "b.gz")
+                b = second.__enter__()
+                for line in lines:
+                    a.write(line + "\n")
+                    b.write(line + "\n")
+                first.close()
+                assert read_lines(tmp_path / "a.gz") == lines
+                second.__exit__(None, None, None)
+        assert (tmp_path / "b.gz").read_bytes() == _single_threaded_gzip(lines)
+
+    def test_an_output_closed_beside_a_later_fork_map_worker(self, tmp_path):
+        lines = [f"zeile {i}" for i in range(5000)]
+        with _deadline(20, "the compressor waited for a pipe a worker held"):
+            results = None
+            try:
+                with atomic_open(tmp_path / "a.gz") as fh:
+                    fh.write("zeile 0\n")
+                    # The worker, forked now, takes item 1 and sleeps on it.
+                    results = parallel.fork_map(time.sleep, [0, 30], 2, str)
+                    for line in lines[1:]:
+                        fh.write(line + "\n")
+                assert read_lines(tmp_path / "a.gz") == lines
+            finally:
+                if results is not None:
+                    results.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_a_failed_pipe_or_fork_leaks_no_descriptor(self, tmp_path, monkeypatch, failing):
+        out = tmp_path / "out.txt.gz"
+        real, calls = getattr(os, failing), []
+
+        def fail(*args):
+            calls.append(1)
+            if failing == "pipe" and len(calls) == 1:
+                return real(*args)  # the second pipe fails
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        before = _open_fds()
+        monkeypatch.setattr(os, failing, fail)
+        with pytest.raises(OSError) as raised:
+            write_lines(out, ["zeile"])
+        assert raised.value.errno == errno.EAGAIN
+        assert _open_fds() == before
+        assert not lineio._compressor_pipes
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFraming:
