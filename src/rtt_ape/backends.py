@@ -83,6 +83,12 @@ class BackendSpec:
             raise ValueError("batch_size must be positive and retries 0 or more, got "
                              f"{self.batch_size} and {self.retries}")
 
+    @property
+    def batch_timeout(self) -> float | None:
+        """The seconds a command or HTTP batch may take; a ``timeout`` of 0
+        or less sets no limit."""
+        return self.timeout if self.timeout > 0 else None
+
     @classmethod
     def identity(cls, from_lang: str = "xx", to_lang: str = "xx") -> "BackendSpec":
         return cls(kind="identity", from_lang=from_lang, to_lang=to_lang)
@@ -198,7 +204,7 @@ def _run_command_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
         stdin.write(("\n".join(batch) + "\n").encode("utf-8"))
         stdin.seek(0)
         with subprocess.Popen(argv, stdin=stdin, stdout=stdout, stderr=stderr) as proc:
-            if not _exits(proc, spec.timeout if spec.timeout > 0 else None):
+            if not _exits(proc, spec.batch_timeout):
                 proc.kill()  # retried, like any failed run
                 raise TimeoutError(str(subprocess.TimeoutExpired(argv, spec.timeout)))
         stdout.seek(0)
@@ -248,7 +254,7 @@ def _run_http_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
     request = urllib.request.Request(
         spec.url, data=payload, headers={"Content-Type": "application/json"}
     )
-    with urllib.request.urlopen(request, timeout=spec.timeout) as response:
+    with urllib.request.urlopen(request, timeout=spec.batch_timeout) as response:
         body = json.loads(response.read().decode("utf-8"))
     lines = body.get("lines")
     if not isinstance(lines, list):

@@ -30,17 +30,15 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import __version__
-from .errors import BackendError, DataError, SgmParseError
-from .lineio import atomic_open, file_fingerprint, open_lines, read_aligned, read_json, read_lines
+from .errors import BackendError, DataError
+from .lineio import atomic_open, file_fingerprint, open_lines, read_json
 
 if TYPE_CHECKING:
     from .corpus import FilterConfig, FilterReport, SentencePair
     from .pipeline import ChangeReport
-    from .testset import Segment, TestSet
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -64,10 +62,12 @@ class UsageError(Exception):
 class Type(NamedTuple):
     """``convert`` checks a flag's text or a ``--config`` value and returns
     the value, or raises ``ValueError`` with the reason; ``metavar`` names
-    the value in help, and is empty for a flag, which takes none."""
+    the value in help, and is empty for a flag, which takes none; ``inputs``
+    lists the input files a value names, the only files a manifest lists."""
 
     metavar: str
     convert: Callable[[object], object]
+    inputs: Callable[[object], Iterable[str]] = lambda value: ()
 
 
 def _integer(value: object) -> int:
@@ -89,6 +89,12 @@ def _existing(value: object) -> str:
     return path
 
 
+def _backend(value: object) -> str:
+    if value != "identity" and not os.path.exists(str(value)):
+        raise ValueError(f"{value!r} is neither 'identity' nor an existing spec file.")
+    return str(value)
+
+
 def _boolean(value: object) -> bool:
     text = str(value).strip().lower()  # a JSON true reads "true"
     if text not in ("1", "true", "t", "yes", "y", "on", "0", "false", "f", "no", "n", "off"):
@@ -98,7 +104,8 @@ def _boolean(value: object) -> bool:
 
 TEXT, PATH = Type("TEXT", str), Type("PATH", str)
 INTEGER, FLOAT = Type("INTEGER", _integer), Type("FLOAT", _float)
-INPUT = Type("PATH", _existing)  # an input file, fingerprinted in the manifest
+INPUT = Type("PATH", _existing, lambda path: (path,))
+BACKEND = Type("TEXT", _backend, lambda value: () if value == "identity" else (value,))
 FLAG = Type("", _boolean)
 
 
@@ -198,37 +205,7 @@ def _filter_config(params: dict) -> FilterConfig:
     return FilterConfig(**{fields[name]: value for name, value in params.items() if name in fields})
 
 
-def _read_sgm(path: str, side: str) -> tuple[list[Segment], dict[str, str] | None]:
-    """The segments and the wrapper attributes (see ``testset.wrapper_attrs``)
-    of the SGM file at ``path``; a parse error names the file."""
-    from .testset import parse_sgm, wrapper_attrs
-
-    data = Path(path).read_bytes()
-    try:
-        return parse_sgm(data, side=side), wrapper_attrs(data)
-    except SgmParseError as exc:
-        raise SgmParseError(f"{path}: {exc}") from exc
-
-
-def _load_testset(params: dict, with_refs: bool = False) -> TestSet:
-    """Build a TestSet from either SGM files or plain text + origin labels."""
-    from .testset import TestSet, segments_from_lines
-
-    if sgm := params.get("sgm") or params.get("src_sgm"):
-        source = reference = _read_sgm(sgm, "src")[0]
-        if with_refs:
-            _require(params, ref_sgm="--ref-sgm")
-            reference = _read_sgm(params["ref_sgm"], "ref")[0]
-    elif text := params.get("text") or params.get("ref_text"):
-        lines, origins = (read_aligned(text, params["origins"]) if params.get("origins")
-                          else (read_lines(text), None))
-        source = reference = segments_from_lines(lines, origins)
-    else:
-        raise UsageError("provide --sgm (or --src-sgm/--ref-sgm) or --text with --origins")
-    return TestSet(params.get("name") or "unknown", params["src"], params["tgt"], source, reference)
-
-
-def _load_command(name: str) -> tuple[Callable[[dict], Iterable[str] | None], list[Option]]:
+def _load_command(name: str) -> tuple[Callable[[dict], None], list[Option]]:
     """The body and the option table of subcommand ``name``."""
     return importlib.import_module(f".{SUBCOMMANDS[name]}", __package__).COMMANDS[name]
 
@@ -251,13 +228,9 @@ def _parser(usage: str, description: str, options: list[Option]) -> _Parser:
             None, ()) else []
         notes += ["required"] if option.required else []
         text = f"{option.help} [{'; '.join(notes)}]".lstrip() if notes else option.help
-        if takes_value:
-            parser.add_argument(option.flag, dest=option.name, help=text,
-                                metavar=option.type.metavar,
-                                action="append" if option.multiple else "store")
-        else:
-            parser.add_argument(option.flag, dest=option.name, help=text,
-                                action="store_const", const=True)
+        value = (dict(metavar=option.type.metavar, action="append" if option.multiple else "store")
+                 if takes_value else dict(action="store_const", const=True))
+        parser.add_argument(option.flag, dest=option.name, help=text, **value)
     return parser
 
 
@@ -360,17 +333,17 @@ def _run(name: str, params: dict) -> None:
     """Run subcommand ``name``'s body.  When it succeeds and the run has an
     output file (``--out-src``, else ``--out``), ``<output>.manifest.json``
     records the resolved parameters, seed, version, start and finish times,
-    and a fingerprint of every input: each set ``INPUT`` option, plus the
-    paths the body returns (inputs named inside other values)."""
+    and a fingerprint of each input file that a set option's type names."""
     body, options = _load_command(name)
     started = _now()
-    extra_inputs = body(params) or ()
+    body(params)
     out = params.get("out_src") or params.get("out")
     if out is None:
         return
-    inputs = [params[o.name] for o in options if o.type is INPUT and params[o.name]]
+    inputs = [path for option in options if params[option.name] is not None
+              for path in option.type.inputs(params[option.name])]
     manifest = dict(tool="rtt-ape", version=__version__, subcommand=name, config=params,
-                    inputs={p: file_fingerprint(p) for p in [*inputs, *extra_inputs]},
+                    inputs={path: file_fingerprint(path) for path in inputs},
                     seed=params.get("seed"), started=started, finished=_now())
     _emit(out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

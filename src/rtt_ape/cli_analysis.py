@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import sys
 
-from .cli import (FLAG, IN, INPUT, INTEGER, OUT, Option, Type, UsageError, _dump_json, _emit,
-                  _load_testset, choice)
+from .cli import FLAG, IN, INPUT, INTEGER, OUT, Option, Type, UsageError, _dump_json, _emit, choice
 from .errors import DataError
 from .lineio import iter_aligned, iter_lines, iter_rows, read_aligned, read_lines
 
@@ -51,6 +50,9 @@ def _hyp_specs(specs: object) -> tuple[str, ...]:
     return specs
 
 
+_HYPS = Type("LABEL=PATH", _hyp_specs, lambda specs: [spec.partition("=")[2] for spec in specs])
+
+
 # Fewest (system, segment) pairs per scoring process, so report-split forks
 # only from 2x this many pairs.  A second process costs ~7 ms to fork, to
 # pipe its stats back and to reap.  Timed in fresh processes on perfbench
@@ -69,12 +71,19 @@ def _scoring_workers(pairs: int) -> int:
     return max(1, min(usable_cores(), pairs // MIN_PAIRS_PER_WORKER))
 
 
-def report_split_cmd(params: dict) -> list[str]:
+def report_split_cmd(params: dict) -> None:
     """Score systems on the full set and on both origin halves."""
     from .analysis import render_split_table, split_score_table
+    from .cli_testset import _is_sgm, _read_sgm, _text_segments
+    from .testset import TestSet
 
-    ts = _load_testset(params, with_refs=bool(params.get("src_sgm")))
-    refs = params["ref_sgm"] if params["src_sgm"] else params["ref_text"]
+    if _is_sgm(params, ("--src-sgm", "--ref-sgm"), "--ref-text"):
+        refs = params["ref_sgm"]
+        source, reference = _read_sgm(params["src_sgm"], "src")[0], _read_sgm(refs, "ref")[0]
+    else:
+        refs = params["ref_text"]
+        source = reference = _text_segments(refs, params["origins"])
+    ts = TestSet(params["name"] or "unknown", params["src"], params["tgt"], source, reference)
     hyps = {}
     for spec in params["hyp_specs"]:
         label, _, path = spec.partition("=")
@@ -86,7 +95,6 @@ def report_split_cmd(params: dict) -> list[str]:
     _emit(params["out"], _dump_json({label: report.as_dict() for label, report in table.items()}))
     if params["table"]:
         print(render_split_table(table, ts), file=sys.stderr)
-    return [spec.partition("=")[2] for spec in params["hyp_specs"]]
 
 
 def vocab_cmd(params: dict) -> None:
@@ -133,8 +141,8 @@ COMMANDS = {
         Option("--src", required=True, help="Source language code."),
         Option("--tgt", required=True, help="Target language code."),
         Option("--name", help="Test set name for signatures."),
-        Option("--hyp", Type("LABEL=PATH", _hyp_specs), (), required=True, dest="hyp_specs",
-               multiple=True, help="Repeat for several systems."),
+        Option("--hyp", _HYPS, (), required=True, dest="hyp_specs", multiple=True,
+               help="Repeat for several systems."),
         Option("--table", FLAG, False, help="Also print an aligned table to stderr."), OUT]),
     "vocab": (vocab_cmd, [
         IN, Option("--tokenizer", choice("whitespace", "intl"), "whitespace"), OUT]),

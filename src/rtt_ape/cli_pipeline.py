@@ -8,8 +8,8 @@ from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .cli import (FLOAT, IN, INTEGER, INPUT, OUT, PATH, REPORT, Option, UsageError,
-                  _filter_config, _report_out, _require, _write_pairs, choice)
+from .cli import (BACKEND, FLOAT, IN, INTEGER, INPUT, OUT, PATH, REPORT, Option, _filter_config,
+                  _report_out, _require, _write_pairs, choice)
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .lineio import iter_lines, iter_rows, open_lines, read_json, read_lines, write_lines
 
@@ -17,24 +17,16 @@ if TYPE_CHECKING:
     from .backends import BackendSpec
 
 
-def _spec_files(*values: str) -> list[str]:
-    """The backend flag values that name spec files, for the manifest."""
-    return [value for value in values if value != "identity"]
-
-
 def _load_backend(value: str) -> BackendSpec:
-    """A backend flag value is either a bare kind needing no config
-    ("identity") or the path of a JSON spec file."""
+    """The backend a ``BACKEND`` value names: "identity", or the spec in a
+    JSON file."""
     from .backends import BackendSpec, spec_from_dict
 
-    if value == "identity":
-        return BackendSpec.identity()
-    if not Path(value).exists():
-        raise UsageError(f"backend {value!r} is neither 'identity' nor an existing spec file")
-    return read_json(value, "backend spec", spec_from_dict)
+    return (BackendSpec.identity() if value == "identity"
+            else read_json(value, "backend spec", spec_from_dict))
 
 
-def rtt_gen_cmd(params: dict) -> list[str]:
+def rtt_gen_cmd(params: dict) -> None:
     """Generate round-trip translations for every surviving line."""
     from .parallel import Reiterable
     from .pipeline import iter_rtt
@@ -55,7 +47,6 @@ def rtt_gen_cmd(params: dict) -> list[str]:
                 pivot_out(pivot)
             if pair is not None:
                 write((pair.original, pair.round_trip), line_no)
-    return _spec_files(params["to_pivot"], params["from_pivot"])
 
 
 def make_pairs_cmd(params: dict) -> None:
@@ -69,7 +60,7 @@ def make_pairs_cmd(params: dict) -> None:
                           for pair in make_training_pairs(chunk, params["direction"], cfg)))
 
 
-def ape_apply_cmd(params: dict) -> list[str]:
+def ape_apply_cmd(params: dict) -> None:
     """Post-edit translation output through a backend, fully or selectively."""
     from .pipeline import ApeMode, apply_ape
 
@@ -82,7 +73,6 @@ def ape_apply_cmd(params: dict) -> list[str]:
                                       jobs=params["jobs"], cache_dir=params["cache_dir"])
     write_lines(params["out"], output)
     _report_out(change_report, params["report_path"])
-    return _spec_files(params["backend"])
 
 
 _BACKEND_HELP = "Backend spec (JSON file) or 'identity'."
@@ -93,8 +83,8 @@ _CACHE_DIR = Option("--cache-dir", PATH, env="RTT_APE_CACHE")
 COMMANDS = {
     "rtt-gen": (rtt_gen_cmd, [
         IN._replace(help="Monolingual corpus, one sentence per line."),
-        Option("--to-pivot", required=True, help=_BACKEND_HELP),
-        Option("--from-pivot", required=True, help=_BACKEND_HELP),
+        Option("--to-pivot", BACKEND, required=True, help=_BACKEND_HELP),
+        Option("--from-pivot", BACKEND, required=True, help=_BACKEND_HELP),
         Option("--max-chars", INTEGER, 500), Option("--max-tokens", INTEGER, 70),
         Option("--filter-sides", choice("both", "original", "round_trip"), "both",
                help="Which side(s) of each pair the length filter applies to."),
@@ -109,7 +99,7 @@ COMMANDS = {
         Option("--max-ratio", FLOAT, 2.0)]),
     "ape-apply": (ape_apply_cmd, [
         IN._replace(help="Translation output to post-edit, one line per sentence."),
-        Option("--backend", required=True, help=_BACKEND_HELP),
+        Option("--backend", BACKEND, required=True, help=_BACKEND_HELP),
         Option("--scope", choice(*SCOPES), ALL), Option("--iterations", INTEGER, 1),
         Option("--split", INPUT, dest="split_path",
                help="JSON from the split subcommand (needed for selective scope)."),

@@ -4,15 +4,51 @@ Loaded by ``cli`` when a run names one of its subcommands."""
 
 from __future__ import annotations
 
-from .cli import INPUT, OUT, PATH, Option, _dump_json, _emit, _load_testset, _read_sgm, choice
+from pathlib import Path
+
+from .cli import INPUT, OUT, PATH, Option, UsageError, _dump_json, _emit, _require, choice
+from .errors import SgmParseError
 from .halves import SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
-from .lineio import open_lines, read_aligned, write_lines
+from .lineio import open_lines, read_aligned, read_lines, write_lines
+from .testset import (Segment, TestSet, merge_selective, parse_sgm, segments_from_lines,
+                      serialize_sgm, split_by_origin, wrapper_attrs)  # every command runs it
+
+
+def _read_sgm(path: str, side: str) -> tuple[list[Segment], dict[str, str] | None]:
+    """The segments and the wrapper attributes (see ``testset.wrapper_attrs``)
+    of the SGM file at ``path``; a parse error names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse_sgm(data, side=side), wrapper_attrs(data)
+    except SgmParseError as exc:
+        raise SgmParseError(f"{path}: {exc}") from exc
+
+
+def _text_segments(text: str, origins: str | None) -> list[Segment]:
+    """A plain-text test set's segments, labelled by ``origins`` if given."""
+    return segments_from_lines(*(read_aligned(text, origins) if origins else [read_lines(text)]))
+
+
+def _is_sgm(params: dict, sgm: tuple[str, ...], text: str) -> bool:
+    """Whether a command's test set comes from its SGM flags ``sgm``, each
+    of which it then needs, rather than from its plain-text flag ``text``,
+    which ``--origins`` labels.  Both sources, neither, or ``--origins``
+    with SGM is a usage error naming the command's flags."""
+    sgm_flags = "/".join(sgm)
+    if not any(params[Option(flag).name] for flag in sgm):
+        if not params[Option(text).name]:
+            raise UsageError(f"provide {sgm_flags} or {text}")
+        return False
+    if params[Option(text).name]:
+        raise UsageError(f"give {sgm_flags} or {text}, not both")
+    if params["origins"]:
+        raise UsageError(f"--origins goes with {text}, not {sgm_flags}")
+    _require(params, **{Option(flag).name: flag for flag in sgm})
+    return True
 
 
 def parse_sgm_cmd(params: dict) -> None:
     """Parse a WMT-style SGM file into segments."""
-    from .testset import serialize_sgm
-
     segments, attrs = _read_sgm(params["sgm"], params["side"])
     fmt = params["out_format"]
     if fmt == "text":
@@ -31,17 +67,15 @@ def parse_sgm_cmd(params: dict) -> None:
 
 def split_cmd(params: dict) -> None:
     """Partition a test set by original language; emits index lists as JSON."""
-    from .testset import split_by_origin
-
-    ts = _load_testset(params)
+    segments = (_read_sgm(params["sgm"], "src")[0] if _is_sgm(params, ("--sgm",), "--text")
+                else _text_segments(params["text"], params["origins"]))
+    ts = TestSet(params["name"] or "unknown", params["src"], params["tgt"], segments, segments)
     payload = split_by_origin(ts).payload(len(ts), ts.src_lang, ts.tgt_lang)
     _emit(params["out"], _dump_json(payload))
 
 
 def merge_cmd(params: dict) -> None:
     """Merge post-edited lines into a base hypothesis, selectively or fully."""
-    from .testset import merge_selective
-
     base, edited = read_aligned(params["base"], params["edited"])
     halves = SplitHalves.read(params["split_path"], len(base))
     write_lines(params["out"], merge_selective(base, edited, halves, params["mode"]))

@@ -144,15 +144,6 @@ def atomic_open(path: str | Path | None) -> Iterator[IO[str]]:
         raise
 
 
-def _not_utf8(path: str | Path) -> DataError:
-    """The error for a text file that is not UTF-8, naming the first line that
-    changes when its bytes are decoded with replacement characters and encoded back."""
-    with smart_open(path) as fh:
-        bad = (n for n, line in enumerate(fh.buffer, 1)
-               if line.decode("utf-8", "replace").encode("utf-8") != line)
-        return DataError(f"{path}:{next(bad, '?')}: not valid UTF-8")
-
-
 def read_lines(path: str | Path) -> list[str]:
     """All lines of a text file, without terminators (see ``iter_lines``)."""
     return list(iter_lines(path))
@@ -168,7 +159,11 @@ def iter_lines(path: str | Path) -> Iterator[str]:
             for line_no, line in enumerate(fh, 1):
                 yield line.rstrip("\n")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
+        # The bad byte is in the chunk being decoded (``exc.object``), on the
+        # line after the last one read whole or a line that ends before it.
+        # Counting there reads no input again, which a pipe would not allow.
+        line_no += 1 + exc.object.count(b"\n", 0, exc.start)
+        raise DataError(f"{path}:{line_no}: not valid UTF-8") from exc
     except _gzip_errors() as exc:
         raise DataError(f"{path}: damaged gzip data after line {line_no}: {exc}") from exc
 
@@ -192,11 +187,16 @@ def read_json(path: str | Path, what: str, build: Callable[[object], T]) -> T:
 
 def iter_aligned(*paths: str | Path) -> Iterator[tuple[str, ...]]:
     """Stream line-aligned files in step, one tuple per line; a ``DataError``
-    naming each file's line count if they differ, once the shortest ends."""
-    for row in itertools.zip_longest(*map(iter_lines, paths)):
+    naming each file's line count if they differ, once the shortest ends and
+    the longer ones are read to their ends.  Each file is read once, so a
+    pipe works as well as a regular file."""
+    streams = [iter_lines(path) for path in paths]
+    for n, row in enumerate(itertools.zip_longest(*streams)):
         if None in row:
+            counts = (n + (line is not None) + sum(1 for _ in stream)
+                      for line, stream in zip(row, streams))
             raise DataError("line count mismatch: " + " vs ".join(
-                f"{sum(1 for _ in iter_lines(path))} in {path}" for path in paths))
+                f"{count} in {path}" for count, path in zip(counts, paths)))
         yield row
 
 

@@ -41,6 +41,10 @@ class TestVocabSize:
     def test_case_sensitive(self):
         assert vocab_size(["Haus haus"]) == 2
 
+    def test_an_unknown_tokenizer_is_rejected(self):
+        with pytest.raises(ValueError, match="tokenizer must be 'whitespace' or 'intl', got 'x'"):
+            vocab_size(["a b"], "x")
+
     def test_order_and_dedup_invariant(self):
         lines = ["a b c", "c b a", "a b c"]
         assert vocab_size(lines) == vocab_size(sorted(set(lines))) == 3
@@ -390,6 +394,21 @@ class TestHumanevalAggregate:
         with pytest.raises(DataError) as info:
             humaneval_aggregate(_rows(text))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [row for row in rows if row.startswith("#")], "empty task file"),
+        (lambda rows: [rows[0], "item_id\tsource", *rows[2:]],
+         "unexpected task file columns: ['item_id', 'source']"),
+        (lambda rows: [*rows[:3], rows[3] + "\textra", *rows[4:]],
+         "row has 10 cells, expected 9: 'item-00001\\t"),
+        (lambda rows: [*rows[:2], *(row.replace("\t0\t", "\t2\t") for row in rows[2:])],
+         "accuracy ratings must be 0 or 1 for item-00001"),
+    ])
+    def test_a_malformed_task_file_is_a_data_error(self, edit, message):
+        rows = _rows(_completed_tasks([[5, 4, 5]], [[0, 1, 0]], ["a"]))
+        with pytest.raises(DataError) as info:
+            humaneval_aggregate(edit(rows))
+        assert str(info.value).startswith(message)
 
     def test_format_cells(self):
         out = format_ratings({"base": {"fluency": 4.654, "accuracy": 95.64}})

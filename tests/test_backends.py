@@ -357,6 +357,19 @@ def _serve(handler):
     thread.join(timeout=10)
 
 
+class _NoLinesHandler(_EchoUpperHandler):
+    """Answers with the lines under another key."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = b'{"text": []}'
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
 class _FramingBreakingHandler(_EchoUpperHandler):
     """Sends "null" back as JSON null, and "|" as a newline."""
 
@@ -400,6 +413,23 @@ class TestHttpBackend:
             "http backend failed after 1 attempts: http backend response item 1 of 'lines' "
             f"is not a line of text: {shown} (input lines 2..3)")
         assert len(list(tmp_path.rglob("*.txt"))) == 1  # the first batch only
+
+    def test_an_answer_without_lines_fails_its_batch(self, tmp_path):
+        with _serve(_NoLinesHandler) as url:
+            spec = BackendSpec(kind="http", url=url, timeout=5, retries=0)
+            with pytest.raises(BackendError) as raised:
+                translate_batch(spec, ["ok"], cache_dir=tmp_path)
+        assert str(raised.value) == ("http backend failed after 1 attempts: http backend "
+                                     "response has no 'lines' list (input lines 0..0)")
+        assert list(tmp_path.rglob("*.txt")) == []
+
+    @pytest.mark.parametrize("timeout", [0, -1])
+    def test_a_timeout_of_0_or_less_sets_no_limit(self, http_backend_url, timeout):
+        """As for a command backend; the spec's fingerprint keeps its timeout."""
+        spec = BackendSpec(kind="http", url=http_backend_url, timeout=timeout, retries=0)
+        assert spec.batch_timeout is None
+        assert translate_batch(spec, ["ab", "cd"]) == ["AB", "CD"]
+        assert spec.as_dict()["timeout"] == timeout
 
     def test_unreachable_endpoint(self):
         spec = BackendSpec(kind="http", url="http://127.0.0.1:9/none", retries=0, timeout=0.2)

@@ -258,6 +258,12 @@ class TestCorpusCommands:
         write(raw, ["a", "b"])
         assert run("sample", "--in", str(raw), "--n", "5", "--seed", "0") == 2
 
+    def test_sample_negative_n_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        write(raw, ["a", "b"])
+        assert run("sample", "--in", str(raw), "--n", "-1") == 2
+        assert capsys.readouterr() == ("", "data error: sample size must be >= 0, got -1\n")
+
     def test_gzip_transparent(self, tmp_path):
         import gzip
 
@@ -527,6 +533,8 @@ class TestMalformedBackendSpecs:
         ({"kind": "http", "url": "http://localhost:1/", "timeout": "30"}, "'timeout'"),
         ({"from_lang": "de"}, "spec has no 'kind'"),
         (["identity"], "spec must be a JSON object"),
+        ({"kind": "command"}, "command backend needs a 'command' template"),
+        ({"kind": "http"}, "http backend needs a 'url'"),
     ])
     def test_exit_2_naming_the_file_and_the_key(self, tmp_path, capsys, spec, offender):
         mono = tmp_path / "mono.txt"
@@ -1251,6 +1259,11 @@ class TestManifests:
     def test_every_subcommand_has_a_case(self):
         assert set(COMMAND_CASES) == set(SUBCOMMANDS)
 
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_no_body_returns_inputs(self, name):
+        """The option table's types name every input the manifest lists."""
+        assert _load_command(name)[0].__annotations__["return"] == "None"
+
     @pytest.mark.parametrize("command", sorted(COMMAND_CASES))
     def test_manifest_keys(self, command, tmp_path, monkeypatch):
         monkeypatch.delenv("RTT_APE_CACHE", raising=False)
@@ -1285,7 +1298,19 @@ class TestManifests:
         out = argv[argv.index("--out") + 1]
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         inputs = ["hyp.txt" if command == "ape-apply" else "mono.txt", *specs]
-        assert set(manifest["inputs"]) == {str(tmp_path / name) for name in inputs}
+        assert manifest["inputs"] == {
+            str(tmp_path / name): file_fingerprint(tmp_path / name) for name in inputs}
+
+    def test_hyp_files_are_inputs(self, tmp_path):
+        """The PATH of each ``--hyp LABEL=PATH``, once however many labels name it."""
+        make_command_inputs(tmp_path)
+        argv = (f"--ref-text {tmp_path}/ref.txt --origins {tmp_path}/origins.txt --src en "
+                f"--tgt de --hyp a={tmp_path}/hyp.txt --hyp b={tmp_path}/ref.txt "
+                f"--hyp c={tmp_path}/hyp.txt --out {tmp_path}/out.json").split()
+        assert run("report-split", *argv) == 0
+        manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+        assert manifest["inputs"] == {str(tmp_path / name): file_fingerprint(tmp_path / name)
+                                      for name in ("ref.txt", "origins.txt", "hyp.txt")}
 
 
 class TestConfigFile:
@@ -1581,6 +1606,31 @@ class TestLengthChecksNameTheFiles:
         assert run(*argv.split(), "--out", "out.txt") == 2
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not Path("out.txt").exists()
+
+    @pytest.mark.parametrize("argv, data, message", [
+        ("bleu --hyp {fifo} --ref {ref}", b"a b\n",
+         "line count mismatch: 1 in {fifo} vs 2 in {ref}"),
+        ("vocab --in {fifo}", b"a b\nc \xff\n", "{fifo}:2: not valid UTF-8"),
+    ])
+    def test_an_error_on_a_pipe_reads_it_only_once(self, tmp_path, capsys, argv, data, message):
+        """Reading a pipe again, to count or find its lines, would wait for
+        a writer that has gone."""
+        paths = {"fifo": tmp_path / "in.fifo", "ref": tmp_path / "ref.txt"}
+        write(paths["ref"], ["a b", "c d"])
+        (tmp_path / "in.data").write_bytes(data)
+        os.mkfifo(paths["fifo"])
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(tmp_path / "in.data"),
+                                   str(paths["fifo"])])
+        signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the pipe was read again"))
+        signal.alarm(20)
+        try:
+            assert run(*argv.format(**paths).split()) == 2
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            writer.kill()
+            writer.wait()
+        assert capsys.readouterr().err == f"data error: {message.format(**paths)}\n"
 
     def test_report_split_names_the_reference_sgm(self, tmp_path, capsys):
         write(tmp_path / "one.txt", ["eins"])

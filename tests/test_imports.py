@@ -419,7 +419,7 @@ class TestFileIoOwner:
     # backend's stderr, quoted in the error message.
     ALLOWED = {
         "parallel.py:_results: open()",
-        "cli.py:_read_sgm: .read_bytes()",
+        "cli_testset.py:_read_sgm: .read_bytes()",
         'backends.py:_run_command_batch: errors="replace"',
     }
 

@@ -8,12 +8,13 @@ import hashlib
 import io
 import os
 import signal
+import subprocess
 import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import pytest
 from hypothesis import example, given, settings
@@ -60,6 +61,31 @@ def test_a_line_that_is_not_utf8_names_the_file_and_line(tmp_path, name, read):
     with pytest.raises(DataError) as raised:
         read(path)
     assert str(raised.value) == f"{path}:2001: not valid UTF-8"
+
+
+@contextlib.contextmanager
+def _pipe(fifo: Path, data: bytes) -> Iterator[Path]:
+    """``fifo``, which a child fills with ``data`` once and closes: to read
+    it again would wait for a writer for good."""
+    source = fifo.with_name(fifo.name + ".data")
+    source.write_bytes(data)
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(source), str(fifo)])
+    try:
+        yield fifo
+    finally:
+        writer.kill()
+        writer.wait()
+
+
+@pytest.mark.parametrize("name", ["in.fifo", "in.fifo.gz"])
+def test_a_pipe_that_is_not_utf8_names_the_line_in_one_pass(tmp_path, name):
+    data = b"".join(b"line %d of plain text\n" % i for i in range(2000)) + b"bad \xff\nok\n"
+    data = gzip.compress(data) if name.endswith(".gz") else data
+    with _pipe(tmp_path / name, data) as fifo, _deadline(20, "the pipe was read again"):
+        with pytest.raises(DataError) as raised:
+            read_lines(fifo)
+    assert str(raised.value) == f"{fifo}:2001: not valid UTF-8"
 
 
 @pytest.mark.parametrize(("data", "message"), [
@@ -415,5 +441,22 @@ class TestAlignedFiles:
             write_lines(path, ["x"] * n)
         with pytest.raises(DataError) as raised:
             read_aligned(*paths)
+        assert str(raised.value) == "line count mismatch: " + " vs ".join(
+            f"{n} in {path}" for n, path in zip(counts, paths))
+
+    @pytest.mark.parametrize("pipe_lines, file_lines", [(1, 2), (3, 1), (0, 2), (2, 0)])
+    @pytest.mark.parametrize("pipe_first", [True, False])
+    def test_a_pipe_is_counted_in_the_one_pass(self, tmp_path, pipe_lines, file_lines,
+                                               pipe_first):
+        file = tmp_path / "file.txt"
+        write_lines(file, ["x"] * file_lines)
+        with _pipe(tmp_path / "in.fifo", b"x\n" * pipe_lines) as fifo, _deadline(
+                20, "the pipe was read again"):
+            paths, counts = [fifo, file], [pipe_lines, file_lines]
+            if not pipe_first:
+                paths.reverse()
+                counts.reverse()
+            with pytest.raises(DataError) as raised:
+                read_aligned(*paths)
         assert str(raised.value) == "line count mismatch: " + " vs ".join(
             f"{n} in {path}" for n, path in zip(counts, paths))

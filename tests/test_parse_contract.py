@@ -19,8 +19,14 @@ from rtt_ape import analysis
 from rtt_ape.cli import main
 
 SRC = Path(rtt_ape.__file__).resolve().parents[1]
+DATA = Path(__file__).parent / "data"
 
 VOCAB = b'{\n  "vocab_size": 4,\n  "tokenizer": "whitespace"\n}\n'
+SPLIT_UNKNOWN = (b'{\n  "n": 2,\n  "src_lang": "en",\n  "tgt_lang": "de",\n'
+                 b'  "source_original": [],\n  "target_original": [],\n  "unknown": [\n'
+                 b'    0,\n    1\n  ]\n}\n')
+LANGS = "--src en --tgt de"
+HYP = LANGS + " --hyp a={d}/h.txt"
 APE = "ape-apply --in {d}/h.txt --backend identity --report {d}/report.json --out {d}/out.txt"
 
 
@@ -74,6 +80,54 @@ CONTRACT = {
         "report-split --ref-text {d}/h.txt --origins {d}/o.txt --src en --tgt de "
         "--hyp b={d}/h.txt --hyp a={d}/g.txt --out {d}/out.txt", 0,
         manifest={"hyp_specs": ["b={d}/h.txt", "a={d}/g.txt"]}),
+    # One test-set source per command, named by that command's flags.
+    "split: SGM and text": row("split --sgm {d}/s.sgm --text {d}/h.txt " + LANGS, 1,
+                               error="give --sgm or --text, not both"),
+    "split: --origins with SGM": row("split --sgm {d}/s.sgm --origins {d}/o.txt " + LANGS, 1,
+                                     error="--origins goes with --text, not --sgm"),
+    "split: no test set": row("split " + LANGS, 1, error="provide --sgm or --text"),
+    "split: --origins alone": row("split --origins {d}/o.txt " + LANGS, 1,
+                                  error="provide --sgm or --text"),
+    "split: --text without --origins": row("split --text {d}/h.txt " + LANGS, 0, SPLIT_UNKNOWN),
+    "report-split: SGM and text": row(
+        "report-split --src-sgm {d}/s.sgm --ref-sgm {d}/s.sgm --ref-text {d}/h.txt " + HYP, 1,
+        error="give --src-sgm/--ref-sgm or --ref-text, not both"),
+    "report-split: --ref-sgm and text": row(
+        "report-split --ref-sgm {d}/s.sgm --ref-text {d}/h.txt " + HYP, 1,
+        error="give --src-sgm/--ref-sgm or --ref-text, not both"),
+    "report-split: --origins with SGM": row(
+        "report-split --src-sgm {d}/s.sgm --ref-sgm {d}/s.sgm --origins {d}/o.txt " + HYP, 1,
+        error="--origins goes with --ref-text, not --src-sgm/--ref-sgm"),
+    "report-split: no test set": row("report-split " + HYP, 1,
+                                     error="provide --src-sgm/--ref-sgm or --ref-text"),
+    "report-split: --src-sgm alone": row("report-split --src-sgm {d}/s.sgm " + HYP, 1,
+                                         error="Missing option '--ref-sgm'."),
+    "report-split: --ref-sgm alone": row("report-split --ref-sgm {d}/s.sgm " + HYP, 1,
+                                         error="Missing option '--src-sgm'."),
+    # Usage errors of the parser and of the option types.
+    "config float": row("make-pairs --in {d}/p.tsv", 1, config={"make-pairs": {"max_ratio": "x"}},
+                        error="Invalid value for '--max-ratio': 'x' is not a valid float."),
+    "config boolean": row("dedup --in {d}/h.txt", 1, config={"dedup": {"exact": "maybe"}},
+                          error="Invalid value for '--exact': 'maybe' is not a valid boolean."),
+    "extra argument": row("vocab --in {d}/h.txt extra", 1,
+                          error="Got unexpected extra argument (extra)"),
+    "--hyp without =": row("report-split --ref-text {d}/h.txt " + LANGS + " --hyp {d}/h.txt", 1,
+                           error="--hyp expects LABEL=PATH, got '{d}/h.txt'"),
+    "--hyp without a file": row("report-split --ref-text {d}/h.txt " + LANGS + " --hyp a=", 1,
+                                error="--hyp expects LABEL=PATH, got 'a='"),
+    "--hyp label twice": row("report-split --ref-text {d}/h.txt " + HYP + " --hyp a={d}/g.txt",
+                             1, error="--hyp label 'a' given more than once"),
+    "unknown backend": row("ape-apply --in {d}/h.txt --backend nope", 1,
+                           error="Invalid value for '--backend': 'nope' is neither 'identity' "
+                                 "nor an existing spec file."),
+    "unknown backend in config": row(
+        "ape-apply --in {d}/h.txt", 1, config={"ape-apply": {"backend": "nope"}},
+        error="Invalid value for '--backend': 'nope' is neither 'identity' nor an existing spec "
+              "file."),
+    "unknown pivot backend": row(
+        "rtt-gen --in {d}/h.txt --to-pivot identity --from-pivot {d}/nope.json", 1,
+        error="Invalid value for '--from-pivot': '{d}/nope.json' is neither 'identity' nor an "
+              "existing spec file."),
     "--version": row("--version", 0, b"rtt-ape, version 0.1.0\n"),
     "missing command": row("", 1, config={}, error="Missing command."),
 }
@@ -86,6 +140,8 @@ def test_parse_contract(case, tmp_path, capsysbinary, monkeypatch):
     (tmp_path / "h.txt").write_text("a b\nc d\n", encoding="utf-8")
     (tmp_path / "g.txt").write_text("a b\nc e\n", encoding="utf-8")
     (tmp_path / "o.txt").write_text("de\nen\n", encoding="utf-8")
+    (tmp_path / "p.tsv").write_text("a b\ta c\n", encoding="utf-8")
+    (tmp_path / "s.sgm").write_bytes((DATA / "mini_ende_src.sgm").read_bytes())
     cfg = str(tmp_path / "cfg.json")
 
     def fill(value):

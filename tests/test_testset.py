@@ -72,6 +72,16 @@ class TestParseSgm:
         with pytest.raises(SgmParseError, match=r"never closed"):
             parse_sgm(b'<doc docid="a"><seg id="1">x</doc>')
 
+    @pytest.mark.parametrize("raw, message", [
+        (b'<doc docid="a">x</seg></doc>', "</seg> without matching <seg> at byte 16"),
+        (b'<doc docid="a"><seg>x</seg></doc>', "<seg> without id attribute at byte 15"),
+        (b'<doc docid="a"><seg id="1">x</seg>', "<doc> opened at byte 0 is never closed"),
+    ])
+    def test_malformed_markup_names_the_byte(self, raw, message):
+        with pytest.raises(SgmParseError) as raised:
+            parse_sgm(raw)
+        assert str(raised.value) == message
+
     def test_duplicate_ids_are_an_error(self):
         raw = b'<doc docid="a"><seg id="1">x</seg><seg id="1">y</seg></doc>'
         with pytest.raises(SgmParseError, match="duplicate"):
