@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
@@ -55,13 +54,15 @@ _HUMANEVAL_COLUMNS = (
 )
 
 
-@dataclass
 class AnalysisReport:
-    vocab_sizes: dict[str, int] = field(default_factory=dict)
-    rtt_bleu: BleuScore | None = None
-    precision_breakdown: tuple[float, ...] | None = None
-    split_scores: dict[str, BleuScore] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("vocab_sizes", "rtt_bleu", "precision_breakdown", "split_scores", "metadata")
+
+    def __init__(self, vocab_sizes: dict[str, int] | None = None, rtt_bleu: BleuScore | None = None,
+                 precision_breakdown: tuple[float, ...] | None = None,
+                 metadata: dict | None = None) -> None:
+        self.vocab_sizes, self.rtt_bleu = vocab_sizes or {}, rtt_bleu
+        self.precision_breakdown, self.metadata = precision_breakdown, metadata or {}
+        self.split_scores: dict[str, BleuScore] = {}
 
     def as_dict(self) -> dict:
         return {

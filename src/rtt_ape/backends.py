@@ -20,12 +20,10 @@ import os
 import random
 import time
 import types
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, get_type_hints
+from typing import Iterable, Mapping, NamedTuple, get_type_hints
 
-from .errors import BackendError, DataError
+from .errors import BackendError, Checked, DataError
 from .lineio import atomic_open, blake2b, iter_lines
 from .parallel import fork_map
 
@@ -36,18 +34,21 @@ KINDS = ("command", "http", "toy_channel", "toy_denoiser", "identity")
 MAX_JOBS = 64
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """A deterministic noise channel: token lexicon substitution (many-to-one
-    allowed, modeling translation loss), then seeded word deletions, then
-    seeded adjacent transpositions."""
-
-    lexicon: Mapping[str, str] = field(default_factory=dict)
+class _ChannelConfig(NamedTuple):
+    lexicon: Mapping[str, str] = types.MappingProxyType({})  # read-only, so sharing it is safe
     drop_prob: float = 0.0
     swap_prob: float = 0.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class ChannelConfig(Checked, _ChannelConfig):
+    """A deterministic noise channel: token lexicon substitution (many-to-one
+    allowed, modeling translation loss), then seeded word deletions, then
+    seeded adjacent transpositions."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 <= self.drop_prob <= 1.0 or not 0.0 <= self.swap_prob <= 1.0:
             raise ValueError(f"drop_prob and swap_prob must be in [0, 1], got "
                              f"{self.drop_prob} and {self.swap_prob}")
@@ -56,8 +57,7 @@ class ChannelConfig:
                 raise ValueError(f"lexicon entries must be single tokens, got {k!r} -> {v!r}")
 
 
-@dataclass(frozen=True)
-class BackendSpec:
+class _BackendSpec(NamedTuple):
     kind: str
     from_lang: str = "xx"
     to_lang: str = "xx"
@@ -68,7 +68,11 @@ class BackendSpec:
     retries: int = 2
     channel: ChannelConfig | None = None
 
-    def __post_init__(self) -> None:
+
+class BackendSpec(Checked, _BackendSpec):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown backend kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "command" and not self.command_template:
@@ -112,15 +116,11 @@ class BackendSpec:
             d["batch_size"] = self.batch_size
             d["retries"] = self.retries
         if self.channel is not None:
-            d["channel"] = asdict(self.channel)
+            d["channel"] = {**self.channel._asdict(), "lexicon": dict(self.channel.lexicon)}
         return d
 
     def fingerprint(self) -> str:
-        """The name of the spec's cache directory, computed once per spec."""
-        return self._fingerprint
-
-    @cached_property
-    def _fingerprint(self) -> str:
+        """The name of the spec's cache directory."""
         blob = json.dumps(self.as_dict(), sort_keys=True, ensure_ascii=False)
         return blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -130,26 +130,26 @@ _JSON_TYPES = {str: (str,), int: (int,), float: (int, float), type(None): (type(
 
 
 def _from_json(cls: type, obj: object, where: str, renamed: Mapping = {}):
-    """Dataclass ``cls`` built from the JSON object ``obj``, keyed by field name or
-    ``renamed[name]``, with an object for a dataclass field read the same way.  A
-    key that is unknown, missing or of the wrong type is a ``ValueError`` naming it."""
+    """Record ``cls`` (a ``NamedTuple``) built from the JSON object ``obj``, keyed by
+    field name or ``renamed[name]``, with an object for a record field read the same
+    way.  A key that is unknown, missing or of the wrong type is a ``ValueError`` naming it."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"{where} must be a JSON object, got {obj!r}")
-    by_key = {renamed.get(f.name, f.name): f for f in fields(cls)}
+    by_key = {renamed.get(name, name): name for name in cls._fields}
     hints = get_type_hints(cls)
     args = {}
     for key, value in obj.items():
         if key not in by_key:
             raise ValueError(f"unknown {where} key {key!r}; expected one of {sorted(by_key)}")
-        hint = hints[by_key[key].name]
+        hint = hints[by_key[key]]
         options = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
         if not any(type(value) in _JSON_TYPES.get(t, (dict,)) for t in options):
             raise ValueError(f"{where} key {key!r} has a value of the wrong type: {value!r}")
-        if type(value) is dict and is_dataclass(options[0]):
+        if type(value) is dict and hasattr(options[0], "_fields"):
             value = _from_json(options[0], value, key)
-        args[by_key[key].name] = float(value) if hint is float else value
-    for key, f in by_key.items():
-        if key not in obj and f.default is MISSING and f.default_factory is MISSING:
+        args[by_key[key]] = float(value) if hint is float else value
+    for key, name in by_key.items():
+        if key not in obj and name not in cls._field_defaults:
             raise ValueError(f"{where} has no {key!r}")
     return cls(**args)
 
@@ -266,9 +266,9 @@ def _run_http_batch(spec: BackendSpec, batch: list[str]) -> list[str]:
     return lines
 
 
-def _cache_file(cache_dir: Path, spec: BackendSpec, batch: list[str]) -> Path:
+def _cache_file(spec_dir: Path, batch: list[str]) -> Path:
     batch_fp = blake2b("\n".join(batch).encode("utf-8"), digest_size=16).hexdigest()
-    return cache_dir / spec.fingerprint() / f"{batch_fp}.txt"
+    return spec_dir / f"{batch_fp}.txt"
 
 
 def _cache_read(path: Path, n_lines: int) -> list[str] | None:
@@ -352,9 +352,11 @@ def translate_batch(
         return [channel_apply(spec.channel, line, salt, rng)
                 for salt, line in enumerate(lines, start)]
 
+    spec_dir = Path(cache_dir) / spec.fingerprint() if cache_dir is not None else None
+
     def run(offset: int) -> list[str]:
         batch = lines[offset : offset + spec.batch_size]
-        cache_path = _cache_file(Path(cache_dir), spec, batch) if cache_dir is not None else None
+        cache_path = _cache_file(spec_dir, batch) if spec_dir is not None else None
         cached = _cache_read(cache_path, len(batch)) if cache_path is not None else None
         return cached if cached is not None else _run_external_batch(
             spec, batch, start + offset, cache_path)

@@ -34,10 +34,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import __version__
 from .errors import BackendError, DataError
-from .lineio import atomic_open, file_fingerprint, open_lines, read_json
+from .lineio import atomic_open, file_fingerprint, read_json
 
 if TYPE_CHECKING:
-    from .corpus import FilterConfig, FilterReport, SentencePair
+    from .corpus import FilterReport
     from .pipeline import ChangeReport
 
 EXIT_USAGE = 1
@@ -179,30 +179,6 @@ def _report_out(report: FilterReport | ChangeReport, report_path: str | None) ->
         _emit(report_path, text)
     else:
         sys.stderr.write(text)
-
-
-def _write_pairs(params: dict, pairs: Iterable[SentencePair]) -> None:
-    """Write bitext to ``--out-src``/``--out-tgt`` when either is given, else
-    as source and target rows to ``--out`` or stdout."""
-    if not (params["out_src"] or params["out_tgt"]):
-        with open_lines(params["out"], ("source", "target")) as write:
-            for pair in pairs:
-                write((pair.source, pair.target))
-        return
-    _require(params, out_src="--out-src", out_tgt="--out-tgt")
-    with open_lines(params["out_src"]) as src, open_lines(params["out_tgt"]) as tgt:
-        for pair in pairs:
-            src(pair.source)
-            tgt(pair.target)
-
-
-def _filter_config(params: dict) -> FilterConfig:
-    """The caps the command declares; ``FilterConfig`` sets the others."""
-    from .corpus import FilterConfig
-
-    fields = {"max_chars": "max_chars", "max_tokens": "max_tokens",
-              "bitext_max_tokens": "bitext_max_tokens", "max_ratio": "max_len_ratio"}
-    return FilterConfig(**{fields[name]: value for name, value in params.items() if name in fields})
 
 
 def _load_command(name: str) -> tuple[Callable[[dict], None], list[Option]]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import sys
 
-from .cli import FLAG, IN, INPUT, INTEGER, OUT, Option, Type, UsageError, _dump_json, _emit, choice
+from .cli import FLAG, IN, INPUT, INTEGER, OUT, Option, Type, _dump_json, _emit, choice
 from .errors import DataError
 from .lineio import iter_aligned, iter_lines, iter_rows, read_aligned, read_lines
 
@@ -42,9 +42,9 @@ def _hyp_specs(specs: object) -> tuple[str, ...]:
     for spec in specs:
         label, sep, path = str(spec).partition("=")
         if not sep or not label or not path:
-            raise UsageError(f"--hyp expects LABEL=PATH, got {spec!r}")
+            raise ValueError(f"{spec!r} is not LABEL=PATH.")
         if label in labels:
-            raise UsageError(f"--hyp label {label!r} given more than once")
+            raise ValueError(f"label {label!r} is given more than once.")
         labels.add(label)
         INPUT.convert(path)
     return specs

@@ -1,12 +1,45 @@
 """Corpus subcommands: length filters, deduplication, sampling.
 
-Loaded by ``cli`` when a run names one of its subcommands."""
+Loaded by ``cli`` when a run names one of its subcommands, and by the
+bodies of ``rtt-gen`` and ``make-pairs`` for the helpers they share."""
 
 from __future__ import annotations
 
-from .cli import (FLAG, FLOAT, IN, INPUT, INTEGER, OUT, PATH, REPORT, Option, _filter_config,
-                  _report_out, _require, _write_pairs)
-from .lineio import iter_aligned, iter_lines, iter_rows, write_lines
+from typing import TYPE_CHECKING, Iterable
+
+from .cli import (FLAG, FLOAT, IN, INPUT, INTEGER, OUT, PATH, REPORT, Option, UsageError,
+                  _report_out, _require)
+from .lineio import iter_aligned, iter_lines, iter_rows, open_lines, write_lines
+
+if TYPE_CHECKING:
+    from .corpus import FilterConfig, SentencePair
+
+
+def _write_pairs(params: dict, pairs: Iterable[SentencePair]) -> None:
+    """Write bitext to ``--out-src`` and ``--out-tgt`` when either is given,
+    else as source and target rows to ``--out`` or stdout.  Only one of the
+    two forms: ``--out`` with either is a usage error."""
+    if not (params["out_src"] or params["out_tgt"]):
+        with open_lines(params["out"], ("source", "target")) as write:
+            for pair in pairs:
+                write((pair.source, pair.target))
+        return
+    if params["out"]:
+        raise UsageError("give --out or --out-src/--out-tgt, not both")
+    _require(params, out_src="--out-src", out_tgt="--out-tgt")
+    with open_lines(params["out_src"]) as src, open_lines(params["out_tgt"]) as tgt:
+        for pair in pairs:
+            src(pair.source)
+            tgt(pair.target)
+
+
+def _filter_config(params: dict) -> FilterConfig:
+    """The caps the command declares; ``FilterConfig`` sets the others."""
+    from .corpus import FilterConfig
+
+    fields = {"max_chars": "max_chars", "max_tokens": "max_tokens",
+              "bitext_max_tokens": "bitext_max_tokens", "max_ratio": "max_len_ratio"}
+    return FilterConfig(**{fields[name]: value for name, value in params.items() if name in fields})
 
 
 def filter_mono_cmd(params: dict) -> None:
@@ -25,12 +58,17 @@ def filter_bitext_cmd(params: dict) -> None:
     excessive token length ratio."""
     from .corpus import FilterReport, SentencePair, bitext_reject_reason
 
+    two_files = params["src_path"] or params["tgt_path"]
+    if two_files and params["tsv_path"]:
+        raise UsageError("give --src/--tgt or --tsv, not both")
     if params["tsv_path"]:
         rows = iter_rows(params["tsv_path"], 2)
-    else:
+    elif two_files:
         _require(params, src_path="--src", tgt_path="--tgt", out_src="--out-src",
                  out_tgt="--out-tgt")
         rows = iter_aligned(params["src_path"], params["tgt_path"])
+    else:
+        raise UsageError("provide --src/--tgt or --tsv")
     pairs = (SentencePair(*row) for row in rows)
     cfg = _filter_config(params)
     report = FilterReport()

@@ -8,8 +8,8 @@ from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .cli import (BACKEND, FLOAT, IN, INTEGER, INPUT, OUT, PATH, REPORT, Option, _filter_config,
-                  _report_out, _require, _write_pairs, choice)
+from .cli import (BACKEND, FLOAT, IN, INTEGER, INPUT, OUT, PATH, REPORT, Option, _report_out,
+                  _require, choice)
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .lineio import iter_lines, iter_rows, open_lines, read_json, read_lines, write_lines
 
@@ -28,6 +28,7 @@ def _load_backend(value: str) -> BackendSpec:
 
 def rtt_gen_cmd(params: dict) -> None:
     """Generate round-trip translations for every surviving line."""
+    from .cli_corpus import _filter_config
     from .parallel import Reiterable
     from .pipeline import iter_rtt
 
@@ -51,6 +52,7 @@ def rtt_gen_cmd(params: dict) -> None:
 
 def make_pairs_cmd(params: dict) -> None:
     """Turn round-trip pairs into filtered training bitext."""
+    from .cli_corpus import _filter_config, _write_pairs
     from .pipeline import PAIRS_PER_CHUNK, RttPair, chunked, make_training_pairs
 
     cfg = _filter_config(params)

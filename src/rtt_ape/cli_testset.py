@@ -58,7 +58,7 @@ def parse_sgm_cmd(params: dict) -> None:
             for seg in segments:
                 write((seg.doc_id, seg.seg_id, seg.orig_lang, seg.text))
     elif fmt == "json":
-        _emit(params["out"], _dump_json([vars(s) for s in segments]))
+        _emit(params["out"], _dump_json([s._asdict() for s in segments]))
     else:
         _emit(params["out"], serialize_sgm(segments, params["side"], attrs))
     if params["labels_out"]:

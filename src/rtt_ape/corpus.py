@@ -12,16 +12,22 @@ probability is unwelcome.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
+from .errors import Checked
 from .lineio import blake2b
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class _FilterConfig(NamedTuple):
+    max_chars: int = 500
+    max_tokens: int = 70
+    bitext_max_tokens: int = 250
+    max_len_ratio: float = 2.0
+
+
+class FilterConfig(Checked, _FilterConfig):
     """Caps for monolingual and bitext filtering.
 
     Monolingual lines are capped at the minimum of the character and token
@@ -29,33 +35,30 @@ class FilterConfig:
     counts are whitespace-split throughout.
     """
 
-    max_chars: int = 500
-    max_tokens: int = 70
-    bitext_max_tokens: int = 250
-    max_len_ratio: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if min(self.max_chars, self.max_tokens, self.bitext_max_tokens) <= 0:
             raise ValueError("all caps must be positive")
         if self.max_len_ratio < 1.0:
             raise ValueError(f"max_len_ratio must be >= 1.0, got {self.max_len_ratio}")
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     """One line of bitext, stored verbatim; validation is the filter's job."""
 
     source: str
     target: str
 
 
-@dataclass
 class FilterReport:
     """JSON-able counters for one filtering/dedup pass."""
 
-    read: int = 0
-    kept: int = 0
-    rejected_by_rule: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("read", "kept", "rejected_by_rule")
+
+    def __init__(self) -> None:
+        self.read = self.kept = 0
+        self.rejected_by_rule: dict[str, int] = {}
 
     def reject(self, rule: str) -> None:
         self.rejected_by_rule[rule] = self.rejected_by_rule.get(rule, 0) + 1

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the base of checked records."""
 
 
 class DataError(Exception):
@@ -29,3 +29,21 @@ class BackendError(Exception):
         if first_line is not None:
             message = f"{message} (input lines {first_line}..{last_line})"
         super().__init__(message)
+
+
+class Checked:
+    """Base of a record that checks its values: ``class R(Checked, _R)``
+    over a ``NamedTuple`` ``_R``, whose ``_check`` raises ``ValueError`` for
+    a bad value.  The constructor runs it, and so do ``_make`` and
+    ``_replace``, which would otherwise build the tuple unchecked."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)

@@ -7,9 +7,10 @@ the partition (``split_by_origin``) and re-exports it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
+from .errors import Checked
 from .lineio import read_json
 
 # Where post-editing applies: every line, or the target-original half only.
@@ -20,8 +21,13 @@ ALL, TARGET_ORIGINAL_ONLY = SCOPES = ("all", "target_original_only")
 GROUPS = ("source_original", "target_original", "unknown")
 
 
-@dataclass(frozen=True)
-class SplitHalves:
+class _SplitHalves(NamedTuple):
+    source_original: tuple[int, ...]
+    target_original: tuple[int, ...] = ()
+    unknown: tuple[int, ...] = ()
+
+
+class SplitHalves(Checked, _SplitHalves):
     """Index partition of a test set by the original language of each segment.
 
     Indices whose origin is neither the source nor the target language land
@@ -29,11 +35,9 @@ class SplitHalves:
     ``split_by_origin`` output also covers the whole set.
     """
 
-    source_original: tuple[int, ...]
-    target_original: tuple[int, ...] = ()
-    unknown: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         """Every index is a non-negative ``int`` (not a ``bool``) in one
         group only; a ``ValueError`` names the group otherwise.  Whether an
         index is below the number of lines is ``check_range``'s job."""

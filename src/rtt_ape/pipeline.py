@@ -14,13 +14,12 @@ target-original half of a test set and optionally iterated.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .backends import BackendSpec, check_jobs, translate_batch
-from .errors import BackendError
+from .errors import BackendError, Checked
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .parallel import Reiterable, fork_map, usable_cores
 
@@ -40,26 +39,27 @@ PAIRS_PER_CHUNK = 1024
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class RttPair:
+class RttPair(NamedTuple):
     original: str
     round_trip: str
 
 
-@dataclass(frozen=True)
-class ApeMode:
+class _ApeMode(NamedTuple):
     scope: str = ALL
     iterations: int = 1
 
-    def __post_init__(self) -> None:
+
+class ApeMode(Checked, _ApeMode):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.scope not in SCOPES:
             raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 
-@dataclass
-class ChangeReport:
+class ChangeReport(NamedTuple):
     """Lines altered by post-editing, counted by byte-level inequality."""
 
     lines: int
@@ -67,7 +67,7 @@ class ChangeReport:
     changed_per_iteration: list[int]
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def chunked(items: Iterable[T], size: int) -> Iterator[list[T]]:

@@ -35,8 +35,7 @@ import operator
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import unicode_classes
 
@@ -124,7 +123,6 @@ def tokenize_intl(text: str) -> list[str]:
     return list(_tokenize_cached(text))
 
 
-@dataclass
 class NgramStats:
     """Clipped n-gram match statistics for orders 1..4.
 
@@ -132,10 +130,15 @@ class NgramStats:
     counts can be accumulated in any order or in parallel.
     """
 
-    match: list[int]
-    total: list[int]
-    hyp_len: int
-    ref_len: int
+    __slots__ = ("match", "total", "hyp_len", "ref_len")
+
+    def __init__(self, match: list[int], total: list[int], hyp_len: int, ref_len: int) -> None:
+        self.match, self.total = match, total  # pairs: a pair assigns without a tuple
+        self.hyp_len, self.ref_len = hyp_len, ref_len
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is NgramStats and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @classmethod
     def zero(cls) -> "NgramStats":
@@ -208,8 +211,7 @@ def ngram_stats(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> NgramSt
     )
 
 
-@dataclass(frozen=True)
-class BleuConfig:
+class BleuConfig(NamedTuple):
     """Identifies how a score was produced: language pair and test set name,
     the two free fields of the signature string."""
 
@@ -225,8 +227,7 @@ def signature(config: BleuConfig) -> str:
     )
 
 
-@dataclass
-class BleuScore:
+class BleuScore(NamedTuple):
     score: float
     precisions: tuple[float, float, float, float]
     brevity_penalty: float

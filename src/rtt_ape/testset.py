@@ -10,8 +10,7 @@ are structurally meaningful; everything else is ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .errors import AlignmentError, SgmParseError
 from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
@@ -28,15 +27,13 @@ _SEG_CLOSE_RE = re.compile(rb"</seg\s*>", re.IGNORECASE)
 _ATTR_RE = re.compile(rb"([A-Za-z_][\w.-]*)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>]+))")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     seg_id: str
     doc_id: str
     orig_lang: str
     text: str
 
 
-@dataclass
 class TestSet:
     """An aligned evaluation corpus whose segments carry origin metadata.
 
@@ -46,14 +43,12 @@ class TestSet:
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
+    __slots__ = ("name", "src_lang", "tgt_lang", "source", "reference")
 
-    name: str
-    src_lang: str
-    tgt_lang: str
-    source: list[Segment]
-    reference: list[Segment]
-
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, src_lang: str, tgt_lang: str, source: list[Segment],
+                 reference: list[Segment]) -> None:
+        self.name, self.src_lang, self.tgt_lang = name, src_lang, tgt_lang
+        self.source, self.reference = source, reference
         if len(self.source) != len(self.reference):
             raise AlignmentError(
                 f"source has {len(self.source)} segments, reference has {len(self.reference)}"

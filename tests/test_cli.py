@@ -947,7 +947,8 @@ class TestAnalysisCommands:
         assert run("report-split", "--ref-text", str(hyps[0]), "--origins",
                    str(tmp_path / "origins.txt"), "--src", "en", "--tgt", "de",
                    "--hyp", f"a={hyps[0]}", "--hyp", f"a={hyps[1]}", "--out", str(out)) == 1
-        assert "--hyp label 'a' given more than once" in capsys.readouterr().err
+        assert ("Invalid value for '--hyp': label 'a' is given more than once."
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_humaneval_roundtrip(self, tmp_path, capsys):

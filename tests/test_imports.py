@@ -68,10 +68,19 @@ class TestImportBoundary:
         assert not {"click", "datetime", "_hashlib"} & modules
 
     def test_no_subcommand_start_loads_click(self):
-        """``--help`` of each subcommand loads its module and builds its parser."""
+        """``--help`` of each subcommand loads its module and builds its
+        parser, without ``click``, and without ``dataclasses`` or the
+        ``inspect`` it imports: the records are ``NamedTuple``s and slots
+        classes."""
         modules = _modules_after("".join(_run_cli(name, "--help") + "\n" for name in SUBCOMMANDS))
         assert {f"rtt_ape.{m}" for m in SUBCOMMANDS.values()} <= modules
-        assert "click" not in modules
+        assert not {"click", "dataclasses", "inspect"} & modules
+
+    def test_no_library_module_loads_dataclasses_or_inspect(self):
+        every = {f"rtt_ape.{path.stem}" for path in PACKAGE.glob("*.py")} - {"rtt_ape.__init__"}
+        modules = _modules_after("".join(f"import {name}\n" for name in sorted(every)))
+        assert _ours(modules) == every
+        assert not {"dataclasses", "inspect"} & modules
 
     def test_the_cli_runs_where_click_cannot_be_imported(self, tmp_path):
         hyp, spec = tmp_path / "hyp.txt", tmp_path / "den.json"
@@ -114,7 +123,8 @@ class TestImportBoundary:
             "target_original_only", "--split", str(split), "--out", str(out)))
         assert out.read_text(encoding="utf-8") == "er erhält es\nsie empfängt es\n"
         assert not {"rtt_ape.scoring", "rtt_ape.analysis", "rtt_ape.testset", "rtt_ape.corpus",
-                    "concurrent.futures", "subprocess", "_hashlib", "click"} & modules
+                    "concurrent.futures", "subprocess", "_hashlib", "click", "dataclasses",
+                    "inspect"} & modules
         assert _ours(modules) & {f"rtt_ape.{m}" for m in SUBCOMMANDS.values()} == {
             "rtt_ape.cli_pipeline"}
 
@@ -125,7 +135,7 @@ class TestImportBoundary:
             "--out", str(out)))
         assert json.loads(out.read_text())["n"] == 20
         assert not {"rtt_ape.backends", "rtt_ape.scoring", "gzip", "queue", "_hashlib",
-                    "click"} & modules
+                    "click", "dataclasses", "inspect"} & modules
 
     def test_report_split_loads_no_backends_and_no_gzip(self, tmp_path):
         """A small report-split also scores in one process: it starts no
@@ -145,7 +155,7 @@ class TestImportBoundary:
             "--hyp", f"ref={hyp}", "--hyp", f"again={hyp}", "--out", str(out)))
         assert json.loads(out.read_text())["ref"]["split_scores"]["full"]["score"] == 100.0
         assert not {"rtt_ape.backends", "gzip", "queue", "pickle", "subprocess",
-                    "_hashlib", "click"} & modules
+                    "_hashlib", "click", "dataclasses", "inspect"} & modules
 
     def test_rtt_gen_with_a_cat_backend_loads_subprocess_and_matches_identity(self, tmp_path):
         mono = tmp_path / "mono.txt"

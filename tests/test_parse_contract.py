@@ -104,6 +104,28 @@ CONTRACT = {
                                          error="Missing option '--ref-sgm'."),
     "report-split: --ref-sgm alone": row("report-split --ref-sgm {d}/s.sgm " + HYP, 1,
                                          error="Missing option '--src-sgm'."),
+    "filter-bitext: TSV and two files": row(
+        "filter-bitext --tsv {d}/p.tsv --src {d}/h.txt --tgt {d}/g.txt --out {d}/out.txt", 1,
+        error="give --src/--tgt or --tsv, not both"),
+    "filter-bitext: TSV and --tgt": row("filter-bitext --tsv {d}/p.tsv --tgt {d}/g.txt", 1,
+                                        error="give --src/--tgt or --tsv, not both"),
+    "filter-bitext: no bitext": row("filter-bitext --out {d}/out.txt", 1,
+                                    error="provide --src/--tgt or --tsv"),
+    "filter-bitext: --src alone": row(
+        "filter-bitext --src {d}/h.txt --out-src {d}/a.txt --out-tgt {d}/b.txt", 1,
+        error="Missing option '--tgt'."),
+    "filter-bitext: TSV alone": row("filter-bitext --tsv {d}/p.tsv --report {d}/r.json", 0,
+                                    b"a b\ta c\n"),
+    # One output form for bitext: a TSV, or a file per side.
+    "make-pairs: --out and two files": row(
+        "make-pairs --in {d}/p.tsv --out-src {d}/a.txt --out-tgt {d}/b.txt --out {d}/out.txt", 1,
+        error="give --out or --out-src/--out-tgt, not both"),
+    "make-pairs: --out and --out-tgt": row(
+        "make-pairs --in {d}/p.tsv --out-tgt {d}/b.txt --out {d}/out.txt", 1,
+        error="give --out or --out-src/--out-tgt, not both"),
+    "filter-bitext: --out and two files": row(
+        "filter-bitext --tsv {d}/p.tsv --out-src {d}/a.txt --out-tgt {d}/b.txt --out {d}/out.txt",
+        1, error="give --out or --out-src/--out-tgt, not both"),
     # Usage errors of the parser and of the option types.
     "config float": row("make-pairs --in {d}/p.tsv", 1, config={"make-pairs": {"max_ratio": "x"}},
                         error="Invalid value for '--max-ratio': 'x' is not a valid float."),
@@ -112,11 +134,12 @@ CONTRACT = {
     "extra argument": row("vocab --in {d}/h.txt extra", 1,
                           error="Got unexpected extra argument (extra)"),
     "--hyp without =": row("report-split --ref-text {d}/h.txt " + LANGS + " --hyp {d}/h.txt", 1,
-                           error="--hyp expects LABEL=PATH, got '{d}/h.txt'"),
+                           error="Invalid value for '--hyp': '{d}/h.txt' is not LABEL=PATH."),
     "--hyp without a file": row("report-split --ref-text {d}/h.txt " + LANGS + " --hyp a=", 1,
-                                error="--hyp expects LABEL=PATH, got 'a='"),
+                                error="Invalid value for '--hyp': 'a=' is not LABEL=PATH."),
     "--hyp label twice": row("report-split --ref-text {d}/h.txt " + HYP + " --hyp a={d}/g.txt",
-                             1, error="--hyp label 'a' given more than once"),
+                             1, error="Invalid value for '--hyp': label 'a' is given more than "
+                                      "once."),
     "unknown backend": row("ape-apply --in {d}/h.txt --backend nope", 1,
                            error="Invalid value for '--backend': 'nope' is neither 'identity' "
                                  "nor an existing spec file."),

@@ -1,6 +1,5 @@
 """Round-trip generation, training-pair emission, and APE application."""
 
-import dataclasses
 import gc
 import os
 import signal
@@ -156,7 +155,7 @@ class TestIterRtt:
             next(iter_rtt(lines(), IDENT_DE_EN, IDENT_DE_EN))
 
     def test_memory_does_not_grow_with_the_corpus(self):
-        channel = dataclasses.replace(NOISY_DE_EN, batch_size=16)
+        channel = NOISY_DE_EN._replace(batch_size=16)
 
         def corpus(n):
             # Long lines, so that a chunk's text outweighs allocator noise.
@@ -319,7 +318,7 @@ class TestPipelinedIterRtt:
                           'exec sleep 60;; esac\n'
                           'printf "%s\\n" "$input"\n')
         slow = _command(f"sh {script} {pid_file}", "en", "de", 4)
-        to_en = dataclasses.replace(IDENT_DE_EN, batch_size=1)
+        to_en = IDENT_DE_EN._replace(batch_size=1)
         rtt = iter_rtt(["satz"] * 4 + ["slow"] * 4, to_en, slow, jobs=2)
         assert next(rtt) == (1, "satz", RttPair("satz", "satz"))
         deadline = time.monotonic() + 10
@@ -388,7 +387,7 @@ class TestPipelinedIterRtt:
         # the others from the child, one at a time.  An iterator it reads
         # alone, in chunks of 2 * 128 lines whose batches it shares with a
         # child, holding one chunk like jobs 1 with chunks of that size.
-        channel = dataclasses.replace(NOISY_DE_EN, batch_size=16)
+        channel = NOISY_DE_EN._replace(batch_size=16)
         cat, cache = _cat_en_de(16), tmp_path / "cache"
         lines = [f"satz {i} " + "über die straße der stadt " * 10 for i in range(1024)]
         monkeypatch.setattr(pipeline, "CHUNK_BATCHES", 8)
