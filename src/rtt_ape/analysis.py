@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from typing import Iterable, Mapping, Sequence
+import types
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataError
 from .parallel import fork_map
@@ -54,15 +55,16 @@ _HUMANEVAL_COLUMNS = (
 )
 
 
-class AnalysisReport:
-    __slots__ = ("vocab_sizes", "rtt_bleu", "precision_breakdown", "split_scores", "metadata")
+class AnalysisReport(NamedTuple):
+    vocab_sizes: Mapping[str, int] = types.MappingProxyType({})  # read-only, so sharing it is safe
+    rtt_bleu: BleuScore | None = None
+    split_scores: Mapping[str, BleuScore] = types.MappingProxyType({})
+    metadata: Mapping = types.MappingProxyType({})
 
-    def __init__(self, vocab_sizes: dict[str, int] | None = None, rtt_bleu: BleuScore | None = None,
-                 precision_breakdown: tuple[float, ...] | None = None,
-                 metadata: dict | None = None) -> None:
-        self.vocab_sizes, self.rtt_bleu = vocab_sizes or {}, rtt_bleu
-        self.precision_breakdown, self.metadata = precision_breakdown, metadata or {}
-        self.split_scores: dict[str, BleuScore] = {}
+    @property
+    def precision_breakdown(self) -> tuple[float, ...] | None:
+        """The per-order precisions of ``rtt_bleu``, if any."""
+        return self.rtt_bleu.precisions if self.rtt_bleu else None
 
     def as_dict(self) -> dict:
         return {
@@ -109,7 +111,6 @@ def rtt_quality_report(
             "round_trip": vocab_size(round_trips),
         },
         rtt_bleu=bleu,
-        precision_breakdown=bleu.precisions,
         metadata={"sentences": len(originals), "tokenizer": "whitespace"},
     )
 
@@ -168,21 +169,14 @@ def split_score_table(
     bounds = [len(ts) * k // workers for k in range(workers + 1)]
     ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     per_range = [stats for _, stats in fork_map(range_stats, ranges, workers, name)]
-    table = {}
-    for label in hyps:
-        report = AnalysisReport(
-            metadata={
-                "system": label,
-                "counts": {name: len(indices) for name, indices in groups.items()},
-                "unknown_origin": len(halves.unknown),
-            }
-        )
-        for name, indices in groups.items():
-            if indices:
-                stats = sum((part[label, name] for part in per_range), NgramStats.zero())
-                report.split_scores[name] = score_from_stats(stats, config)
-        table[label] = report
-    return table
+    return {label: AnalysisReport(
+        split_scores={name: score_from_stats(sum((part[label, name] for part in per_range),
+                                                 NgramStats.zero()), config)
+                      for name, indices in groups.items() if indices},
+        metadata={"system": label,
+                  "counts": {name: len(indices) for name, indices in groups.items()},
+                  "unknown_origin": len(halves.unknown)},
+    ) for label in hyps}
 
 
 def render_split_table(table: Mapping[str, AnalysisReport], ts: TestSet) -> str:

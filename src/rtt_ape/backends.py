@@ -23,7 +23,7 @@ import types
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, get_type_hints
 
-from .errors import BackendError, Checked, DataError
+from .errors import BackendError, DataError, checked
 from .lineio import atomic_open, blake2b, iter_lines
 from .parallel import fork_map
 
@@ -34,19 +34,16 @@ KINDS = ("command", "http", "toy_channel", "toy_denoiser", "identity")
 MAX_JOBS = 64
 
 
-class _ChannelConfig(NamedTuple):
-    lexicon: Mapping[str, str] = types.MappingProxyType({})  # read-only, so sharing it is safe
-    drop_prob: float = 0.0
-    swap_prob: float = 0.0
-    seed: int = 0
-
-
-class ChannelConfig(Checked, _ChannelConfig):
+@checked
+class ChannelConfig(NamedTuple):
     """A deterministic noise channel: token lexicon substitution (many-to-one
     allowed, modeling translation loss), then seeded word deletions, then
     seeded adjacent transpositions."""
 
-    __slots__ = ()
+    lexicon: Mapping[str, str] = types.MappingProxyType({})  # read-only, so sharing it is safe
+    drop_prob: float = 0.0
+    swap_prob: float = 0.0
+    seed: int = 0
 
     def _check(self) -> None:
         if not 0.0 <= self.drop_prob <= 1.0 or not 0.0 <= self.swap_prob <= 1.0:
@@ -57,7 +54,8 @@ class ChannelConfig(Checked, _ChannelConfig):
                 raise ValueError(f"lexicon entries must be single tokens, got {k!r} -> {v!r}")
 
 
-class _BackendSpec(NamedTuple):
+@checked
+class BackendSpec(NamedTuple):
     kind: str
     from_lang: str = "xx"
     to_lang: str = "xx"
@@ -67,10 +65,6 @@ class _BackendSpec(NamedTuple):
     batch_size: int = 64
     retries: int = 2
     channel: ChannelConfig | None = None
-
-
-class BackendSpec(Checked, _BackendSpec):
-    __slots__ = ()
 
     def _check(self) -> None:
         if self.kind not in KINDS:

@@ -163,6 +163,24 @@ def _require(params: dict, **flags: str) -> None:
             raise UsageError(f"Missing option '{flag}'.")
 
 
+def _either(params: dict, first: dict[str, str], second: dict[str, str],
+            needed: bool = True) -> int | None:
+    """Which of two either/or flag groups, each as parameter=flag, a
+    command was given: 0 or 1, every flag of which it then needs, or None
+    for neither.  Both groups, or neither while ``needed``, is a usage
+    error naming the flags."""
+    groups = (first, second)
+    given = [i for i, group in enumerate(groups) if any(params[name] for name in group)]
+    names = " or ".join("/".join(group.values()) for group in groups)
+    if len(given) > 1:
+        raise UsageError(f"give {names}, not both")
+    if not given and needed:
+        raise UsageError(f"provide {names}")
+    if given:
+        _require(params, **groups[given[0]])
+    return given[0] if given else None
+
+
 def _emit(out: str | None, text: str) -> None:
     with atomic_open(out) as fh:
         fh.write(text)
@@ -280,8 +298,8 @@ def _parse_command(name: str, args: list[str], config_path: str | None) -> dict 
         if value is None:
             value = section.get(option.name)
         params[option.name] = option.default if value is None else _convert(option, value)
-        if option.required and params[option.name] in (None, ()):
-            raise UsageError(f"Missing option '{option.flag}'.")
+        if option.required:
+            _require(params, **{option.name: option.flag})
     return params
 
 

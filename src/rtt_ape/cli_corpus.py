@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from .cli import (FLAG, FLOAT, IN, INPUT, INTEGER, OUT, PATH, REPORT, Option, UsageError,
+from .cli import (FLAG, FLOAT, IN, INPUT, INTEGER, OUT, PATH, REPORT, Option, _either,
                   _report_out, _require)
 from .lineio import iter_aligned, iter_lines, iter_rows, open_lines, write_lines
 
@@ -18,15 +18,13 @@ if TYPE_CHECKING:
 def _write_pairs(params: dict, pairs: Iterable[SentencePair]) -> None:
     """Write bitext to ``--out-src`` and ``--out-tgt`` when either is given,
     else as source and target rows to ``--out`` or stdout.  Only one of the
-    two forms: ``--out`` with either is a usage error."""
-    if not (params["out_src"] or params["out_tgt"]):
+    two forms (see ``cli._either``)."""
+    if _either(params, {"out": "--out"}, {"out_src": "--out-src", "out_tgt": "--out-tgt"},
+               needed=False) != 1:
         with open_lines(params["out"], ("source", "target")) as write:
             for pair in pairs:
                 write((pair.source, pair.target))
         return
-    if params["out"]:
-        raise UsageError("give --out or --out-src/--out-tgt, not both")
-    _require(params, out_src="--out-src", out_tgt="--out-tgt")
     with open_lines(params["out_src"]) as src, open_lines(params["out_tgt"]) as tgt:
         for pair in pairs:
             src(pair.source)
@@ -58,17 +56,11 @@ def filter_bitext_cmd(params: dict) -> None:
     excessive token length ratio."""
     from .corpus import FilterReport, SentencePair, bitext_reject_reason
 
-    two_files = params["src_path"] or params["tgt_path"]
-    if two_files and params["tsv_path"]:
-        raise UsageError("give --src/--tgt or --tsv, not both")
-    if params["tsv_path"]:
+    if _either(params, {"src_path": "--src", "tgt_path": "--tgt"}, {"tsv_path": "--tsv"}) == 1:
         rows = iter_rows(params["tsv_path"], 2)
-    elif two_files:
-        _require(params, src_path="--src", tgt_path="--tgt", out_src="--out-src",
-                 out_tgt="--out-tgt")
-        rows = iter_aligned(params["src_path"], params["tgt_path"])
     else:
-        raise UsageError("provide --src/--tgt or --tsv")
+        _require(params, out_src="--out-src", out_tgt="--out-tgt")
+        rows = iter_aligned(params["src_path"], params["tgt_path"])
     pairs = (SentencePair(*row) for row in rows)
     cfg = _filter_config(params)
     report = FilterReport()

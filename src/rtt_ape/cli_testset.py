@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .cli import INPUT, OUT, PATH, Option, UsageError, _dump_json, _emit, _require, choice
+from .cli import INPUT, OUT, PATH, Option, UsageError, _dump_json, _either, _emit, choice
 from .errors import SgmParseError
 from .halves import SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
 from .lineio import open_lines, read_aligned, read_lines, write_lines
@@ -32,18 +32,11 @@ def _text_segments(text: str, origins: str | None) -> list[Segment]:
 def _is_sgm(params: dict, sgm: tuple[str, ...], text: str) -> bool:
     """Whether a command's test set comes from its SGM flags ``sgm``, each
     of which it then needs, rather than from its plain-text flag ``text``,
-    which ``--origins`` labels.  Both sources, neither, or ``--origins``
-    with SGM is a usage error naming the command's flags."""
-    sgm_flags = "/".join(sgm)
-    if not any(params[Option(flag).name] for flag in sgm):
-        if not params[Option(text).name]:
-            raise UsageError(f"provide {sgm_flags} or {text}")
+    which ``--origins`` labels (see ``cli._either``)."""
+    if _either(params, {Option(flag).name: flag for flag in sgm}, {Option(text).name: text}) == 1:
         return False
-    if params[Option(text).name]:
-        raise UsageError(f"give {sgm_flags} or {text}, not both")
     if params["origins"]:
-        raise UsageError(f"--origins goes with {text}, not {sgm_flags}")
-    _require(params, **{Option(flag).name: flag for flag in sgm})
+        raise UsageError(f"--origins goes with {text}, not {'/'.join(sgm)}")
     return True
 
 

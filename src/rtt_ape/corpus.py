@@ -14,20 +14,14 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
-from .errors import Checked
+from .errors import checked
 from .lineio import blake2b
 
 T = TypeVar("T")
 
 
-class _FilterConfig(NamedTuple):
-    max_chars: int = 500
-    max_tokens: int = 70
-    bitext_max_tokens: int = 250
-    max_len_ratio: float = 2.0
-
-
-class FilterConfig(Checked, _FilterConfig):
+@checked
+class FilterConfig(NamedTuple):
     """Caps for monolingual and bitext filtering.
 
     Monolingual lines are capped at the minimum of the character and token
@@ -35,7 +29,10 @@ class FilterConfig(Checked, _FilterConfig):
     counts are whitespace-split throughout.
     """
 
-    __slots__ = ()
+    max_chars: int = 500
+    max_tokens: int = 70
+    bitext_max_tokens: int = 250
+    max_len_ratio: float = 2.0
 
     def _check(self) -> None:
         if min(self.max_chars, self.max_tokens, self.bitext_max_tokens) <= 0:

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the base of checked records."""
+"""Exception types shared across the toolkit, and the decorator of checked records."""
 
 
 class DataError(Exception):
@@ -31,19 +31,25 @@ class BackendError(Exception):
         super().__init__(message)
 
 
-class Checked:
-    """Base of a record that checks its values: ``class R(Checked, _R)``
-    over a ``NamedTuple`` ``_R``, whose ``_check`` raises ``ValueError`` for
-    a bad value.  The constructor runs it, and so do ``_make`` and
-    ``_replace``, which would otherwise build the tuple unchecked."""
+def checked(record: type) -> type:
+    """The record of ``NamedTuple`` ``record``, whose ``_check`` raises
+    ``ValueError`` for a bad value, with that check run by the constructor,
+    and so by ``_make`` and ``_replace``, which would otherwise build the
+    tuple unchecked.  A class decorator: the record keeps the declared
+    class's names, which its ``repr``, its errors and pickling use."""
 
-    __slots__ = ()
+    class Record(record):
+        __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        record = super().__new__(cls, *args, **kwargs)
-        record._check()
-        return record
+        def __new__(cls, *args, **kwargs):
+            self = super().__new__(cls, *args, **kwargs)
+            self._check()
+            return self
 
-    @classmethod
-    def _make(cls, values):
-        return cls(*values)
+        @classmethod
+        def _make(cls, values):
+            return cls(*values)
+
+    Record.__name__, Record.__qualname__ = record.__name__, record.__qualname__
+    Record.__module__, Record.__doc__ = record.__module__, record.__doc__
+    return Record

@@ -8,9 +8,9 @@ the partition (``split_by_origin``) and re-exports it."""
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .errors import Checked
+from .errors import checked
 from .lineio import read_json
 
 # Where post-editing applies: every line, or the target-original half only.
@@ -21,13 +21,8 @@ ALL, TARGET_ORIGINAL_ONLY = SCOPES = ("all", "target_original_only")
 GROUPS = ("source_original", "target_original", "unknown")
 
 
-class _SplitHalves(NamedTuple):
-    source_original: tuple[int, ...]
-    target_original: tuple[int, ...] = ()
-    unknown: tuple[int, ...] = ()
-
-
-class SplitHalves(Checked, _SplitHalves):
+@checked
+class SplitHalves(NamedTuple):
     """Index partition of a test set by the original language of each segment.
 
     Indices whose origin is neither the source nor the target language land
@@ -35,7 +30,9 @@ class SplitHalves(Checked, _SplitHalves):
     ``split_by_origin`` output also covers the whole set.
     """
 
-    __slots__ = ()
+    source_original: tuple[int, ...]
+    target_original: tuple[int, ...] = ()
+    unknown: tuple[int, ...] = ()
 
     def _check(self) -> None:
         """Every index is a non-negative ``int`` (not a ``bool``) in one
@@ -85,3 +82,21 @@ class SplitHalves(Checked, _SplitHalves):
             return halves
 
         return read_json(path, "split file", build)
+
+
+def _check_scope(scope: str) -> None:
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+
+
+def _scope_indices(scope: str, halves: SplitHalves | None, n: int) -> Sequence[int]:
+    """The indices, in order, of the lines among ``n`` that scope ``scope``
+    edits: every one (``ALL``), or the target-original half of ``halves``,
+    which ``TARGET_ORIGINAL_ONLY`` needs.  Given ``halves`` must index the
+    lines (``SplitHalves.check_range``) under either scope."""
+    _check_scope(scope)
+    if halves is not None:
+        halves.check_range(n)
+    elif scope == TARGET_ORIGINAL_ONLY:
+        raise ValueError(f"{TARGET_ORIGINAL_ONLY} scope needs split halves")
+    return halves.target_original if scope == TARGET_ORIGINAL_ONLY else range(n)

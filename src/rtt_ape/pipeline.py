@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .backends import BackendSpec, check_jobs, translate_batch
-from .errors import BackendError, Checked
-from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
+from .errors import BackendError, checked
+from .halves import ALL, SplitHalves, _check_scope, _scope_indices
 from .parallel import Reiterable, fork_map, usable_cores
 
 if TYPE_CHECKING:
@@ -44,17 +44,13 @@ class RttPair(NamedTuple):
     round_trip: str
 
 
-class _ApeMode(NamedTuple):
+@checked
+class ApeMode(NamedTuple):
     scope: str = ALL
     iterations: int = 1
 
-
-class ApeMode(Checked, _ApeMode):
-    __slots__ = ()
-
     def _check(self) -> None:
-        if self.scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
+        _check_scope(self.scope)
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
@@ -227,22 +223,14 @@ def apply_ape(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
 ) -> tuple[list[str], ChangeReport]:
-    """Post-edit translation output.
-
-    Scope ``ALL`` edits every line; ``TARGET_ORIGINAL_ONLY`` edits only the
-    target-original indices of ``halves`` and leaves the rest byte-identical.
-    Given ``halves`` must index ``hyp`` (``SplitHalves.check_range``) under
-    either scope.  The backend is iterated ``mode.iterations`` times over the
+    """Post-edit translation output: the lines of ``hyp`` in scope
+    ``mode.scope`` of ``halves`` (see ``halves._scope_indices``), leaving
+    the rest byte-identical.  The backend is iterated ``mode.iterations`` times over the
     in-scope lines.  Line count and order never change.  A backend error
     names the 1-based line numbers in ``hyp`` of its batch's first and last
     line.
     """
-    selective = mode.scope == TARGET_ORIGINAL_ONLY
-    if halves is not None:
-        halves.check_range(len(hyp))
-    elif selective:
-        raise ValueError(f"{TARGET_ORIGINAL_ONLY} scope needs split halves")
-    scope = list(halves.target_original if selective else range(len(hyp)))
+    scope = list(_scope_indices(mode.scope, halves, len(hyp)))
 
     current = list(hyp)
     changed_per_iteration = []

@@ -13,7 +13,7 @@ import re
 from typing import IO, NamedTuple, Sequence
 
 from .errors import AlignmentError, SgmParseError
-from .halves import ALL, SCOPES, TARGET_ORIGINAL_ONLY, SplitHalves
+from .halves import TARGET_ORIGINAL_ONLY, SplitHalves, _scope_indices
 
 SIDES = ("src", "ref", "hyp")
 
@@ -64,6 +64,12 @@ class TestSet:
         return len(self.source)
 
 
+def _lang(code: str) -> str:
+    """A language code or origin label as compared: trimmed and lowercased,
+    "unknown" if that leaves nothing."""
+    return code.strip().lower() or "unknown"
+
+
 def _decode_entities(text: str) -> str:
     for entity, char in _ENTITIES:
         text = text.replace(entity, char)
@@ -97,7 +103,7 @@ def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
     """Extract segments from a WMT-style SGM byte stream, in document order.
 
     ``orig_lang`` comes from the enclosing ``<doc>`` element's origlang
-    attribute, normalized to lowercase, with "unknown" when absent.  The
+    attribute, normalized by ``_lang``, so "unknown" when absent.  The
     five standard character entities are decoded and surrounding whitespace
     is trimmed.  Input with no ``<seg>`` elements, mismatched ``<doc>``
     nesting, duplicate (doc_id, seg_id) keys, or a segment or attribute
@@ -147,7 +153,7 @@ def parse_sgm(raw: bytes | str | IO[bytes], side: str = "src") -> list[Segment]:
             doc_id, orig_lang = "", "unknown"
         else:
             doc_id = doc_attrs.get("docid", "")
-            orig_lang = doc_attrs.get("origlang", "").strip().lower() or "unknown"
+            orig_lang = _lang(doc_attrs.get("origlang", ""))
         text = _decode_entities(_decode(data, m.end(), close.start())).strip()
         segments.append(Segment(seg_id=seg_id, doc_id=doc_id, orig_lang=orig_lang, text=text))
         pos = close.end()
@@ -214,36 +220,32 @@ def segments_from_lines(
     """Companion loader for plain one-sentence-per-line test sets.
 
     ``origins`` is the sidecar format: one language code per line, aligned
-    by line number; None marks every segment's origin unknown.
+    by line number, normalized by ``_lang``; None marks every segment's
+    origin unknown.
     """
     if origins is not None and len(origins) != len(lines):
         raise AlignmentError(f"{len(lines)} lines but {len(origins)} origin labels")
-    segments = []
-    for i, line in enumerate(lines):
-        orig = origins[i].strip().lower() if origins is not None else ""
-        segments.append(
-            Segment(seg_id=str(i + 1), doc_id=doc_id, orig_lang=orig or "unknown", text=line)
-        )
-    return segments
+    return [Segment(seg_id=str(i + 1), doc_id=doc_id, text=line,
+                    orig_lang=_lang(origins[i]) if origins is not None else "unknown")
+            for i, line in enumerate(lines)]
 
 
 def split_by_origin(ts: TestSet) -> SplitHalves:
     """Partition segment indices by the original language of the source side.
 
-    Origins matching neither ts.src_lang nor ts.tgt_lang are collected as
-    unknown rather than guessed into a half.
+    Origins are compared with ts.src_lang and ts.tgt_lang normalized like
+    them (``_lang``); those matching neither are collected as unknown rather
+    than guessed into a half.  Codes that do not name two languages (empty,
+    "unknown" or equal) are a ``ValueError`` that names them.
     """
-    source_original = []
-    target_original = []
-    unknown = []
+    src, tgt = _lang(ts.src_lang), _lang(ts.tgt_lang)
+    if "unknown" in (src, tgt) or src == tgt:
+        raise ValueError(f"language codes {ts.src_lang!r} and {ts.tgt_lang!r} "
+                         "do not name two languages")
+    groups: dict[str, list[int]] = {src: [], tgt: [], "unknown": []}  # SplitHalves' order
     for i, seg in enumerate(ts.source):
-        if seg.orig_lang == ts.tgt_lang:
-            target_original.append(i)
-        elif seg.orig_lang == ts.src_lang:
-            source_original.append(i)
-        else:
-            unknown.append(i)
-    return SplitHalves(tuple(source_original), tuple(target_original), tuple(unknown))
+        groups.get(seg.orig_lang, groups["unknown"]).append(i)
+    return SplitHalves(*(tuple(indices) for indices in groups.values()))
 
 
 def merge_selective(
@@ -252,18 +254,12 @@ def merge_selective(
     halves: SplitHalves,
     mode: str = TARGET_ORIGINAL_ONLY,
 ) -> list[str]:
-    """Take edited lines everywhere (mode ``ALL``) or only on the
-    target-original half (mode ``TARGET_ORIGINAL_ONLY``), keeping base lines
-    byte-identical elsewhere.  Order is preserved, and ``halves`` must index
-    the lines (``SplitHalves.check_range``) under either mode."""
-    if mode not in SCOPES:
-        raise ValueError(f"unknown merge mode {mode!r}")
+    """Take the edited lines in scope ``mode`` of ``halves`` (see
+    ``halves._scope_indices``), keeping base lines byte-identical elsewhere.
+    Order is preserved."""
     if len(base_hyp) != len(edited_hyp):
         raise ValueError(f"length mismatch: base {len(base_hyp)} vs edited {len(edited_hyp)}")
-    halves.check_range(len(base_hyp))
-    if mode == ALL:
-        return list(edited_hyp)
     merged = list(base_hyp)
-    for i in halves.target_original:
+    for i in _scope_indices(mode, halves, len(base_hyp)):
         merged[i] = edited_hyp[i]
     return merged

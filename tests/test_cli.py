@@ -211,6 +211,29 @@ class TestSgmCommands:
         assert f"bad split file {str(split)!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("src, tgt", [("EN", "DE"), (" en", "De ")])
+    def test_split_compares_codes_as_origins_are_normalized(self, tmp_path, src, tgt):
+        out = tmp_path / "split.json"
+        assert run("split", "--sgm", str(DATA / "mini_ende_src.sgm"), "--src", src,
+                   "--tgt", tgt, "--out", str(out)) == 0
+        halves = json.loads(out.read_text())
+        assert halves["target_original"] == [0, 1, 2, 3, 8, 9, 10, 11]
+        assert halves["source_original"] == [4, 5, 6, 7, 12, 13, 14, 15]
+        assert (halves["src_lang"], halves["tgt_lang"]) == (src, tgt)  # as given
+
+    @pytest.mark.parametrize("command", ["split", "report-split"])
+    @pytest.mark.parametrize("src, tgt", [("en", "en"), ("en", "EN"), ("", "de")])
+    def test_codes_naming_no_two_languages_are_a_data_error(self, tmp_path, capsys, command,
+                                                            src, tgt):
+        sgm, hyp, out = DATA / "mini_ende_src.sgm", tmp_path / "hyp.txt", tmp_path / "out.json"
+        write(hyp, [seg.text for seg in parse_sgm(sgm.read_bytes())])
+        argv = (["--sgm", str(sgm)] if command == "split"
+                else ["--src-sgm", str(sgm), "--ref-sgm", str(sgm), "--hyp", f"a={hyp}"])
+        assert run(command, *argv, "--src", src, "--tgt", tgt, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: language codes {src!r} and {tgt!r} do not name two languages\n")
+        assert not out.exists()
+
     def test_split_plain_text_with_origins(self, tmp_path):
         text = tmp_path / "plain.txt"
         origins = tmp_path / "plain.origins"
@@ -922,6 +945,22 @@ class TestAnalysisCommands:
         assert payload["perfect"]["split_scores"]["full"]["score"] == 100.0
         assert "orig-de" in capsys.readouterr().err
         assert refs[0] == ref_segs[0].text
+
+    def test_report_split_compares_codes_as_origins_are_normalized(self, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        write(hyp, [f"das ist satz {i}" for i in range(20)])
+        reports = {}
+        for src, tgt in [("en", "de"), ("EN", "De ")]:
+            out = tmp_path / f"{src}.json"
+            assert run("report-split", "--src-sgm", str(DATA / "mini_ende_src.sgm"),
+                       "--ref-sgm", str(DATA / "mini_ende_ref.sgm"), "--src", src, "--tgt", tgt,
+                       "--hyp", f"a={hyp}", "--out", str(out)) == 0
+            reports[src] = json.loads(out.read_text())["a"]
+        assert reports["EN"]["metadata"] == reports["en"]["metadata"]
+        for name, score in reports["en"]["split_scores"].items():
+            upper = reports["EN"]["split_scores"][name]
+            assert upper["signature"] == score["signature"].replace("en-de", "EN-De ")
+            assert {**upper, "signature": ""} == {**score, "signature": ""}
 
     @pytest.mark.parametrize("command, flags", [
         ("bleu", ["--hyp", "nope.txt", "--ref", "{ref}"]),

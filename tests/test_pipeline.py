@@ -9,6 +9,8 @@ import tracemalloc
 
 import pytest
 from conftest import child_pids, command_killing_its_worker
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtt_ape import pipeline
 from rtt_ape.backends import BackendSpec, ChannelConfig, translate_batch
@@ -23,7 +25,8 @@ from rtt_ape.pipeline import (
     iter_rtt,
     make_training_pairs,
 )
-from rtt_ape.testset import SplitHalves
+from rtt_ape.halves import SCOPES
+from rtt_ape.testset import SplitHalves, merge_selective
 
 IDENT_DE_EN = BackendSpec.identity(from_lang="de", to_lang="en")
 IDENT_EN_DE = BackendSpec.identity(from_lang="en", to_lang="de")
@@ -490,3 +493,28 @@ class TestApplyApe:
             ApeMode(scope="everything")
         with pytest.raises(ValueError):
             ApeMode(iterations=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from(["bad", "bad day", "fine", ""]), max_size=10),
+           st.lists(st.sampled_from(["source_original", "target_original", "unknown", None]),
+                    max_size=12),
+           st.sampled_from(SCOPES))
+    def test_a_scope_edits_the_lines_merge_selective_takes(self, hyp, groups, scope):
+        """``groups[i]`` is the group of index i, None for none; an index
+        past the last line makes the halves out of range, the same error
+        either way."""
+        halves = SplitHalves(**{group: tuple(i for i, g in enumerate(groups) if g == group)
+                                for group in SplitHalves._fields})
+
+        def outcome(run):
+            try:
+                return run()
+            except ValueError as exc:
+                return str(exc)
+
+        direct = outcome(lambda: apply_ape(hyp, self.DENOISER, halves, ApeMode(scope))[0])
+        merged = outcome(lambda: merge_selective(hyp, apply_ape(hyp, self.DENOISER)[0], halves,
+                                                 scope))
+        assert direct == merged
+        in_range = all(g is None for g in groups[len(hyp):])
+        assert isinstance(direct, list) == in_range

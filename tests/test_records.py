@@ -1,10 +1,13 @@
-"""The library's records: a ``NamedTuple``, or a ``__slots__`` class where
-mutable.  A record that checks its values rejects a bad one however it is
-built: positionally, by keyword, by ``_make`` or by ``_replace``."""
+"""The library's records: one ``NamedTuple`` declaration each, or a
+``__slots__`` class where mutable or sized.  A record that checks its
+values rejects a bad one however it is built: positionally, by keyword, by
+``_make`` or by ``_replace``."""
 
 from __future__ import annotations
 
+import pickle
 import re
+import types
 
 import pytest
 
@@ -13,12 +16,15 @@ from rtt_ape.backends import BackendSpec, ChannelConfig
 from rtt_ape.corpus import FilterConfig, FilterReport, SentencePair
 from rtt_ape.halves import SplitHalves
 from rtt_ape.pipeline import ApeMode, ChangeReport, RttPair
-from rtt_ape.scoring import BleuConfig, BleuScore, NgramStats
+from rtt_ape.scoring import BleuConfig, BleuScore, NgramStats, corpus_bleu
 from rtt_ape.testset import Segment, TestSet
 
 RECORDS = [AnalysisReport, ApeMode, BackendSpec, BleuConfig, BleuScore, ChangeReport,
            ChannelConfig, FilterConfig, FilterReport, NgramStats, RttPair, Segment, SentencePair,
            SplitHalves, TestSet]
+# One valid record of each class that checks its values.
+CHECKED_RECORDS = [ApeMode(), BackendSpec.identity(), ChannelConfig(lexicon={"a": "b"}),
+                   FilterConfig(), SplitHalves((0,), (1,))]
 
 # A valid record, the field given a bad value, that value, and the error's text.
 CHECKED = {
@@ -72,3 +78,33 @@ def test_the_default_lexicon_is_shared_read_only_and_copied_out():
     channel = BackendSpec.toy_channel(a).as_dict()["channel"]
     assert channel == {"lexicon": {}, "drop_prob": 0.0, "swap_prob": 0.0, "seed": 0}
     assert type(channel["lexicon"]) is dict
+
+
+@pytest.mark.parametrize("valid", CHECKED_RECORDS, ids=lambda valid: type(valid).__name__)
+def test_a_checked_record_is_its_declared_class(valid):
+    """A wrong argument count names the class the caller used, on every
+    Python, and so do ``repr`` and pickling."""
+    cls = type(valid)
+    builds = [lambda: cls(*range(len(cls._fields) + 1)), lambda: cls(nope=1)]
+    if len(cls._field_defaults) < len(cls._fields):
+        builds.append(cls)  # a required field left out
+    for build in builds:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\) "):
+            build()
+    assert repr(valid).startswith(f"{cls.__name__}(")
+    assert type(pickle.loads(pickle.dumps(valid))) is cls
+    assert pickle.loads(pickle.dumps(valid)) == valid
+
+
+def test_an_analysis_report_is_immutable_and_derives_its_precisions():
+    bleu = corpus_bleu([("a b c d e", "a b c d f")])
+    report = AnalysisReport(rtt_bleu=bleu)
+    assert "precision_breakdown" not in AnalysisReport._fields
+    assert report.precision_breakdown == bleu.precisions
+    assert report.as_dict()["precision_breakdown"] == list(bleu.precisions)
+    assert AnalysisReport().precision_breakdown is None
+    with pytest.raises(AttributeError):
+        report.split_scores = {}  # type: ignore[misc]
+    empty = AnalysisReport()
+    assert all(type(m) is types.MappingProxyType
+               for m in (empty.vocab_sizes, empty.split_scores, empty.metadata))

@@ -217,6 +217,18 @@ class TestSplitByOrigin:
         assert combined == list(range(len(origins)))
         assert not set(halves.source_original) & set(halves.target_original)
 
+    def test_codes_are_compared_as_origins_are_normalized(self):
+        ts = self._ts(["en", "de", "cs", "unknown"])
+        upper = self._ts(["en", "de", "cs", "unknown"], src=" EN", tgt="De ")
+        assert split_by_origin(upper) == split_by_origin(ts) == ((0,), (1,), (2, 3))
+
+    @pytest.mark.parametrize("src, tgt", [("en", "en"), ("EN", "en "), ("", "de"),
+                                          ("en", " "), ("unknown", "de")])
+    def test_codes_that_name_no_two_languages_are_an_error(self, src, tgt):
+        message = f"language codes {src!r} and {tgt!r} do not name two languages"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            split_by_origin(self._ts(["en", "de"], src, tgt))
+
 
 class TestSplitHalvesValidation:
     @pytest.mark.parametrize("bad", [-1, "x", True, 1.0, None])
@@ -308,7 +320,7 @@ class TestMergeSelective:
                 merge_selective(["a", "b"], ["c", "d"], self.HALVES, mode)
 
     def test_unknown_mode_is_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^scope must be one of .*, got 'some'$"):
             merge_selective(["a"], ["a"], self.HALVES, mode="some")
 
 
