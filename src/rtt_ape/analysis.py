@@ -20,7 +20,7 @@ import random
 import types
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DataError
+from .errors import DataError, reduce_read_only
 from .parallel import fork_map
 from .scoring import (
     BleuConfig,
@@ -60,6 +60,8 @@ class AnalysisReport(NamedTuple):
     rtt_bleu: BleuScore | None = None
     split_scores: Mapping[str, BleuScore] = types.MappingProxyType({})
     metadata: Mapping = types.MappingProxyType({})
+
+    __reduce__ = reduce_read_only
 
     @property
     def precision_breakdown(self) -> tuple[float, ...] | None:

@@ -23,7 +23,7 @@ import types
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, get_type_hints
 
-from .errors import BackendError, DataError, checked
+from .errors import BackendError, DataError, checked, reduce_read_only
 from .lineio import atomic_open, blake2b, iter_lines
 from .parallel import fork_map
 
@@ -44,6 +44,8 @@ class ChannelConfig(NamedTuple):
     drop_prob: float = 0.0
     swap_prob: float = 0.0
     seed: int = 0
+
+    __reduce__ = reduce_read_only
 
     def _check(self) -> None:
         if not 0.0 <= self.drop_prob <= 1.0 or not 0.0 <= self.swap_prob <= 1.0:

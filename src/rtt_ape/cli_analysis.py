@@ -54,13 +54,16 @@ _HYPS = Type("LABEL=PATH", _hyp_specs, lambda specs: [spec.partition("=")[2] for
 
 
 # Fewest (system, segment) pairs per scoring process, so report-split forks
-# only from 2x this many pairs.  A second process costs ~7 ms to fork, to
-# pipe its stats back and to reap.  Timed in fresh processes on perfbench
-# eval inputs cut to N segments x 8 systems (2-core sandbox, Python 3.11,
-# medians of 11): at 400 pairs one process takes 0.015 s and two 0.019 s;
-# from 500 to 800 pairs they are even; at 1,600 pairs two take 0.053 s
-# against 0.077 s and win 10 of 11 runs.
-MIN_PAIRS_PER_WORKER = 500
+# only from 2x this many pairs.  Timed in fresh processes on perfbench eval
+# inputs cut to N segments x 8 systems (sandbox, nproc 2, Python 3.11.7,
+# medians of 11), one process scores a pair in ~19 us of CPU, and a second
+# process costs 15-25 ms to fork, to fault in the pages both write, to pipe
+# its stats back and to reap: at 1,600 pairs one takes 0.034 s and two
+# 0.051 s, at 12,000 pairs 0.224 s and 0.249 s, while the second vCPU was
+# shared.  With it free, two run side by side, which pays from about
+# 2 x 16 ms / 19 us = 1,700 pairs: a whole report-split of 16,000 pairs
+# then took 0.27 s of wall time in two processes against 0.38 s in one.
+MIN_PAIRS_PER_WORKER = 1000
 
 
 def _scoring_workers(pairs: int) -> int:

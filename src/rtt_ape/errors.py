@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit, and the decorator of checked records."""
+"""Exception types shared across the toolkit, the decorator of checked
+records, and the pickling of records with read-only mappings."""
+
+import types
 
 
 class DataError(Exception):
@@ -53,3 +56,17 @@ def checked(record: type) -> type:
     Record.__name__, Record.__qualname__ = record.__name__, record.__qualname__
     Record.__module__, Record.__doc__ = record.__module__, record.__doc__
     return Record
+
+
+def reduce_read_only(record: tuple) -> tuple:
+    """The ``__reduce__`` of a ``NamedTuple`` record whose mappings may be
+    read-only (``types.MappingProxyType``, which cannot be pickled): each
+    pickles as a plain dict and loads read-only again."""
+    proxies = tuple(i for i, value in enumerate(record) if type(value) is types.MappingProxyType)
+    return _load_read_only, (type(record), tuple(
+        dict(value) if i in proxies else value for i, value in enumerate(record)), proxies)
+
+
+def _load_read_only(cls: type, values: tuple, proxies: tuple[int, ...]) -> tuple:
+    return cls(*(types.MappingProxyType(value) if i in proxies else value
+                 for i, value in enumerate(values)))

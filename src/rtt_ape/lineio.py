@@ -61,7 +61,13 @@ def _gzipped(raw: IO[bytes], path: Path) -> Iterator[IO[bytes]]:
     import gzip
 
     def compressor() -> gzip.GzipFile:
-        return gzip.GzipFile(filename="", mode="wb", compresslevel=9, fileobj=raw, mtime=0)
+        gz = gzip.GzipFile.__new__(gzip.GzipFile)
+        try:
+            gz.__init__(filename="", mode="wb", compresslevel=9, fileobj=raw, mtime=0)
+        except BaseException:  # say, ENOSPC as it writes the header
+            gz.fileobj = None  # else the half-built file's finalizer writes again
+            raise
+        return gz
 
     if not hasattr(os, "fork") or threading.active_count() > 1:
         with compressor() as gz:

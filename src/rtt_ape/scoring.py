@@ -21,15 +21,18 @@ line without an astral character, found by one search, uses classes cut at
 U+FFFF, and only other lines use the full classes, compiled on first need.
 The substitutions' replacements are bound ``str.format`` methods, which
 ``re`` calls from C, where Python 3.11 would expand template strings in
-Python per match.  A sentence's n-grams are kept per order: a ``set`` where
-none repeats (most orders from bigrams up), else a ``Counter``.  Clipped
-matches against a set are one intersection, in C; only orders that repeat
-an n-gram on both sides loop in Python.
+Python per match.  Only a reference's n-grams are kept, per order: a
+``set`` where none repeats (most orders from bigrams up), else a
+``Counter``.  A hypothesis's n-grams of each order are a ``zip`` over
+slices of its tokens, fed straight to C: an intersection with a set, or a
+``Counter`` clipped by the reference's counts with ``map``.  No Python runs
+per n-gram, and no table is built for a hypothesis.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import re
@@ -160,19 +163,29 @@ class NgramStats:
         self.ref_len += other.ref_len
 
 
-# Built for both sentences of each distinct pair; a few entries keep a
-# reference's table for every system scored against it.  Shared, so never mutated.
+# Built for references only; a few entries keep a reference's table for
+# every system scored against it.  Shared, so never mutated.
 @functools.lru_cache(maxsize=8)
 def _ngram_table(tokens: tuple[str, ...]) -> tuple[set | Counter, ...]:
-    """The n-grams of each order 1..4, keyed by token tuple: a ``set`` when
-    none of that order repeats, else a ``Counter``."""
-    shifted = [tokens[i:] for i in range(NGRAM_ORDER)]
+    """A reference's n-grams of each order 1..4, unigrams keyed by the token
+    itself and longer n-grams by token tuple: a ``set`` when none of that
+    order repeats, else a ``Counter``."""
+    b, c, d = tokens[1:], tokens[2:], tokens[3:]
     table = []
-    for n in range(1, NGRAM_ORDER + 1):
-        grams = list(zip(*shifted[:n]))
+    for grams in tokens, list(zip(tokens, b)), list(zip(tokens, b, c)), list(zip(tokens, b, c, d)):
         distinct = set(grams)
         table.append(distinct if len(distinct) == len(grams) else Counter(grams))
     return tuple(table)
+
+
+def _order_matches(ref: set | Counter, grams: Iterable) -> int:
+    """Clipped matches of a hypothesis's n-grams of one order, in C: against
+    a set, where each count is 1, the size of one intersection; against a
+    ``Counter``, the sum of each hypothesis count clipped by the reference's."""
+    if type(ref) is set:
+        return len(ref.intersection(grams))
+    counts = Counter(grams)
+    return sum(map(min, counts.values(), map(ref.get, counts, itertools.repeat(0))))
 
 
 # Scoring meets the same (hypothesis, reference) pair again and again (full
@@ -180,14 +193,11 @@ def _ngram_table(tokens: tuple[str, ...]) -> tuple[set | Counter, ...]:
 # a bounded cache changes nothing semantically.
 @functools.lru_cache(maxsize=1 << 16)
 def _clipped_matches(hyp_tokens: tuple[str, ...], ref_tokens: tuple[str, ...]) -> tuple[int, ...]:
-    # min(hyp count, ref count) is 1 for each n-gram common to a set and the
-    # other side: their intersection, in C.  Two Counters loop over the common n-grams.
-    return tuple(
-        len(hyp.intersection(ref)) if type(hyp) is set
-        else len(ref.intersection(hyp)) if type(ref) is set
-        else sum(min(count, ref[gram]) for gram, count in hyp.items() if gram in ref)
-        for hyp, ref in zip(_ngram_table(hyp_tokens), _ngram_table(ref_tokens))
-    )
+    # The hypothesis's n-grams of every order zip the same three slices and
+    # go straight to the reference's table: no table is built for them.
+    b, c, d = hyp_tokens[1:], hyp_tokens[2:], hyp_tokens[3:]
+    return tuple(map(_order_matches, _ngram_table(ref_tokens), (
+        hyp_tokens, zip(hyp_tokens, b), zip(hyp_tokens, b, c), zip(hyp_tokens, b, c, d))))
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ UTF-8."""
 
 import contextlib
 import errno
+import gc
 import gzip
 import hashlib
 import io
@@ -257,6 +258,32 @@ class TestGzipWriterThread:
             assert out.read_bytes() == before
             assert [p.name for p in tmp_path.iterdir()] == [out.name]
             assert not _children()
+
+        _at_each_path(check)
+
+    def test_a_failed_header_leaves_the_finalizer_nothing_to_write(self, tmp_path):
+        """A full disk at the first write, the gzip header's: the caller gets
+        the error, and the half-built ``GzipFile`` no file that its finalizer
+        would write to again (an error only ``-X dev`` shows), in this
+        process or in the forked child."""
+        writes = tmp_path / "writes.txt"
+
+        class FullDisk(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                with open(writes, "a", encoding="utf-8") as fh:  # the child's too
+                    fh.write(f"{data!r}\n")
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def check(path: str) -> None:
+            with pytest.raises(DataError if path == "forked" else OSError, match="No space"):
+                with lineio._gzipped(FullDisk(), tmp_path / "x.gz") as binary:
+                    binary.write(b"zeile\n")
+            gc.collect()  # frees the traceback, and the half-built file with it
+            assert writes.read_text(encoding="utf-8").splitlines() == [repr(b"\x1f\x8b")], path
+            writes.unlink()
 
         _at_each_path(check)
 

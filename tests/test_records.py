@@ -108,3 +108,20 @@ def test_an_analysis_report_is_immutable_and_derives_its_precisions():
     empty = AnalysisReport()
     assert all(type(m) is types.MappingProxyType
                for m in (empty.vocab_sizes, empty.split_scores, empty.metadata))
+
+
+@pytest.mark.parametrize("record", [ChannelConfig(), BackendSpec.toy_channel(ChannelConfig()),
+                                    AnalysisReport()], ids=lambda record: type(record).__name__)
+def test_a_record_with_read_only_defaults_pickles_and_stays_read_only(record):
+    """A ``mappingproxy`` cannot be pickled itself: the record pickles its
+    read-only mappings as dicts and loads them read-only again."""
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
+    assert _read_only_fields(copy) == _read_only_fields(record)
+    assert ChannelConfig().lexicon is ChannelConfig().lexicon  # the default is still shared
+
+
+def _read_only_fields(record: tuple) -> list:
+    """Which fields of ``record``, and of the records it holds, are read-only mappings."""
+    return [_read_only_fields(value) if hasattr(value, "_fields")
+            else type(value) is types.MappingProxyType for value in record]

@@ -250,9 +250,31 @@ class TestNgramStats:
         table = scoring._ngram_table(tuple(tokens))
         for n, grams in enumerate(table, 1):
             counts = scoring_oracle._ngram_counts(tokens, n)
+            if n == 1:  # unigrams are keyed by the token itself, not a 1-tuple
+                counts = Counter({token: count for (token,), count in counts.items()})
             assert Counter(grams) == counts
             # A set exactly when no n-gram of the order repeats.
             assert isinstance(grams, set) == all(c == 1 for c in counts.values())
+
+    # The reference repeats an n-gram of length ``n`` (its table's order n is a
+    # Counter); the hypothesis holds it more often, less often, or not at all,
+    # amid filler that is partly missing from the reference.
+    @pytest.mark.parametrize("relation", ["more", "fewer", "none"])
+    @given(n=st.integers(1, 4), ref_count=st.integers(2, 4), extra=st.integers(1, 3),
+           ref_fill=st.lists(st.sampled_from("x y".split()), max_size=6),
+           hyp_fill=st.lists(st.sampled_from("x z".split()), min_size=1, max_size=6))
+    def test_a_repeated_reference_ngram_clips_the_hypothesis_count(
+            self, relation, n, ref_count, extra, ref_fill, hyp_fill):
+        gram = "a b c d".split()[:n]
+        hyp_count = {"more": ref_count + extra, "fewer": min(extra, ref_count - 1),
+                     "none": 0}[relation]
+        ref = tuple(ref_fill + gram * ref_count)
+        hyp = tuple(gram * hyp_count + hyp_fill)
+        table = scoring._ngram_table(ref)
+        assert type(table[n - 1]) is Counter
+        assert table[n - 1][gram[0] if n == 1 else tuple(gram)] == ref_count
+        scoring._clipped_matches.cache_clear()
+        assert list(scoring._clipped_matches(hyp, ref)) == scoring_oracle.ngram_stats(hyp, ref).match
 
     def test_merge_is_fieldwise_addition(self):
         a = ngram_stats(["a", "b"], ["a", "b"])
