@@ -27,6 +27,8 @@ except ImportError:  # an interpreter built without the module
 
 T = TypeVar("T")
 
+GZIP_LEVEL = 6  # zlib's and gzip(1)'s default: level 9 took 1.6 times its CPU for 1% less size
+
 _compressor_pipes: set[int] = set()  # write ends into .gz compressors (see _gzipped)
 
 
@@ -51,19 +53,22 @@ def smart_open(path: str | Path) -> IO[str]:
 
 @contextlib.contextmanager
 def _gzipped(raw: IO[bytes], path: Path) -> Iterator[IO[bytes]]:
-    """A binary stream gzipped into ``raw`` (level 9, no name, mtime 0, one
-    sync flush at the end) by a child forked here, beside the caller, which
-    reads it from a pipe; by a ``GzipFile`` in this process where ``os.fork``
-    is missing or another thread runs.  The child heads a process group, so
-    Ctrl-C reaches only the caller, whose closing the pipe ends it; every
-    later child of this process closes the pipe's write end.  The child's
-    failure is a ``DataError`` naming ``path``, raised before the block's own."""
+    """A binary stream gzipped into ``raw`` (level ``GZIP_LEVEL``, no name,
+    mtime 0, one sync flush at the end) by a child forked here, beside the
+    caller, which reads it from a pipe; by a ``GzipFile`` in this process,
+    into the same bytes, where ``os.fork`` is missing or another thread runs.
+    At level 6 the child compresses about as fast as ``dedup`` or
+    ``filter-mono`` makes its lines, so neither waits long for the other.
+    The child heads a process group, so Ctrl-C reaches only the caller,
+    whose closing the pipe ends it; every later child of this process closes
+    the pipe's write end.  The child's failure is a ``DataError`` naming
+    ``path``, raised before the block's own."""
     import gzip
 
     def compressor() -> gzip.GzipFile:
         gz = gzip.GzipFile.__new__(gzip.GzipFile)
         try:
-            gz.__init__(filename="", mode="wb", compresslevel=9, fileobj=raw, mtime=0)
+            gz.__init__(filename="", mode="wb", compresslevel=GZIP_LEVEL, fileobj=raw, mtime=0)
         except BaseException:  # say, ENOSPC as it writes the header
             gz.fileobj = None  # else the half-built file's finalizer writes again
             raise
@@ -95,7 +100,9 @@ def _gzipped(raw: IO[bytes], path: Path) -> Iterator[IO[bytes]]:
                 gz.flush()
             raw.flush()
             os._exit(0)
-        except BaseException as exc:  # reported to the caller
+        except BaseException as exc:  # reported to the caller, which names the output
+            if isinstance(exc, DataError):  # _OutputFile's, naming it already
+                exc = exc.__cause__
             os.write(report_w, (str(exc) or type(exc).__name__).encode("utf-8", "replace"))
         finally:
             os._exit(1)
@@ -115,6 +122,29 @@ def _gzipped(raw: IO[bytes], path: Path) -> Iterator[IO[bytes]]:
                 raise DataError(f"{path}: the gzip writer failed: {failure}")
 
 
+class _OutputFile(io.FileIO):
+    """The temp file of output ``path``, whose own failures name ``path``:
+    an ``OSError`` as it is written (by a buffer's flush or a ``GzipFile``)
+    or closed is a ``DataError`` naming it.  An error the caller's block
+    raises for an input never passes through here, and keeps its name."""
+
+    def __init__(self, tmp: Path, path: Path) -> None:
+        super().__init__(os.fspath(tmp), "wb")  # an error names 'a.tmp1-2', not PosixPath(...)
+        self.output = path
+
+    def write(self, data) -> int | None:
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise DataError(f"{self.output}: {exc}") from exc
+
+    def close(self) -> None:
+        try:
+            super().close()
+        except OSError as exc:
+            raise DataError(f"{self.output}: {exc}") from exc
+
+
 @contextlib.contextmanager
 def atomic_open(path: str | Path | None) -> Iterator[IO[str]]:
     """Write a text file (UTF-8, '\\n' newlines, gzipped if it ends in .gz)
@@ -128,7 +158,9 @@ def atomic_open(path: str | Path | None) -> Iterator[IO[str]]:
     write the same path at once (two jobs caching one batch) each replace it
     whole.  Gzip headers carry no file name and a zero mtime, so equal text
     always compresses to equal bytes.  A .gz file is compressed in a child
-    process (see ``_gzipped``), which has ended by the time the block exits."""
+    process (see ``_gzipped``), which has ended by the time the block exits.
+    The output's own write, flush, close or replace failing is a
+    ``DataError`` naming ``path``."""
     if path is None:
         sys.stdout.flush()
         try:
@@ -139,12 +171,16 @@ def atomic_open(path: str | Path | None) -> Iterator[IO[str]]:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
     try:
-        with open(tmp, "wb") as raw, (_gzipped(raw, path) if path.suffix == ".gz"
-                                      else contextlib.nullcontext(raw)) as binary:
+        with io.BufferedWriter(_OutputFile(tmp, path)) as raw, (
+                _gzipped(raw, path) if path.suffix == ".gz"
+                else contextlib.nullcontext(raw)) as binary:
             text = io.TextIOWrapper(binary, encoding="utf-8", newline="\n")
             yield text
             text.flush()
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -1447,6 +1447,35 @@ class TestConfigFile:
         assert "Traceback" not in err
 
 
+class TestFailedWrites:
+    """A write that fails names the output it was writing, on the plain
+    path and on the forked compressor's, and leaves no output, no temp
+    file and no manifest."""
+
+    @pytest.mark.parametrize(("name", "writer"), [
+        ("o.txt", ""), ("o.txt.gz", "the gzip writer failed: ")])
+    def test_a_file_size_limit_names_the_output(self, tmp_path, name, writer):
+        import resource
+
+        rng = random.Random(0)
+        raw = tmp_path / "raw.txt"  # about 0.8 MB, which gzip leaves above the 64 KiB limit
+        write(raw, [" ".join(f"{rng.getrandbits(32):08x}" for _ in range(4))
+                    for _ in range(20_000)])
+        _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+
+        def limit():  # in the child only, after the fork
+            resource.setrlimit(resource.RLIMIT_FSIZE, (64 << 10, hard))
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        result = subprocess.run([sys.executable, "-m", "rtt_ape.cli", "dedup", "--in", "raw.txt",
+                                 "--out", name], cwd=tmp_path, env=env, preexec_fn=limit,
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (
+            2, f"data error: {name}: {writer}[Errno 27] File too large\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.txt"]
+
+
 class TestAtomicWholeTextOutputs:
     """An output that fails to encode leaves a previous file untouched."""
 

@@ -8,6 +8,7 @@ import gzip
 import hashlib
 import io
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -44,8 +45,10 @@ def test_gz_output_does_not_depend_on_clock_or_name(tmp_path, monkeypatch):
     write_lines(tmp_path / "b.txt.gz", lines)
     data = (tmp_path / "a.txt.gz").read_bytes()
     assert data == (tmp_path / "b.txt.gz").read_bytes()
-    # No FNAME flag, mtime 0, XFL 2 (compression level 9).
-    assert data[3] == 0 and data[4:8] == bytes(4) and data[8] == 2
+    # No FNAME flag, mtime 0, and the XFL of the level: 2 at level 9, 4 at
+    # level 1, 0 at any other.
+    xfl = {9: 2, 1: 4}.get(lineio.GZIP_LEVEL, 0)
+    assert data[3] == 0 and data[4:8] == bytes(4) and data[8] == xfl
     assert gzip.decompress(data).decode("utf-8") == "".join(line + "\n" for line in lines)
     assert read_lines(tmp_path / "a.txt.gz") == lines
 
@@ -126,6 +129,24 @@ def test_failed_write_leaves_previous_file_and_no_temp_file(tmp_path, name, erro
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+@pytest.mark.parametrize("name", ["out.txt", "out.txt.gz"])
+def test_a_failed_replace_names_the_output(tmp_path, name):
+    out = tmp_path / name
+    out.mkdir()
+    with pytest.raises(DataError) as raised:
+        write_lines(out, ["zeile"])
+    assert str(raised.value).startswith(f"{out}: [Errno 21] Is a directory: ")
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_an_output_in_a_missing_directory_names_its_temp_file(tmp_path):
+    out = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as raised:
+        write_lines(out, ["zeile"])
+    assert re.fullmatch(rf"\[Errno 2\] No such file or directory: '{re.escape(str(out))}"
+                        r"\.tmp\d+-\d+'", str(raised.value))
+
+
 def test_atomic_open_writes_only_on_success(tmp_path):
     out = tmp_path / "out.txt"
     with atomic_open(out) as fh:
@@ -145,7 +166,8 @@ LINE = st.text(
 
 def _single_threaded_gzip(lines: list[str]) -> bytes:
     buf = io.BytesIO()
-    gz = gzip.GzipFile(filename="", mode="wb", compresslevel=9, fileobj=buf, mtime=0)
+    gz = gzip.GzipFile(filename="", mode="wb", compresslevel=lineio.GZIP_LEVEL, fileobj=buf,
+                       mtime=0)
     with io.TextIOWrapper(gz, encoding="utf-8", newline="\n") as text:
         for line in lines:
             text.write(line + "\n")
@@ -224,37 +246,29 @@ class TestGzipWriterThread:
 
     @pytest.mark.parametrize("n_lines", [1, 50_000])
     def test_error_on_writer_thread_reaches_the_caller(self, tmp_path, monkeypatch, n_lines):
-        """A full disk under the compressor: its error names the output
-        when the child meets it, and is the ``OSError`` itself in process."""
+        """A full disk under the compressor: its error names the output,
+        whether the child meets it or this process does."""
         out = tmp_path / "out.txt.gz"
         write_lines(out, ["old"])
         before = out.read_bytes()
-        real_open = open
 
-        class FullDisk(io.FileIO):
+        class Full(io.FileIO):
             # The 10-byte gzip header gets through; every later write fails.
             def write(self, data):
                 if self.tell() >= 10:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return super().write(data)
 
-        def fake_open(path, mode="r", *args, **kwargs):
-            if mode == "wb" and not isinstance(path, int):  # the temp file, not a pipe
-                return FullDisk(path, "wb")
-            return real_open(path, mode, *args, **kwargs)
+        class FullDisk(lineio._OutputFile, Full):  # the temp file, over a full disk
+            pass
 
-        monkeypatch.setattr(lineio, "open", fake_open, raising=False)
+        monkeypatch.setattr(lineio, "_OutputFile", FullDisk)
 
         def check(path: str) -> None:
-            with pytest.raises((DataError, OSError)) as raised:
+            with pytest.raises(DataError) as raised:
                 write_lines(out, (f"zeile {i}" for i in range(n_lines)))
-            if path == "forked":
-                assert isinstance(raised.value, DataError)
-                assert str(raised.value) == (f"{out}: the gzip writer failed: "
-                                             "[Errno 28] No space left on device")
-            else:
-                assert raised.value.errno == errno.ENOSPC
-                assert str(raised.value) == "[Errno 28] No space left on device"
+            writer = "the gzip writer failed: " if path == "forked" else ""
+            assert str(raised.value) == f"{out}: {writer}[Errno 28] No space left on device"
             assert out.read_bytes() == before
             assert [p.name for p in tmp_path.iterdir()] == [out.name]
             assert not _children()
